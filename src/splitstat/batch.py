@@ -1,23 +1,90 @@
-"""Vectorized kernels for cubic families.
+"""Splitting types of whole families, one prime at a time.
 
-These are pure accelerations: every result is defined by (and tested
-against) the scalar routines in fppoly and family.  Coefficients must fit
-in 64-bit machine words and moduli stay below 2^20 so double-width
-products never overflow.
+types_mod_p is the single entry point.  Quadratic and cubic families run
+through vectorized numpy kernels while coefficients fit in 64-bit words
+(|c| < 2^62) and p < 2^20, so that double-width products never overflow;
+every other family calls fppoly.splitting_type_mod_p row by row, and the
+kernels are tested against that oracle.
 """
 
 import numpy as np
 
-from . import family as _family
-from .zpoly import discriminant, is_perfect_square
+from . import fppoly
+from .splittypes import enumerate_types
+from .zpoly import IntPolynomial
 
 MAX_KERNEL_PRIME = 2**20
 MAX_KERNEL_HEIGHT = 2**62
 
-# Codes emitted by _cubic_codes.
-SPLIT, TRANSPOSITION, INERT, ABSENT = 0, 1, 2, 3
+# Cubic codes, in enumerate_types(3) order; ABSENT is the not-squarefree code.
+INERT, TRANSPOSITION, SPLIT, ABSENT = 0, 1, 2, 3
 
-CODE_TYPES = {SPLIT: (3, 0, 0), TRANSPOSITION: (1, 1, 0), INERT: (0, 0, 1)}
+
+def pack(polys):
+    """The (m, n) coefficient array of a family of one degree.
+
+    int64 when every |coefficient| < 2^62, object dtype otherwise.
+    """
+    rows = [f.coeffs for f in polys]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("family mixes degrees")
+    try:
+        coeffs = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    if ((coeffs >= MAX_KERNEL_HEIGHT) | (coeffs <= -MAX_KERNEL_HEIGHT)).any():
+        return np.array(rows, dtype=object)
+    return coeffs
+
+
+def types_mod_p(coeffs, p):
+    """Splitting-type code of every row of an (m, n) coefficient array mod p.
+
+    Row (a_0, ..., a_{n-1}) stands for X^n + a_{n-1} X^{n-1} + ... + a_0.
+    A code indexes enumerate_types(n); the code len(enumerate_types(n))
+    marks a reduction that is not squarefree.
+    """
+    n = coeffs.shape[1]
+    if coeffs.dtype == np.int64 and p < MAX_KERNEL_PRIME:
+        if n == 3:
+            return _cubic_codes(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], p)
+        if n == 2:
+            return _quadratic_codes(coeffs[:, 0], coeffs[:, 1], p)
+    types = enumerate_types(n)
+    index = {r: code for code, r in enumerate(types)}
+    index[None] = len(types)
+    return np.array(
+        [
+            index[fppoly.splitting_type_mod_p(IntPolynomial(coeffs=tuple(row)), p)]
+            for row in coeffs.tolist()
+        ],
+        dtype=np.int16,
+    )
+
+
+def _quadratic_codes(a0, a1, p):
+    """Codes for X^2 + a1 X + a0 mod p: 0 inert, 1 split, 2 not squarefree."""
+    a0 = np.remainder(a0, p)
+    a1 = np.remainder(a1, p)
+    if p == 2:
+        # Squarefree iff the derivative a1 is nonzero; then X^2 + X + 1 is
+        # the only irreducible one.
+        codes = np.where(a0 == 1, 0, 1).astype(np.int8)
+        codes[a1 == 0] = 2
+        return codes
+    disc = (a1 * a1 - 4 * a0) % p
+    # Euler's criterion: disc^((p-1)/2) is 1 exactly on nonzero squares.
+    power = np.ones_like(disc)
+    base = disc
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            power = (power * base) % p
+        base = (base * base) % p
+        e >>= 1
+    codes = (power == 1).astype(np.int8)
+    codes[disc == 0] = 2
+    return codes
 
 
 def _square_mod_f(c0, c1, c2, a, b, c, p):
@@ -57,7 +124,7 @@ def _cubic_codes(a0, a1, a2, p):
     """Splitting-type codes for cubics X^3 + a2 X^2 + a1 X + a0 mod p.
 
     Input arrays are arbitrary int64 coefficients; output is an int8 array
-    with SPLIT / TRANSPOSITION / INERT / ABSENT per polynomial.
+    with INERT / TRANSPOSITION / SPLIT / ABSENT per polynomial.
     """
     a = np.remainder(a2, p)
     b = np.remainder(a1, p)
@@ -111,103 +178,18 @@ def _cubic_codes(a0, a1, a2, p):
     return codes
 
 
-def _coeff_arrays(polys):
-    a0 = np.array([f.coeffs[0] for f in polys], dtype=np.int64)
-    a1 = np.array([f.coeffs[1] for f in polys], dtype=np.int64)
-    a2 = np.array([f.coeffs[2] for f in polys], dtype=np.int64)
-    return a0, a1, a2
+def cubic_count_matrix(coeffs, primes):
+    """Per-row counts of each cubic code over the primes.
 
-
-def supports(polys, max_prime):
-    if not polys or any(f.degree != 3 for f in polys):
-        return False
-    if max_prime >= MAX_KERNEL_PRIME:
-        return False
-    return all(f.height < MAX_KERNEL_HEIGHT for f in polys)
-
-
-def cubic_count_matrix(polys, primes):
-    """Per-polynomial counts of each cubic splitting type over the primes.
-
-    Returns an int64 array of shape (len(polys), 4): columns are the codes
-    SPLIT, TRANSPOSITION, INERT, ABSENT.
+    coeffs is an (m, 3) int64 array within the kernel bounds and every
+    prime is below MAX_KERNEL_PRIME.  Returns an int64 array of shape
+    (m, 4) whose columns are the codes INERT, TRANSPOSITION, SPLIT, ABSENT.
     """
-    a0, a1, a2 = _coeff_arrays(polys)
-    m = len(polys)
+    a0, a1, a2 = (np.ascontiguousarray(column) for column in coeffs.T)
+    m = len(coeffs)
     counts = np.zeros((m, 4), dtype=np.int64)
     rows = np.arange(m)
     for p in primes:
         codes = _cubic_codes(a0, a1, a2, int(p))
         counts[rows, codes] += 1
     return counts
-
-
-def certify_cubics(polys, table, budget):
-    """Vectorized equivalent of certify_sn over a cubic family."""
-    if not supports(polys, table.primes[-1] if table.primes else 0):
-        return [_family.certify_sn(f, table, budget) for f in polys]
-
-    m = len(polys)
-    a0, a1, a2 = _coeff_arrays(polys)
-    disc = [discriminant(f) for f in polys]
-
-    seen_irr = np.zeros(m, dtype=bool)
-    seen_tr = np.zeros(m, dtype=bool)
-    used = np.zeros(m, dtype=np.int64)
-    done = np.zeros(m, dtype=bool)
-    witnesses = [[] for _ in range(m)]
-
-    zero_disc = np.array([d == 0 for d in disc], dtype=bool)
-    done |= zero_disc
-
-    for p in table.primes:
-        active = np.nonzero(~done)[0]
-        if active.size == 0:
-            break
-        codes = _cubic_codes(a0[active], a1[active], a2[active], int(p))
-        present = codes != ABSENT
-        used[active[present]] += 1
-
-        irr_idx = active[(codes == INERT) & ~seen_irr[active]]
-        for i in irr_idx:
-            witnesses[i].append((p, (0, 0, 1)))
-        seen_irr[irr_idx] = True
-
-        tr_idx = active[(codes == TRANSPOSITION) & ~seen_tr[active]]
-        for i in tr_idx:
-            witnesses[i].append((p, (1, 1, 0)))
-        seen_tr[tr_idx] = True
-
-        done |= (seen_irr & seen_tr) | (used >= budget)
-
-    certs = []
-    for i, f in enumerate(polys):
-        if zero_disc[i]:
-            certs.append(
-                _family.GaloisCertificate(status=_family.REDUCIBLE, witnesses=())
-            )
-        elif seen_irr[i] and seen_tr[i]:
-            certs.append(
-                _family.GaloisCertificate(
-                    status=_family.SN_CERTIFIED, witnesses=tuple(witnesses[i])
-                )
-            )
-        elif seen_irr[i] and is_perfect_square(disc[i]):
-            certs.append(
-                _family.GaloisCertificate(
-                    status=_family.AN_CANDIDATE, witnesses=tuple(witnesses[i])
-                )
-            )
-        elif not seen_irr[i] and _family._integer_root(f) is not None:
-            certs.append(
-                _family.GaloisCertificate(
-                    status=_family.REDUCIBLE, witnesses=tuple(witnesses[i])
-                )
-            )
-        else:
-            certs.append(
-                _family.GaloisCertificate(
-                    status=_family.UNDETERMINED, witnesses=tuple(witnesses[i])
-                )
-            )
-    return certs

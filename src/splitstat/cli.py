@@ -82,15 +82,25 @@ def _regime_warning(x, big_n):
         )
 
 
+def _output_paths(args, *suffixes):
+    """The report path and its suffixed companions, none of them in the way.
+
+    Called before anything is written, so a refused run leaves no output.
+    """
+    if args.out is None:
+        raise ConfigError("field out: an output path is required")
+    paths = [args.out + suffix for suffix in ("",) + suffixes]
+    for path in paths:
+        if os.path.exists(path) and not args.force:
+            raise ConfigError("output %s exists; pass --force to overwrite" % path)
+    return paths
+
+
 def _write_report(args, experiment, config, results, table_header=None, rows=None):
     """Write the report file; returns the path written."""
     meta = {"experiment": experiment, "version": __version__, "workers": args.workers}
-    path = args.out
-    if path is None:
-        raise ConfigError("field out: an output path is required")
+    (path,) = _output_paths(args)
     mode = "w"
-    if os.path.exists(path) and not args.force:
-        raise ConfigError("output %s exists; pass --force to overwrite" % path)
     if args.format == "json":
         document = {"meta": meta, "config": config, "results": results}
         with open(path, mode, encoding="utf-8", newline="\n") as fh:
@@ -258,6 +268,7 @@ def run_moments(args):
 
 
 def run_clt(args):
+    _, sample_path = _output_paths(args, ".sample.csv")
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
@@ -268,9 +279,6 @@ def run_clt(args):
     config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
     results = report.to_json_dict()
     path = _write_report(args, "clt", config, results)
-    sample_path = path + ".sample.csv"
-    if os.path.exists(sample_path) and not args.force:
-        raise ConfigError("output %s exists; pass --force to overwrite" % sample_path)
     with open(sample_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.sample_csv())
     _summary(
@@ -392,7 +400,8 @@ def _add_family(sub):
     sub.add_argument("--budget", type=int, default=25, help="certifier prime budget")
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The command-line parser; defaults, if given, override every subcommand's."""
     parser = argparse.ArgumentParser(
         prog="splitstat", description="splitting-type statistics experiment runner"
     )
@@ -442,38 +451,34 @@ def build_parser():
     sub.add_argument("--n", type=int, required=True)
     _add_common(sub)
     sub.set_defaults(func=run_ansplit)
+    for sub in subs.choices.values():
+        sub.set_defaults(**(defaults or {}))
     return parser
 
 
-def _apply_config_file(args, argv):
-    """Fill in config-file values; explicit command-line flags take priority."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config_file(args.config)
-    for key, value in values.items():
+def _config_defaults(args):
+    """Config-file values as parser defaults, so explicit flags override them."""
+    defaults = {}
+    for key, value in _load_config_file(args.config).items():
         if not hasattr(args, key) or key in ("config", "func", "command"):
             raise ConfigError("config file: unknown key %r" % key)
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+        if isinstance(getattr(args, key), list):
+            # argparse would append command-line values to a list default.
+            raise ConfigError("config file: give repeatable %r on the command line" % key)
+        if isinstance(getattr(args, key), bool):
+            value = value.lower() in ("1", "true", "yes")
+        # argparse converts string defaults with the option's type.
+        defaults[key] = value
+    return defaults
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        if args.config:
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write("configuration error: %s\n" % exc)

@@ -12,10 +12,13 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from . import fppoly
+import numpy as np
+
+from . import batch
 from .errors import RegimeError, ResourceLimitError
-from .fppoly import _gcd, _pow_mod, _sub, reduce_mod_p
+from .fppoly import reduce_mod_p
 from .primes import sieve_primes
+from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import IntPolynomial, discriminant, is_perfect_square
 
 EXHAUSTIVE_BUDGET = 10**8
@@ -40,8 +43,8 @@ class FamilySpec:
     certifier_prime_budget: int = 25
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree must be positive")
+        if not 1 <= self.n <= MAX_ENUM_DEGREE:
+            raise ValueError("degree must be between 1 and %d" % MAX_ENUM_DEGREE)
         if self.height_bound < 0:
             raise ValueError("height bound must be nonnegative")
         if self.mode not in ("exhaustive", "sampled"):
@@ -82,61 +85,10 @@ def generate(spec):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaloisCertificate:
     status: str
     witnesses: tuple
-
-
-def _cubic_type(a0, a1, a2, p):
-    """Splitting type of X^3 + a2 X^2 + a1 X + a0 mod p, or None.
-
-    Fast path used by certification and batch statistics; must agree with
-    fppoly.splitting_type_mod_p on every input.
-    """
-    a, b, c = a2 % p, a1 % p, a0 % p
-    disc = (
-        18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
-    ) % p
-    if disc == 0:
-        return None
-    if p < 512:
-        roots = 0
-        for x in range(p):
-            if (((x + a) * x + b) * x + c) % p == 0:
-                roots += 1
-    else:
-        f = [c, b, a, 1]
-        h = _pow_mod([0, 1], p, f, p)
-        g = _gcd(f, _sub(h, [0, 1], p), p)
-        roots = len(g) - 1
-    if roots == 3:
-        return (3, 0, 0)
-    if roots == 1:
-        return (1, 1, 0)
-    return (0, 0, 1)
-
-
-def _quadratic_type(a0, a1, p):
-    """Splitting type of X^2 + a1 X + a0 mod p, or None."""
-    if p == 2:
-        if a1 % 2 == 0:
-            return None
-        return (0, 1) if a0 % 2 else (2, 0)
-    disc = (a1 * a1 - 4 * a0) % p
-    if disc == 0:
-        return None
-    return (2, 0) if pow(disc, (p - 1) // 2, p) == 1 else (0, 1)
-
-
-def _splitting_type(f, p):
-    if f.degree == 2:
-        a0, a1 = f.coeffs
-        return _quadratic_type(a0, a1, p)
-    if f.degree == 3:
-        a0, a1, a2 = f.coeffs
-        return _cubic_type(a0, a1, a2, p)
-    return fppoly.splitting_type_mod_p(f, p)
 
 
 def _is_transposition_type(r):
@@ -144,13 +96,6 @@ def _is_transposition_type(r):
     if len(r) < 2 or r[1] != 1:
         return False
     return all(m == 0 for i, m in enumerate(r, start=1) if i % 2 == 0 and i != 2)
-
-
-def _is_long_cycle_type(r):
-    n = len(r)
-    if r[n - 1] == 1:
-        return True
-    return n >= 2 and r[n - 2] == 1 and (n == 2 or r[0] == 1)
 
 
 def _integer_root(f):
@@ -178,71 +123,88 @@ def _integer_root(f):
     return None
 
 
-def certify_sn(f, table, budget):
-    """Cycle-type certification of G_f = S_n from reductions modulo primes.
+def _witness_kinds(n):
+    """Boolean tables over the degree-n codes, one per kind of witness.
 
-    Scans primes from the table that do not divide disc(f), spending at
-    most `budget` of them, and certifies S_n from an irreducible reduction
-    (transitivity and a long cycle) plus a transposition-generating type.
-    Square discriminant with an irreducible witness downgrades to
-    AnCandidate; an explicit integer factorization yields Reducible;
-    everything else is Undetermined.
+    Codes index enumerate_types(n); the last code (not squarefree)
+    witnesses nothing.  The kinds are an n-cycle (irreducible reduction)
+    and a transposition-generating type, plus an (n-1)-cycle when n is
+    composite.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    n = f.degree
-    d = discriminant(f)
-    if d == 0:
-        # gcd(f, f') is a proper factor over Q.
-        return GaloisCertificate(status=REDUCIBLE, witnesses=())
+    types = enumerate_types(n)
 
-    witnesses = []
-    seen_irreducible = False
-    seen_transposition = False
-    seen_long_cycle = False
-    used = 0
-    for p in table.primes:
-        if used >= budget:
-            break
-        if d % p == 0:
-            continue
-        used += 1
-        r = _splitting_type(f, p)
-        assert r is not None
-        new = False
-        if r[n - 1] == 1 and not seen_irreducible:
-            seen_irreducible = True
-            seen_long_cycle = True
-            new = True
-        if _is_transposition_type(r) and not seen_transposition:
-            seen_transposition = True
-            new = True
-        if _is_long_cycle_type(r) and not seen_long_cycle:
-            seen_long_cycle = True
-            new = True
-        if new:
-            witnesses.append((p, r))
-        if seen_irreducible and seen_transposition and seen_long_cycle:
-            return GaloisCertificate(status=SN_CERTIFIED, witnesses=tuple(witnesses))
+    def table(is_kind):
+        return np.array([is_kind(r) for r in types] + [False])
 
-    if seen_irreducible and is_perfect_square(d):
-        return GaloisCertificate(status=AN_CANDIDATE, witnesses=tuple(witnesses))
-    if not seen_irreducible and _integer_root(f) is not None:
-        return GaloisCertificate(status=REDUCIBLE, witnesses=tuple(witnesses))
-    return GaloisCertificate(status=UNDETERMINED, witnesses=tuple(witnesses))
+    kinds = [table(lambda r: r[n - 1] == 1), table(_is_transposition_type)]
+    if any(n % q == 0 for q in range(2, n)):
+        kinds.append(table(lambda r: r[0] == 1 and r[n - 2] == 1))
+    return kinds
 
 
 def certify_stream(polys, table, budget):
-    """Certificates for a sequence of polynomials (vectorized when possible)."""
-    polys = list(polys)
-    if polys and all(f.degree == 3 for f in polys):
-        try:
-            from . import batch
+    """Cycle-type certification of G_f = S_n for a family of one degree n.
 
-            return batch.certify_cubics(polys, table, budget)
-        except ImportError:
-            pass
-    return [certify_sn(f, table, budget) for f in polys]
+    Scans the table's primes in order, spending at most `budget` primes
+    at which f is squarefree.  The reduction type at such a prime is a
+    witness when it shows a kind of cycle not yet seen for f: an n-cycle,
+    a transposition, or (for composite n) an (n-1)-cycle.  The n-cycle
+    makes G_f transitive; a transitive group with a transposition is S_n
+    when n is prime, and with an (n-1)-cycle as well for any n.  Without
+    the full set: square discriminant and an n-cycle give AnCandidate,
+    zero discriminant or an integer root gives Reducible, and everything
+    else is Undetermined.  Certificates come back in input order.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    polys = list(polys)
+    if not polys:
+        return []
+    n = polys[0].degree
+    coeffs = batch.pack(polys)
+    types = enumerate_types(n)
+    kinds = _witness_kinds(n)
+    witness_codes = np.flatnonzero(np.logical_or.reduce(kinds)).tolist()
+    m = len(polys)
+    disc = [discriminant(f) for f in polys]
+    # A zero discriminant means gcd(f, f') is a proper factor over Q.
+    done = np.array([d == 0 for d in disc], dtype=bool)
+    seen = [np.zeros(m, dtype=bool) for _ in kinds]
+    used = np.zeros(m, dtype=np.int64)
+    witnesses = [()] * m
+    for p in table.primes:
+        active = np.flatnonzero(~done)
+        if active.size == 0:
+            break
+        codes = batch.types_mod_p(coeffs[active], p)
+        used[active] += codes != len(types)
+        new = np.zeros(active.size, dtype=bool)
+        complete = np.ones(active.size, dtype=bool)
+        for kind, flag in zip(kinds, seen):
+            hit = kind[codes] & ~flag[active]
+            flag[active[hit]] = True
+            new |= hit
+            complete &= flag[active]
+        for code in witness_codes:
+            witness = ((p, types[code]),)  # one tuple shared by its rows
+            for i in active[new & (codes == code)].tolist():
+                witnesses[i] += witness
+        done[active] = complete | (used[active] >= budget)
+
+    certified = np.logical_and.reduce(seen).tolist()
+    irreducible = seen[0].tolist()
+    certs = []
+    for f, d, found, full, irr in zip(polys, disc, witnesses, certified, irreducible):
+        if d == 0 or (not irr and _integer_root(f) is not None):
+            status = REDUCIBLE
+        elif full:
+            status = SN_CERTIFIED
+        elif irr and is_perfect_square(d):
+            status = AN_CANDIDATE
+        else:
+            status = UNDETERMINED
+        certs.append(GaloisCertificate(status=status, witnesses=found))
+    return certs
 
 
 def fiber_probability(spec, targets, table=None, budget=None):
@@ -285,15 +247,3 @@ def fiber_probability(spec, targets, table=None, budget=None):
     if certified == 0:
         raise RegimeError("no certified polynomials in family")
     return hits / certified, 1.0 / modulus_power
-
-
-def export_lines(polys, certs):
-    """Line format: a_0 ... a_{n-1} as decimals, then the certificate status."""
-    for f, cert in zip(polys, certs):
-        yield " ".join(str(c) for c in f.coeffs) + " " + cert.status
-
-
-def write_snapshot(path, polys, certs):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in export_lines(polys, certs):
-            fh.write(line + "\n")

@@ -240,12 +240,14 @@ def splitting_type_mod_p(f, p):
     Uses distinct-degree factorization only: the degree multiplicities are
     read off the degree-d parts without any equal-degree splitting.
     """
-    g = reduce_mod_p(f, p)
-    a = list(g.coeffs)
+    return _reduced_type(list(reduce_mod_p(f, p).coeffs), p)
+
+
+def _reduced_type(a, p):
+    """splitting_type_mod_p for a monic coefficient list already reduced mod p."""
     if len(_gcd(a, _deriv(a, p), p)) != 1:
         return None
-    n = g.degree
-    r = [0] * n
+    r = [0] * (len(a) - 1)
     for part, d in _distinct_degree(a, p):
         r[d - 1] = (len(part) - 1) // d
     return tuple(r)
@@ -282,13 +284,6 @@ def enumerate_class_counts(p, n, budget=ENUMERATION_BUDGET):
         raise ResourceLimitError("p^n = %d exceeds enumeration budget %d" % (p**n, budget))
     counts = {}
     for tail in product(range(p), repeat=n):
-        a = list(tail) + [1]
-        if len(_gcd(a, _deriv(a, p), p)) != 1:
-            key = None
-        else:
-            r = [0] * n
-            for part, d in _distinct_degree(a, p):
-                r[d - 1] = (len(part) - 1) // d
-            key = tuple(r)
+        key = _reduced_type(list(tail) + [1], p)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -126,11 +126,6 @@ def paper_second_order(r):
     return delta(r) * num / den
 
 
-def paper_degree2_coefficient(r2):
-    """Published intermediate constant for the degree-2 binomial expansion."""
-    return Fraction(-r2 * (r2 - 1), 2**r2 * factorial(r2))
-
-
 def empirical_second_order(r, p_min, p_max, bound=8):
     """Second-order coefficient of class_count(n,r,p)/p^n about delta(r).
 

@@ -13,7 +13,9 @@ import math
 import weakref
 from dataclasses import dataclass, field
 
-from . import batch, family as family_mod, splittypes
+import numpy as np
+
+from . import batch, family as family_mod, fppoly, splittypes
 from .errors import EmptyFamilyError, OutOfRangeError
 from .primes import prime_count, sieve_primes
 from .zpoly import dedekind_is_p_maximal, discriminant
@@ -32,17 +34,6 @@ class CertifiedFamily:
 
     def __len__(self):
         return len(self.polys)
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """A class function on S_n, given by its value on every splitting type."""
-
-    name: str
-    values: dict = field(hash=False)
-
-    def __call__(self, r):
-        return self.values[tuple(r)]
 
 
 def certify_family(polys, table=None, budget=25, description=""):
@@ -76,7 +67,7 @@ def _require_nonempty(cf):
 def splitting_indicator(f, r, p):
     """1 iff f has splitting type r mod p; 0 otherwise (incl. non-squarefree)."""
     splittypes.validate_type(r)
-    return 1 if family_mod._splitting_type(f, p) == tuple(r) else 0
+    return 1 if fppoly.splitting_type_mod_p(f, p) == tuple(r) else 0
 
 
 def prime_splitting_count(f, r, x, table):
@@ -89,26 +80,9 @@ def prime_splitting_count(f, r, x, table):
     for p in table.primes:
         if p > x:
             break
-        if family_mod._splitting_type(f, p) == r:
+        if fppoly.splitting_type_mod_p(f, p) == r:
             count += 1
     return count
-
-
-def class_function_count(f, phi, x, table):
-    """Sum of phi over the Frobenius types at primes p <= x.
-
-    Primes with non-squarefree reduction contribute 0.
-    """
-    if x > table.limit:
-        raise OutOfRangeError("x exceeds prime table limit")
-    total = 0.0
-    for p in table.primes:
-        if p > x:
-            break
-        r = family_mod._splitting_type(f, p)
-        if r is not None:
-            total += phi(r)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +104,20 @@ def _count_profile(cf, x, table):
     if key in cache:
         return cache[key]
 
-    polys = cf.polys
     primes = [p for p in table.primes if p <= x]
-    n = polys[0].degree if polys else 0
-    types = splittypes.enumerate_types(n) if polys else []
-    if polys and batch.supports(list(polys), primes[-1] if primes else 0):
-        matrix = batch.cubic_count_matrix(list(polys), primes)
-        counts = {
-            (3, 0, 0): matrix[:, batch.SPLIT].tolist(),
-            (1, 1, 0): matrix[:, batch.TRANSPOSITION].tolist(),
-            (0, 0, 1): matrix[:, batch.INERT].tolist(),
-        }
-        nonsq = matrix[:, batch.ABSENT].tolist()
+    coeffs = batch.pack(cf.polys)
+    n = coeffs.shape[1]
+    types = splittypes.enumerate_types(n)
+    if (n == 3 and primes and coeffs.dtype == np.int64
+            and primes[-1] < batch.MAX_KERNEL_PRIME):
+        matrix = batch.cubic_count_matrix(coeffs, primes)
     else:
-        counts = {r: [0] * len(polys) for r in types}
-        nonsq = [0] * len(polys)
-        for i, f in enumerate(polys):
-            for p in primes:
-                r = family_mod._splitting_type(f, p)
-                if r is None:
-                    nonsq[i] += 1
-                else:
-                    counts[r][i] += 1
+        matrix = np.zeros((len(coeffs), len(types) + 1), dtype=np.int64)
+        rows = np.arange(len(coeffs))
+        for p in primes:
+            matrix[rows, batch.types_mod_p(coeffs, p)] += 1
+    counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
+    nonsq = matrix[:, len(types)].tolist()
     cache[key] = (counts, nonsq)
     return counts, nonsq
 
@@ -168,8 +134,12 @@ def family_indicator_moments(family, r, p):
     cf = _as_certified(family)
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    values = [splitting_indicator(f, r, p) for f in cf.polys]
-    mean = sum(values) / len(values)
+    coeffs = batch.pack(cf.polys)
+    if coeffs.shape[1] != n:
+        raise ValueError("type degree %d does not match the family degree" % n)
+    code = splittypes.enumerate_types(n).index(tuple(r))
+    hits = int(np.count_nonzero(batch.types_mod_p(coeffs, p) == code))
+    mean = hits / len(coeffs)
     variance = mean - mean * mean
     reference = splittypes.class_count(n, tuple(r), p) / p**n
     return mean, variance, reference

@@ -121,6 +121,20 @@ def test_clt_writes_sample_csv(tmp_path):
     assert doc["results"]["clt_sample_size"] > 0
 
 
+def test_clt_refusal_writes_nothing(tmp_path):
+    out = tmp_path / "clt.json"
+    sample = tmp_path / "clt.json.sample.csv"
+    sample.write_text("kept\n")
+    code = main(
+        ["clt", "--n", "3", "--N", str(10**9), "--mode", "sampled",
+         "--sample-size", "150", "--seed", "3", "--x", "300", "--r", "0,0,1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+    assert sample.read_text() == "kept\n"
+
+
 def test_config_file_defaults_and_cli_priority(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pmax = 149  # inline comment\n\n# full comment\n")
@@ -136,6 +150,12 @@ def test_config_file_defaults_and_cli_priority(tmp_path):
          "--out", str(out2)]
     ) == 0
     assert json.loads(out2.read_text())["config"]["pmax"] == 199
+    out3 = tmp_path / "cfg3.json"
+    assert main(
+        ["counts", "--n", "2", "--p", "3", "--config", str(cfg), "--pmax=199",
+         "--out", str(out3)]
+    ) == 0
+    assert json.loads(out3.read_text())["config"]["pmax"] == 199
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -144,6 +164,10 @@ def test_config_file_unknown_key(tmp_path):
     out = tmp_path / "x.json"
     assert main(["counts", "--n", "2", "--p", "3", "--config", str(cfg),
                  "--out", str(out)]) == 2
+    cfg.write_text("target = 3:1,0\n")
+    assert main(["fibers", "--n", "2", "--N", "60", "--config", str(cfg),
+                 "--target", "3:1,0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_regime_warning_nonfatal(tmp_path, capsys):

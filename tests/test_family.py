@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import numpy as np
+
 from splitstat import batch, fppoly
 from splitstat.errors import RegimeError, ResourceLimitError
 from splitstat.family import (
@@ -10,19 +12,34 @@ from splitstat.family import (
     SN_CERTIFIED,
     UNDETERMINED,
     FamilySpec,
-    _splitting_type,
-    certify_sn,
     certify_stream,
-    export_lines,
     fiber_probability,
     generate,
-    write_snapshot,
 )
 from splitstat.fppoly import FieldPolynomial
 from splitstat.primes import sieve_primes
+from splitstat.splittypes import enumerate_types
 from splitstat.zpoly import IntPolynomial, discriminant, is_perfect_square
 
 TABLE = sieve_primes(1000)
+
+# The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
+TOP = 2**62 - 1
+KERNEL_PRIMES = [2, 3, 5, 7, *sieve_primes(2**20).primes[-5:]]
+
+
+def _certify(f, budget=25):
+    return certify_stream([f], TABLE, budget)[0]
+
+
+def _oracle_codes(rows, p):
+    """Codes from fppoly.splitting_type_mod_p, row by row."""
+    types = enumerate_types(len(rows[0]))
+    out = []
+    for row in rows:
+        r = fppoly.splitting_type_mod_p(IntPolynomial(coeffs=tuple(row)), p)
+        out.append(len(types) if r is None else types.index(r))
+    return out
 
 
 def test_family_spec_validation():
@@ -54,23 +71,23 @@ def test_generate_sampled_deterministic():
 
 
 def test_certify_examples():
-    assert certify_sn(IntPolynomial(coeffs=(-1, -1, 0)), TABLE, 25).status == SN_CERTIFIED
-    assert certify_sn(IntPolynomial(coeffs=(-1, -3, 0)), TABLE, 25).status == AN_CANDIDATE
-    assert certify_sn(IntPolynomial(coeffs=(-1, 0)), TABLE, 25).status == REDUCIBLE
+    assert _certify(IntPolynomial(coeffs=(-1, -1, 0))).status == SN_CERTIFIED
+    assert _certify(IntPolynomial(coeffs=(-1, -3, 0))).status == AN_CANDIDATE
+    assert _certify(IntPolynomial(coeffs=(-1, 0))).status == REDUCIBLE
     # X^3 (disc 0) is reducible via the gcd argument
-    assert certify_sn(IntPolynomial(coeffs=(0, 0, 0)), TABLE, 25).status == REDUCIBLE
+    assert _certify(IntPolynomial(coeffs=(0, 0, 0))).status == REDUCIBLE
 
 
 def test_certificate_witnesses_are_sound():
-    cert = certify_sn(IntPolynomial(coeffs=(-1, -1, 0)), TABLE, 25)
+    cert = _certify(IntPolynomial(coeffs=(-1, -1, 0)))
     f = IntPolynomial(coeffs=(-1, -1, 0))
     for p, r in cert.witnesses:
         assert fppoly.splitting_type_mod_p(f, p) == r
 
 
 def test_no_false_certificates_small_cubics():
-    for f in generate(FamilySpec(n=3, height_bound=6)):
-        cert = certify_sn(f, TABLE, 25)
+    polys = list(generate(FamilySpec(n=3, height_bound=6)))
+    for f, cert in zip(polys, certify_stream(polys, TABLE, 25)):
         d = discriminant(f)
         if cert.status == SN_CERTIFIED:
             assert not is_perfect_square(d)
@@ -86,11 +103,53 @@ def test_certified_fraction_floor():
     assert frac >= 0.95
 
 
+def _lift(c, p, sign):
+    """The integer congruent to c mod p nearest to sign * TOP, within the bound."""
+    if sign > 0:
+        return c + p * ((TOP - c) // p)
+    return c - p * ((TOP + c) // p)
+
+
+def _kernel_rows(n, p, rng):
+    """Rows at the height bound, random rows, and non-squarefree rows mod p."""
+    rows = [(TOP,) * n, (-TOP,) * n, (0,) * n]
+    rows += [tuple(rng.choice([TOP, -TOP, rng.randrange(-TOP, TOP + 1)])
+                   for _ in range(n)) for _ in range(25)]
+    for _ in range(6):
+        a, b = rng.randrange(p), rng.randrange(p)
+        # (X - a)^2, and (X - a)^2 (X - b), as (a_0, ..., a_{n-1})
+        square = (a * a, -2 * a) if n == 2 else (-a * a * b, a * a + 2 * a * b, -2 * a - b)
+        rows.append(tuple(_lift(c, p, rng.choice([1, -1])) for c in square))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_types_mod_p_matches_oracle(n):
+    rng = random.Random(100 + n)
+    big = (2**62,) + (1,) * (n - 1)  # one row outside the kernel bounds
+    for p in KERNEL_PRIMES:
+        rows = _kernel_rows(n, p, rng)
+        polys = [IntPolynomial(coeffs=r) for r in rows]
+        expected = _oracle_codes(rows, p)
+        kernel = batch.pack(polys)
+        assert kernel.dtype == np.int64
+        assert batch.types_mod_p(kernel, p).tolist() == expected, p
+        scalar = batch.pack(polys + [IntPolynomial(coeffs=big)])
+        assert scalar.dtype == object
+        assert batch.types_mod_p(scalar, p).tolist() == expected + _oracle_codes([big], p), p
+
+
+def _scalar_certify(f, budget):
+    """Certify f alone, through the object-dtype (scalar) path."""
+    big = IntPolynomial(coeffs=(2**62,) + (1,) * (f.degree - 1))
+    return certify_stream([f, big], TABLE, budget)[0]
+
+
 def test_bulk_certification_matches_scalar():
     spec = FamilySpec(n=3, height_bound=4)
     polys = list(generate(spec))
-    bulk = batch.certify_cubics(polys, TABLE, 25)
-    scalar = [certify_sn(f, TABLE, 25) for f in polys]
+    bulk = certify_stream(polys, TABLE, 25)
+    scalar = [_scalar_certify(f, 25) for f in polys]
     assert bulk == scalar
 
 
@@ -98,19 +157,47 @@ def test_bulk_certification_matches_scalar_tight_budget():
     spec = FamilySpec(n=3, height_bound=3)
     polys = list(generate(spec))
     for budget in (1, 2, 5):
-        assert batch.certify_cubics(polys, TABLE, budget) == [
-            certify_sn(f, TABLE, budget) for f in polys
+        assert certify_stream(polys, TABLE, budget) == [
+            _scalar_certify(f, budget) for f in polys
         ]
 
 
-def test_fast_splitting_type_matches_generic():
-    rng = random.Random(17)
-    primes = [p for p in sieve_primes(3000).primes]
-    for _ in range(150):
-        n = rng.choice([2, 3])
-        f = IntPolynomial(coeffs=tuple(rng.randrange(-10**6, 10**6) for _ in range(n)))
-        for p in rng.sample(primes, 8):
-            assert _splitting_type(f, p) == fppoly.splitting_type_mod_p(f, p), (f, p)
+@pytest.mark.parametrize("n, height", [(2, 10), (3, 3)])
+def test_kernel_and_scalar_certification_agree(n, height):
+    polys = list(generate(FamilySpec(n=n, height_bound=height)))
+    big = IntPolynomial(coeffs=(2**62,) + (1,) * (n - 1))
+    for budget in (1, 2, 5, 25):
+        kernel = certify_stream(polys, TABLE, budget)
+        scalar = certify_stream(polys + [big], TABLE, budget)
+        assert kernel == scalar[:-1], budget
+
+
+def test_cubic_certificates_pinned():
+    polys = list(generate(FamilySpec(n=3, height_bound=3)))
+    expected = {
+        1: (0, 10, 117, 216),
+        2: (120, 10, 117, 96),
+        5: (214, 10, 117, 2),
+        25: (216, 10, 117, 0),
+    }
+    for budget, counts in expected.items():
+        statuses = [c.status for c in certify_stream(polys, TABLE, budget)]
+        assert tuple(statuses.count(s) for s in (
+            SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)) == counts, budget
+
+
+def test_composite_degree_needs_long_cycle():
+    # Galois group D4: transitive, with a 4-cycle and a transposition.
+    for a0 in (-2, 2, -3, 3):
+        assert _certify(IntPolynomial(coeffs=(a0, 0, 0, 0))).status != SN_CERTIFIED
+    cert = _certify(IntPolynomial(coeffs=(-1, -1, 0, 0)))  # X^4 - X - 1, S_4
+    assert cert.status == SN_CERTIFIED
+    kinds = {r for _p, r in cert.witnesses}
+    assert (0, 0, 0, 1) in kinds and (1, 0, 1, 0) in kinds
+    polys = list(generate(FamilySpec(n=4, height_bound=3)))
+    statuses = [c.status for c in certify_stream(polys, TABLE, 25)]
+    assert (statuses.count(SN_CERTIFIED), statuses.count(REDUCIBLE),
+            statuses.count(UNDETERMINED)) == (1382, 731, 288)
 
 
 def test_batch_kernel_matches_scalar():
@@ -120,17 +207,12 @@ def test_batch_kernel_matches_scalar():
         for _ in range(60)
     ]
     primes = [2, 3, 5, 7, 97, 1009, 65537, 999983]
-    matrix = batch.cubic_count_matrix(polys, primes)
-    for i, f in enumerate(polys):
-        expected = {code: 0 for code in range(4)}
-        for p in primes:
-            r = fppoly.splitting_type_mod_p(f, p)
-            if r is None:
-                expected[batch.ABSENT] += 1
-            else:
-                code = {v: k for k, v in batch.CODE_TYPES.items()}[r]
-                expected[code] += 1
-        assert list(matrix[i]) == [expected[c] for c in range(4)]
+    matrix = batch.cubic_count_matrix(batch.pack(polys), primes)
+    expected = np.zeros((len(polys), 4), dtype=np.int64)
+    rows = [f.coeffs for f in polys]
+    for p in primes:
+        expected[np.arange(len(polys)), _oracle_codes(rows, p)] += 1
+    assert (matrix == expected).all()
 
 
 def test_fiber_probability_single_target():
@@ -167,19 +249,8 @@ def test_fiber_probability_rejects_bad_targets():
         fiber_probability(spec, [(3, wrong_degree)])
 
 
-def test_export_lines_and_snapshot(tmp_path):
-    polys = [IntPolynomial(coeffs=(-1, -1, 0)), IntPolynomial(coeffs=(-1, 0, 0))]
-    certs = certify_stream(polys, TABLE, 25)
-    lines = list(export_lines(polys, certs))
-    assert lines[0] == "-1 -1 0 SnCertified"
-    assert lines[1].endswith(certs[1].status)
-    path = tmp_path / "snap.txt"
-    write_snapshot(path, polys, certs)
-    assert path.read_text().splitlines() == lines
-
-
 def test_undetermined_is_possible():
     # X^4 + 1 is irreducible over Q but reducible mod every prime:
     # no irreducible witness exists, and no integer root either.
-    cert = certify_sn(IntPolynomial(coeffs=(1, 0, 0, 0)), TABLE, 25)
+    cert = _certify(IntPolynomial(coeffs=(1, 0, 0, 0)))
     assert cert.status == UNDETERMINED

@@ -11,9 +11,7 @@ from splitstat.family import FamilySpec, generate
 from splitstat.primes import prime_count, sieve_primes
 from splitstat.splittypes import delta, enumerate_types, gaussian_moment
 from splitstat.stats import (
-    ClassFunction,
     certify_family,
-    class_function_count,
     clt_report,
     exact_chebotarev_reference,
     family_centered_moment,
@@ -48,20 +46,6 @@ def test_prime_splitting_count():
     assert prime_splitting_count(f, (0, 1), 13, TABLE) == 3  # p in {3, 7, 11}
     with pytest.raises(OutOfRangeError):
         prime_splitting_count(f, (2, 0), 2000, TABLE)
-
-
-def test_class_function_count():
-    f = IntPolynomial(coeffs=(1, 0))
-    x = 13
-    ones = ClassFunction(name="one", values={r: 1.0 for r in enumerate_types(2)})
-    zero = ClassFunction(name="zero", values={r: 0.0 for r in enumerate_types(2)})
-    spot = ClassFunction(name="split", values={(2, 0): 1.0, (0, 1): 0.0})
-    # p=2 is the only non-squarefree prime for X^2+1 up to 13
-    assert class_function_count(f, ones, x, TABLE) == prime_count(x, TABLE) - 1
-    assert class_function_count(f, zero, x, TABLE) == 0
-    assert class_function_count(f, spot, x, TABLE) == prime_splitting_count(
-        f, (2, 0), x, TABLE
-    )
 
 
 def test_partition_identity():
