@@ -82,24 +82,30 @@ def _regime_warning(x, big_n):
         )
 
 
-def _output_paths(args, *suffixes):
-    """The report path and its suffixed companions, none of them in the way.
+# clt writes its normalized sample next to the report, at --out + this.
+SAMPLE_SUFFIX = ".sample.csv"
 
-    Called before anything is written, so a refused run leaves no output.
+
+def _check_outputs(args):
+    """Refuse a missing --out, or one of the run's outputs already in the way.
+
+    Called before the subcommand computes anything, so a refused run
+    spends no time and leaves no output.
     """
     if args.out is None:
         raise ConfigError("field out: an output path is required")
-    paths = [args.out + suffix for suffix in ("",) + suffixes]
+    paths = [args.out]
+    if args.command == "clt":
+        paths.append(args.out + SAMPLE_SUFFIX)
     for path in paths:
         if os.path.exists(path) and not args.force:
             raise ConfigError("output %s exists; pass --force to overwrite" % path)
-    return paths
 
 
 def _write_report(args, experiment, config, results, table_header=None, rows=None):
     """Write the report file; returns the path written."""
-    meta = {"experiment": experiment, "version": __version__, "workers": args.workers}
-    (path,) = _output_paths(args)
+    meta = {"experiment": experiment, "version": __version__}
+    path = args.out
     mode = "w"
     if args.format == "json":
         document = {"meta": meta, "config": config, "results": results}
@@ -197,11 +203,9 @@ def _spec_config(spec):
     }
 
 
-def _certified(args, spec):
-    table = sieve_primes(1000)
+def _certified(spec):
     return stats.certify_family(
         generate(spec),
-        table=table,
         budget=spec.certifier_prime_budget,
         description="P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode),
     )
@@ -211,7 +215,7 @@ def run_chebotarev(args):
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf = _certified(args, spec)
+    cf = _certified(spec)
     table = sieve_primes(int(args.x))
     mean, reference = stats.family_chebotarev_mean(cf, r, args.x, table)
     config = _spec_config(spec)
@@ -240,7 +244,7 @@ def run_moments(args):
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf = _certified(args, spec)
+    cf = _certified(spec)
     table = sieve_primes(int(args.x))
     config = _spec_config(spec)
     config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
@@ -268,18 +272,17 @@ def run_moments(args):
 
 
 def run_clt(args):
-    _, sample_path = _output_paths(args, ".sample.csv")
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf = _certified(args, spec)
+    cf = _certified(spec)
     table = sieve_primes(int(args.x))
     report = stats.clt_report(cf, r, args.x, table, k_max=args.k_max)
     config = _spec_config(spec)
     config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
     results = report.to_json_dict()
     path = _write_report(args, "clt", config, results)
-    with open(sample_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out + SAMPLE_SUFFIX, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.sample_csv())
     _summary(
         "clt",
@@ -295,7 +298,7 @@ def run_clt(args):
 
 def run_ramified(args):
     spec = _family_spec(args)
-    cf = _certified(args, spec)
+    cf = _certified(spec)
     average, reference = stats.ramified_average(cf, args.bound)
     config = _spec_config(spec)
     config["bound"] = args.bound
@@ -320,7 +323,7 @@ def run_ramified(args):
 
 def run_index(args):
     spec = _family_spec(args)
-    cf = _certified(args, spec)
+    cf = _certified(spec)
     average, reference = stats.index_prime_average(cf, args.bound)
     config = _spec_config(spec)
     config["bound"] = args.bound
@@ -387,7 +390,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="report output path")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--force", action="store_true", help="overwrite existing reports")
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--config", help="key = value configuration file")
 
 
@@ -479,6 +481,7 @@ def main(argv=None):
     try:
         if args.config:
             args = build_parser(_config_defaults(args)).parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write("configuration error: %s\n" % exc)

@@ -10,18 +10,28 @@ witness scan cannot settle is reported as excluded.
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
 from . import batch
 from .errors import RegimeError, ResourceLimitError
-from .fppoly import reduce_mod_p
 from .primes import sieve_primes
 from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import IntPolynomial, discriminant, is_perfect_square
 
-EXHAUSTIVE_BUDGET = 10**8
+# Largest exhaustive box, in polynomials; an exhaustive run holds all of
+# them at once.  Peak RSS grows by about 350, 435, 520 and 555 bytes per
+# polynomial at n = 2, 3, 4, 6 (slope of peak RSS between two box sizes
+# of the ramified subcommand; CPython 3.11, numpy 2.4).  Allowing 50 more
+# per degree above 6, the largest admitted box of every degree needs at
+# most 1.47 GB on top of the interpreter's ~35 MB: 1731^2 (1.04 GB),
+# 143^3 (1.27 GB), 41^4 (1.47 GB), 19^5 (1.34 GB), 5^9 (1.38 GB) and
+# 3^13 (1.44 GB); 3^14 is refused.
+EXHAUSTIVE_BUDGET = 3 * 10**6
+
+# The certifier scans the primes up to this limit.
+CERTIFIER_TABLE_LIMIT = 1000
 
 SN_CERTIFIED = "SnCertified"
 AN_CANDIDATE = "AnCandidate"
@@ -89,6 +99,7 @@ def generate(spec):
 class GaloisCertificate:
     status: str
     witnesses: tuple
+    discriminant: int
 
 
 def _is_transposition_type(r):
@@ -203,11 +214,32 @@ def certify_stream(polys, table, budget):
             status = AN_CANDIDATE
         else:
             status = UNDETERMINED
-        certs.append(GaloisCertificate(status=status, witnesses=found))
+        certs.append(GaloisCertificate(status=status, witnesses=found, discriminant=d))
     return certs
 
 
-def fiber_probability(spec, targets, table=None, budget=None):
+def certified_rows(polys, table, budget):
+    """Certify a stream; its S_n-certified rows, their discriminants, the rest.
+
+    Returns (coeffs, disc, excluded): the certified rows as one (k, n)
+    array in batch.pack format (shape (0, n) when none is certified),
+    their discriminants in the same order, and the excluded count.
+    """
+    polys = list(polys)
+    certs = certify_stream(polys, table, budget)
+    keep = [c.status == SN_CERTIFIED for c in certs]
+    disc = tuple(c.discriminant for c in compress(certs, keep))
+    # Free the certificates and their witnesses before packing, so that the
+    # packed rows do not raise the peak set by the certifier's prime scan.
+    del certs
+    if disc:
+        coeffs = batch.pack(compress(polys, keep))
+    else:
+        coeffs = np.zeros((0, polys[0].degree if polys else 0), dtype=np.int64)
+    return coeffs, disc, len(polys) - len(disc)
+
+
+def fiber_probability(spec, targets):
     """Empirical probability that a certified f hits all congruence fibers.
 
     targets is a list of (p, FieldPolynomial) pairs with distinct primes;
@@ -229,21 +261,13 @@ def fiber_probability(spec, targets, table=None, budget=None):
         raise RegimeError(
             "prod p_i^n = %d is not below 2N = %d" % (modulus_power, 2 * big_n)
         )
-    if table is None:
-        table = sieve_primes(1000)
-    if budget is None:
-        budget = spec.certifier_prime_budget
 
-    polys = list(generate(spec))
-    certs = certify_stream(polys, table, budget)
-    certified = 0
-    hits = 0
-    for f, cert in zip(polys, certs):
-        if cert.status != SN_CERTIFIED:
-            continue
-        certified += 1
-        if all(reduce_mod_p(f, p).coeffs == g.coeffs for p, g in targets):
-            hits += 1
-    if certified == 0:
+    coeffs, _disc, _excluded = certified_rows(
+        generate(spec), sieve_primes(CERTIFIER_TABLE_LIMIT), spec.certifier_prime_budget
+    )
+    if len(coeffs) == 0:
         raise RegimeError("no certified polynomials in family")
-    return hits / certified, 1.0 / modulus_power
+    hit = np.ones(len(coeffs), dtype=bool)
+    for p, g in targets:
+        hit &= (coeffs % p == np.array(g.coeffs[:-1])).all(axis=1)
+    return int(np.count_nonzero(hit)) / len(coeffs), 1.0 / modulus_power

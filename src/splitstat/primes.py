@@ -1,4 +1,4 @@
-"""Prime sieving and the elementary prime sums used as reference curves."""
+"""Prime sieving and the prime-counting function pi(x)."""
 
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -69,28 +69,10 @@ def sieve_primes(limit):
     return PrimeTable(limit=limit, primes=tuple(primes))
 
 
-def _check_range(x, table):
-    if x > table.limit:
-        raise OutOfRangeError("x=%r exceeds table limit %d" % (x, table.limit))
-
-
 def prime_count(x, table):
     """pi(x) for x <= table.limit."""
-    _check_range(x, table)
+    if x > table.limit:
+        raise OutOfRangeError("x=%r exceeds table limit %d" % (x, table.limit))
     if x < 2:
         return 0
     return bisect_right(table.primes, floor(x))
-
-
-def mertens_sum(x, table):
-    """sum of 1/p over primes p <= x, accumulated in ascending order.
-
-    Fixed summation order keeps the result bit-reproducible.
-    """
-    _check_range(x, table)
-    total = 0.0
-    for p in table.primes:
-        if p > x:
-            break
-        total += 1.0 / p
-    return total

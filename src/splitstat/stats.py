@@ -1,16 +1,18 @@
 """Family-level statistics: indicators, counting functions, moments, CLT.
 
 Every aggregate runs over the certified subfamily only and reports how
-many polynomials were excluded.  Exact per-prime references come from the
-splitting-type combinatorics; asymptotic constants are never substituted
-where an exact count is available.
+many polynomials were excluded.  The certified subfamily is its packed
+coefficient rows and their discriminants, both kept from certification,
+so no statistic re-packs a row or recomputes a discriminant.  Exact
+per-prime references come from the splitting-type combinatorics;
+asymptotic constants are never substituted where an exact count is
+available.
 """
 
 import csv
 import io
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,46 +20,40 @@ import numpy as np
 from . import batch, family as family_mod, fppoly, splittypes
 from .errors import EmptyFamilyError, OutOfRangeError
 from .primes import prime_count, sieve_primes
-from .zpoly import dedekind_is_p_maximal, discriminant
+from .zpoly import IntPolynomial, dedekind_is_p_maximal
 
-DEFAULT_CERTIFIER_TABLE_LIMIT = 1000
 DEFAULT_K_MAX = 6
 
 
 @dataclass(frozen=True, eq=False)
 class CertifiedFamily:
-    """The certified subfamily of a polynomial stream, plus exclusion count."""
+    """The certified subfamily of a polynomial stream, plus exclusion count.
 
-    polys: tuple
+    coeffs is the (k, n) array of the certified rows in batch.pack format
+    and disc their discriminants, in the same order.
+    """
+
+    coeffs: np.ndarray
+    disc: tuple
     excluded: int
     description: str = ""
+    # Count profiles by (x, table limit), filled by _count_profile.
+    _profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.coeffs)
 
 
 def certify_family(polys, table=None, budget=25, description=""):
     """Certify a stream and keep only the S_n-certified polynomials."""
     if table is None:
-        table = sieve_primes(DEFAULT_CERTIFIER_TABLE_LIMIT)
-    polys = list(polys)
-    certs = family_mod.certify_stream(polys, table, budget)
-    kept = tuple(
-        f for f, c in zip(polys, certs) if c.status == family_mod.SN_CERTIFIED
-    )
-    return CertifiedFamily(
-        polys=kept, excluded=len(polys) - len(kept), description=description
-    )
-
-
-def _as_certified(family):
-    if isinstance(family, CertifiedFamily):
-        return family
-    return certify_family(family)
+        table = sieve_primes(family_mod.CERTIFIER_TABLE_LIMIT)
+    coeffs, disc, excluded = family_mod.certified_rows(polys, table, budget)
+    return CertifiedFamily(coeffs, disc, excluded, description)
 
 
 def _require_nonempty(cf):
-    if len(cf.polys) == 0:
+    if len(cf) == 0:
         raise EmptyFamilyError("no certified polynomials in family")
 
 
@@ -88,9 +84,6 @@ def prime_splitting_count(f, r, x, table):
 # ---------------------------------------------------------------------------
 # Count profiles (cached per certified family)
 
-_PROFILE_CACHE = weakref.WeakKeyDictionary()
-
-
 def _count_profile(cf, x, table):
     """Per-polynomial pi_{f,r}(x) for every type r, plus non-squarefree counts.
 
@@ -100,12 +93,11 @@ def _count_profile(cf, x, table):
     if x > table.limit:
         raise OutOfRangeError("x exceeds prime table limit")
     key = (float(x), table.limit)
-    cache = _PROFILE_CACHE.setdefault(cf, {})
-    if key in cache:
-        return cache[key]
+    if key in cf._profiles:
+        return cf._profiles[key]
 
     primes = [p for p in table.primes if p <= x]
-    coeffs = batch.pack(cf.polys)
+    coeffs = cf.coeffs
     n = coeffs.shape[1]
     types = splittypes.enumerate_types(n)
     if (n == 3 and primes and coeffs.dtype == np.int64
@@ -118,28 +110,26 @@ def _count_profile(cf, x, table):
             matrix[rows, batch.types_mod_p(coeffs, p)] += 1
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
     nonsq = matrix[:, len(types)].tolist()
-    cache[key] = (counts, nonsq)
+    cf._profiles[key] = (counts, nonsq)
     return counts, nonsq
 
 
 # ---------------------------------------------------------------------------
 # Family aggregates
 
-def family_indicator_moments(family, r, p):
+def family_indicator_moments(cf, r, p):
     """Mean and variance of the type-r indicator at p over the certified family.
 
     The exact reference is class_count(n,r,p)/p^n; the reference variance
     is q(1-q) for that q.
     """
-    cf = _as_certified(family)
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    coeffs = batch.pack(cf.polys)
-    if coeffs.shape[1] != n:
+    if cf.coeffs.shape[1] != n:
         raise ValueError("type degree %d does not match the family degree" % n)
     code = splittypes.enumerate_types(n).index(tuple(r))
-    hits = int(np.count_nonzero(batch.types_mod_p(coeffs, p) == code))
-    mean = hits / len(coeffs)
+    hits = int(np.count_nonzero(batch.types_mod_p(cf.coeffs, p) == code))
+    mean = hits / len(cf)
     variance = mean - mean * mean
     reference = splittypes.class_count(n, tuple(r), p) / p**n
     return mean, variance, reference
@@ -155,9 +145,8 @@ def exact_chebotarev_reference(n, r, x, table):
     return total
 
 
-def family_chebotarev_mean(family, r, x, table):
+def family_chebotarev_mean(cf, r, x, table):
     """Empirical mean of pi_{f,r}(x) and its exact finite-p reference."""
-    cf = _as_certified(family)
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
     counts, _ = _count_profile(cf, x, table)
@@ -166,7 +155,7 @@ def family_chebotarev_mean(family, r, x, table):
     return mean, exact_chebotarev_reference(n, r, x, table)
 
 
-def family_centered_moment(family, r, x, k, table, k_max=DEFAULT_K_MAX,
+def family_centered_moment(cf, r, x, k, table, k_max=DEFAULT_K_MAX,
                            center="asymptotic"):
     """Empirical k-th moment of the centered count pi_{f,r}(x), with reference.
 
@@ -179,7 +168,6 @@ def family_centered_moment(family, r, x, k, table, k_max=DEFAULT_K_MAX,
         raise ValueError("k must be between 1 and %d" % k_max)
     if center not in ("asymptotic", "exact"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
-    cf = _as_certified(family)
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
     counts, _ = _count_profile(cf, x, table)
@@ -262,18 +250,17 @@ class StatReport:
         return buf.getvalue()
 
 
-def clt_report(family, r, x, table, k_max=DEFAULT_K_MAX):
+def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
     """Normalized splitting counts for every certified f, with KS distance.
 
     v(f) = (pi_{f,r}(x) - delta pi(x)) / sqrt((delta - delta^2) pi(x)).
     """
-    cf = _as_certified(family)
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
     pix = prime_count(x, table)
     if pix < 30:
         raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
-    if len(cf.polys) < 100:
+    if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
     counts, _ = _count_profile(cf, x, table)
     values = counts[tuple(r)]
@@ -290,7 +277,7 @@ def clt_report(family, r, x, table, k_max=DEFAULT_K_MAX):
         n=n,
         r=tuple(r),
         x=float(x),
-        family_size=len(cf.polys),
+        family_size=len(cf),
         excluded=cf.excluded,
         empirical_mean=mean,
         empirical_variance=variance,
@@ -302,22 +289,18 @@ def clt_report(family, r, x, table, k_max=DEFAULT_K_MAX):
     )
 
 
-def ramified_average(family, bound):
+def ramified_average(cf, bound):
     """Average number of primes p <= bound dividing disc(f); ref sum 1/p."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    cf = _as_certified(family)
     _require_nonempty(cf)
     primes = sieve_primes(bound).primes
-    total = 0
-    for f in cf.polys:
-        d = discriminant(f)
-        total += sum(1 for p in primes if d % p == 0)
+    total = sum(1 for d in cf.disc for p in primes if d % p == 0)
     reference = math.fsum(1.0 / p for p in primes)
-    return total / len(cf.polys), reference
+    return total / len(cf), reference
 
 
-def index_prime_average(family, bound, rng_seed=0):
+def index_prime_average(cf, bound, rng_seed=0):
     """Average number of primes p <= bound dividing the index a_f.
 
     Only primes with p^2 | disc(f) are submitted to the Dedekind test,
@@ -326,27 +309,26 @@ def index_prime_average(family, bound, rng_seed=0):
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    cf = _as_certified(family)
     _require_nonempty(cf)
     primes = sieve_primes(bound).primes
     total = 0
-    for f in cf.polys:
-        d = discriminant(f)
+    for i, d in enumerate(cf.disc):
         for p in primes:
-            if d % (p * p) == 0 and not dedekind_is_p_maximal(f, p, rng_seed):
+            if d % (p * p) == 0 and not dedekind_is_p_maximal(
+                IntPolynomial(coeffs=tuple(cf.coeffs[i].tolist())), p, rng_seed
+            ):
                 total += 1
     reference = math.fsum(1.0 / (p * p) for p in primes)
-    return total / len(cf.polys), reference
+    return total / len(cf), reference
 
 
-def split_lower_bound_fraction(family, x, table):
+def split_lower_bound_fraction(cf, x, table):
     """Fraction of certified f with at least delta*pi(x)/2 totally split primes."""
-    cf = _as_certified(family)
     _require_nonempty(cf)
     pix = prime_count(x, table)
     if pix < 30:
         raise ValueError("pi(x) must be at least 30")
-    n = cf.polys[0].degree
+    n = cf.coeffs.shape[1]
     split_type = tuple([n] + [0] * (n - 1))
     counts, _ = _count_profile(cf, x, table)
     floor_value = float(splittypes.delta(split_type)) * pix / 2.0

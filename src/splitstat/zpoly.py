@@ -1,19 +1,14 @@
 """Exact invariants of monic integer polynomials.
 
 Discriminants via fraction-free elimination of the Sylvester matrix,
-the Dedekind p-maximality test, and discriminant prime divisors.
+and the Dedekind p-maximality test.
 """
 
-import random
-from dataclasses import dataclass, field
-from math import gcd, isqrt
+from dataclasses import dataclass
+from math import isqrt
 
 from . import fppoly
 from .errors import ReduciblePolynomialError
-from .fppoly import FieldPolynomial
-
-RHO_MIN_COFACTOR = 10**6
-RHO_ITERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -46,13 +41,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-
-@dataclass(frozen=True)
-class DiscriminantReport:
-    value: int
-    factored_part: dict = field(hash=False)
-    cofactor: int
 
 
 def _bareiss_det(m):
@@ -161,118 +149,6 @@ def dedekind_is_p_maximal(f, p, rng_seed=0):
     g1 = fppoly._gcd(mbar, radical, p)
     g2 = fppoly._gcd(g1, hbar, p)
     return len(g2) == 1
-
-
-def is_probable_prime(n):
-    """Deterministic Miller-Rabin for the sizes handled here (< 3.3e24)."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n, rng, cap=RHO_ITERATION_CAP):
-    """One Brent-rho attempt; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
-    m = 128
-    g = r = q = 1
-    iterations = 0
-    x = ys = y
-    while g == 1 and iterations < cap:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += m
-            iterations += min(m, r - k) + m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1 and iterations < cap:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-            iterations += 1
-    return g if 1 < g < n else None
-
-
-def _factor_with_rho(n, rng, found, leftover):
-    if n == 1:
-        return
-    if is_probable_prime(n):
-        found[n] = found.get(n, 0) + 1
-        return
-    factor = None
-    for _ in range(8):
-        factor = _brent_rho(n, rng)
-        if factor:
-            break
-    if factor is None:
-        leftover.append(n)
-        return
-    _factor_with_rho(factor, rng, found, leftover)
-    _factor_with_rho(n // factor, rng, found, leftover)
-
-
-def discriminant_prime_divisors(f, trial_bound, rng_seed=0):
-    """Factor |disc(f)| by trial division up to trial_bound, then Brent rho.
-
-    Large cofactors (>= RHO_MIN_COFACTOR) get a bounded rho pass; whatever
-    resists ends up in the cofactor.  cofactor != 1 means the factorization
-    is incomplete, not failed.
-    """
-    if trial_bound < 2:
-        raise ValueError("trial_bound must be at least 2")
-    d = abs(discriminant(f))
-    factored = {}
-    if d == 0:
-        return DiscriminantReport(value=discriminant(f), factored_part={}, cofactor=0)
-    c = d
-    q = 2
-    while q <= trial_bound and q * q <= c:
-        while c % q == 0:
-            factored[q] = factored.get(q, 0) + 1
-            c //= q
-        q += 1 if q == 2 else 2
-    if 1 < c <= trial_bound:
-        factored[c] = factored.get(c, 0) + 1
-        c = 1
-    if c >= RHO_MIN_COFACTOR:
-        rng = random.Random(rng_seed)
-        found = {}
-        leftover = []
-        _factor_with_rho(c, rng, found, leftover)
-        c = 1
-        for piece in leftover:
-            c *= piece
-        for prime, e in found.items():
-            factored[prime] = factored.get(prime, 0) + e
-    return DiscriminantReport(value=discriminant(f), factored_part=factored, cofactor=c)
 
 
 def is_perfect_square(n):

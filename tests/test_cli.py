@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from splitstat import stats
 from splitstat.cli import main
 
 
@@ -121,6 +122,19 @@ def test_clt_writes_sample_csv(tmp_path):
     assert doc["results"]["clt_sample_size"] > 0
 
 
+def test_refusal_before_computing(tmp_path, monkeypatch):
+    out = tmp_path / "ramified.json"
+    out.write_text("kept\n")
+
+    def certify_family(*args, **kwargs):
+        raise AssertionError("computed before refusing the existing output")
+
+    monkeypatch.setattr(stats, "certify_family", certify_family)
+    code = main(["ramified", "--n", "3", "--N", "20", "--bound", "7", "--out", str(out)])
+    assert code == 2
+    assert out.read_text() == "kept\n"
+
+
 def test_clt_refusal_writes_nothing(tmp_path):
     out = tmp_path / "clt.json"
     sample = tmp_path / "clt.json.sample.csv"
@@ -167,6 +181,9 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("target = 3:1,0\n")
     assert main(["fibers", "--n", "2", "--N", "60", "--config", str(cfg),
                  "--target", "3:1,0", "--out", str(out)]) == 2
+    cfg.write_text("workers = 2\n")  # no such option
+    assert main(["counts", "--n", "2", "--p", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 

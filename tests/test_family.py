@@ -3,11 +3,13 @@ import random
 import pytest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from splitstat import batch, fppoly
 from splitstat.errors import RegimeError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
+    EXHAUSTIVE_BUDGET,
     REDUCIBLE,
     SN_CERTIFIED,
     UNDETERMINED,
@@ -25,7 +27,8 @@ TABLE = sieve_primes(1000)
 
 # The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
 TOP = 2**62 - 1
-KERNEL_PRIMES = [2, 3, 5, 7, *sieve_primes(2**20).primes[-5:]]
+DOMAIN_PRIMES = sieve_primes(2**20).primes
+KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
 
 
 def _certify(f, budget=25):
@@ -49,6 +52,15 @@ def test_family_spec_validation():
         FamilySpec(n=2, height_bound=5, mode="sampled")
     with pytest.raises(ResourceLimitError):
         FamilySpec(n=5, height_bound=10**4)
+    # At the exhaustive budget (3 * 10^6 polynomials): the largest box of
+    # each degree is admitted and the next one refused.
+    for n, height in [(2, 865), (3, 71), (4, 20), (13, 1)]:
+        assert FamilySpec(n=n, height_bound=height).size <= EXHAUSTIVE_BUDGET
+        with pytest.raises(ResourceLimitError):
+            FamilySpec(n=n, height_bound=height + 1)
+    with pytest.raises(ResourceLimitError):
+        FamilySpec(n=14, height_bound=1)
+    assert FamilySpec(n=3, height_bound=50).size == 101**3  # criterion 09's box
 
 
 def test_generate_exhaustive():
@@ -137,6 +149,31 @@ def test_types_mod_p_matches_oracle(n):
         scalar = batch.pack(polys + [IntPolynomial(coeffs=big)])
         assert scalar.dtype == object
         assert batch.types_mod_p(scalar, p).tolist() == expected + _oracle_codes([big], p), p
+
+
+@st.composite
+def _kernel_family(draw, n):
+    """A prime of the kernel domain and rows within it, some not squarefree mod p."""
+    p = draw(st.one_of(st.sampled_from([2, 3]), st.sampled_from(DOMAIN_PRIMES)))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-TOP, TOP))
+    rows = draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=20))
+    lift = st.integers(-(TOP // p), (TOP - p + 1) // p)
+    for _ in range(draw(st.integers(0, 3))):
+        # (X - a)^2, and (X - a)^2 (X - b), lifted within the bound
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        square = (a * a, -2 * a) if n == 2 else (-a * a * b, a * a + 2 * a * b, -2 * a - b)
+        rows.append(tuple(c % p + p * draw(lift) for c in square))
+    return p, rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_types_mod_p_kernel_property(n, data):
+    p, rows = data.draw(_kernel_family(n))
+    coeffs = batch.pack([IntPolynomial(coeffs=r) for r in rows])
+    assert coeffs.dtype == np.int64
+    assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
 
 
 def _scalar_certify(f, budget):

@@ -3,15 +3,15 @@ import math
 import pytest
 
 from splitstat.errors import OutOfRangeError, ResourceLimitError
-from splitstat.primes import mertens_sum, prime_count, sieve_primes
+from splitstat.primes import prime_count, sieve_primes
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _trial_division_primes(limit):
-    out = []
-    for n in range(2, limit + 1):
-        if all(n % d for d in range(2, int(math.isqrt(n)) + 1)):
-            out.append(n)
-    return out
+    return [n for n in range(2, limit + 1) if _is_prime(n)]
 
 
 def test_sieve_small_tables():
@@ -33,11 +33,9 @@ def test_sieve_segmented_consistent():
     seg = primes_mod._segmented_sieve(limit)
     assert seg[:25] == _trial_division_primes(97)
     assert all(p <= limit for p in seg)
-    # spot-check the tail with Miller-Rabin
-    from splitstat.zpoly import is_probable_prime
-
-    assert all(is_probable_prime(p) for p in seg[-50:])
-    assert not any(is_probable_prime(n) for n in range(seg[-1] + 1, limit + 1))
+    # spot-check the tail by trial division
+    assert all(_is_prime(p) for p in seg[-50:])
+    assert not any(_is_prime(n) for n in range(seg[-1] + 1, limit + 1))
 
 
 def test_sieve_rejects_negative_and_huge():
@@ -68,23 +66,3 @@ def test_prime_count_out_of_range():
     table = sieve_primes(100)
     with pytest.raises(OutOfRangeError):
         prime_count(101, table)
-
-
-def test_mertens_sum_values():
-    table = sieve_primes(100)
-    assert mertens_sum(1, table) == 0.0
-    assert mertens_sum(2, table) == 0.5
-    assert abs(mertens_sum(10, table) - (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-15
-
-
-def test_mertens_sum_band():
-    # sum 1/p stays within 1 of log log x over a wide range
-    table = sieve_primes(10**6)
-    for x in (10, 100, 10**3, 10**4, 10**5, 10**6):
-        assert abs(mertens_sum(x, table) - math.log(math.log(x))) <= 1.0
-
-
-def test_mertens_out_of_range():
-    table = sieve_primes(10)
-    with pytest.raises(OutOfRangeError):
-        mertens_sum(11, table)

@@ -7,7 +7,7 @@ import pytest
 
 from splitstat import stats
 from splitstat.errors import EmptyFamilyError, OutOfRangeError
-from splitstat.family import FamilySpec, generate
+from splitstat.family import SN_CERTIFIED, FamilySpec, certify_stream, generate
 from splitstat.primes import prime_count, sieve_primes
 from splitstat.splittypes import delta, enumerate_types, gaussian_moment
 from splitstat.stats import (
@@ -25,7 +25,7 @@ from splitstat.stats import (
     split_lower_bound_fraction,
     splitting_indicator,
 )
-from splitstat.zpoly import IntPolynomial
+from splitstat.zpoly import IntPolynomial, discriminant
 
 TABLE = sieve_primes(1000)
 
@@ -71,6 +71,18 @@ def test_certify_family_counts_exclusions():
     cf = certify_family(polys, table=TABLE, budget=25)
     assert len(cf) + cf.excluded == len(polys)
     assert len(cf) > 0
+    # The family keeps the certified rows, in stream order, and their
+    # discriminants from certification.
+    kept = [
+        f.coeffs
+        for f, c in zip(polys, certify_stream(polys, TABLE, 25))
+        if c.status == SN_CERTIFIED
+    ]
+    assert cf.coeffs.shape == (len(cf), 3)
+    assert [tuple(row) for row in cf.coeffs.tolist()] == kept
+    assert cf.disc == tuple(discriminant(IntPolynomial(coeffs=row)) for row in kept)
+    none = certify_family([IntPolynomial(coeffs=(-1, 0))], table=TABLE)
+    assert none.coeffs.shape == (0, 2) and none.disc == () and none.excluded == 1
 
 
 def test_empty_family_error():
@@ -115,7 +127,10 @@ def test_centered_moment_k2_identity():
     r = (3, 0, 0)
     x = 200
     m2, _ = family_centered_moment(cf, r, x, 2, TABLE)
-    counts = [prime_splitting_count(f, r, x, TABLE) for f in cf.polys]
+    counts = [
+        prime_splitting_count(IntPolynomial(coeffs=tuple(row)), r, x, TABLE)
+        for row in cf.coeffs.tolist()
+    ]
     mean = sum(counts) / len(counts)
     variance = sum((c - mean) ** 2 for c in counts) / len(counts)
     center = float(delta(r)) * prime_count(x, TABLE)
@@ -182,7 +197,7 @@ def test_clt_report_structure_and_determinism():
     assert len(rep1.clt_sample) == len(cf)
     # order invariance of the aggregate
     shuffled = stats.CertifiedFamily(
-        polys=tuple(reversed(cf.polys)), excluded=cf.excluded
+        coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], excluded=cf.excluded
     )
     rep3 = clt_report(shuffled, (0, 0, 1), 2000, table)
     assert rep3.ks_distance == pytest.approx(rep1.ks_distance)

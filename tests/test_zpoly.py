@@ -6,13 +6,10 @@ import pytest
 from splitstat.errors import ReduciblePolynomialError
 from splitstat.fppoly import is_squarefree_mod_p, reduce_mod_p
 from splitstat.zpoly import (
-    DiscriminantReport,
     IntPolynomial,
     dedekind_is_p_maximal,
     discriminant,
-    discriminant_prime_divisors,
     is_perfect_square,
-    is_probable_prime,
     resultant,
 )
 
@@ -176,27 +173,6 @@ def test_dedekind_reducible_detection():
     # X^2+2X+1 = (X+1)^2: the radical X+1 lifts to an exact proper factor
     with pytest.raises(ReduciblePolynomialError):
         dedekind_is_p_maximal(IntPolynomial(coeffs=(1, 2)), 3)
-
-
-def test_discriminant_prime_divisors_examples():
-    r = discriminant_prime_divisors(IntPolynomial(coeffs=(-5, 0)), 10)
-    assert r == DiscriminantReport(value=20, factored_part={2: 2, 5: 1}, cofactor=1)
-    r = discriminant_prime_divisors(IntPolynomial(coeffs=(-1, -1, 0)), 100)
-    assert r.value == -23 and r.factored_part == {23: 1} and r.cofactor == 1
-    r = discriminant_prime_divisors(IntPolynomial(coeffs=(1, 1)), 2)
-    assert r.value == -3 and r.factored_part == {} and r.cofactor == 3
-
-
-def test_discriminant_prime_divisors_rho_path():
-    # large semiprime cofactor exercises the rho stage
-    f = IntPolynomial(coeffs=(10**7 + 19, 0))  # disc = -4 * (10^7+19)
-    r = discriminant_prime_divisors(f, 3)
-    assert r.cofactor == 1
-    rebuilt = 1
-    for q, e in r.factored_part.items():
-        assert is_probable_prime(q)
-        rebuilt *= q**e
-    assert rebuilt == abs(r.value)
 
 
 def test_is_perfect_square():
