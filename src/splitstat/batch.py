@@ -20,14 +20,12 @@ MAX_KERNEL_HEIGHT = 2**62
 INERT, TRANSPOSITION, SPLIT, ABSENT = 0, 1, 2, 3
 
 
-def pack(polys):
-    """The (m, n) coefficient array of a family of one degree.
+def pack(rows):
+    """The (m, n) coefficient array of rows (a_0, ..., a_{n-1}) of one degree.
 
-    int64 when every |coefficient| < 2^62, object dtype otherwise.
+    int64 when every |coefficient| < 2^62, object dtype otherwise; numpy
+    raises ValueError on rows of different lengths.
     """
-    rows = [f.coeffs for f in polys]
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("family mixes degrees")
     try:
         coeffs = np.array(rows, dtype=np.int64)
     except OverflowError:

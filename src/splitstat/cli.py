@@ -1,21 +1,25 @@
 """Experiment runner: deterministic execution and machine-readable reports.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/budget error.
-Reports are never overwritten unless --force is passed.  JSON reports are
-a single object with stable key order; CSV reports start with '#'-prefixed
-metadata lines followed by an RFC-4180-style table.
+Reports are never overwritten unless --force is passed.  Each output is
+written to a temp file beside it and moved into place with os.replace, so
+a failed run leaves no partial output.  JSON reports are a single object
+with stable key order; CSV reports start with '#'-prefixed metadata lines
+followed by an RFC-4180-style table.
 """
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
+import pathlib
 import sys
 
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
-from .family import FamilySpec, fiber_probability, generate
+from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, fiber_probability, generate
 from .fppoly import FieldPolynomial
 from .primes import sieve_primes
 
@@ -102,31 +106,46 @@ def _check_outputs(args):
             raise ConfigError("output %s exists; pass --force to overwrite" % path)
 
 
-def _write_report(args, experiment, config, results, table_header=None, rows=None):
-    """Write the report file; returns the path written."""
+def _write_report(args, experiment, config, results, table_header=None, rows=None,
+                  extra=()):
+    """Write the report to --out, and each (path, text) of extra with it.
+
+    Every text is complete before anything is written; each goes to a temp
+    file beside its path and is then moved into place, so a failure before
+    the moves leaves no output and no temp file.  Returns --out.
+    """
     meta = {"experiment": experiment, "version": __version__}
-    path = args.out
-    mode = "w"
     if args.format == "json":
         document = {"meta": meta, "config": config, "results": results}
-        with open(path, mode, encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(document, sort_keys=True) + "\n")
+        text = json.dumps(document, sort_keys=True) + "\n"
     else:
-        with open(path, mode, encoding="utf-8", newline="") as fh:
-            for key in sorted(meta):
-                fh.write("# %s=%s\n" % (key, meta[key]))
-            for key in sorted(config):
-                fh.write("# %s=%s\n" % (key, config[key]))
-            writer = csv.writer(fh, lineterminator="\n")
-            if table_header is None:
-                writer.writerow(["key", "value"])
-                for key in sorted(results):
-                    writer.writerow([key, results[key]])
-            else:
-                writer.writerow(table_header)
-                for row in rows:
-                    writer.writerow(row)
-    return path
+        buf = io.StringIO()
+        for key in sorted(meta):
+            buf.write("# %s=%s\n" % (key, meta[key]))
+        for key in sorted(config):
+            buf.write("# %s=%s\n" % (key, config[key]))
+        writer = csv.writer(buf, lineterminator="\n")
+        if table_header is None:
+            writer.writerow(["key", "value"])
+            for key in sorted(results):
+                writer.writerow([key, results[key]])
+        else:
+            writer.writerow(table_header)
+            for row in rows:
+                writer.writerow(row)
+        text = buf.getvalue()
+    outputs = [(args.out, text), *extra]
+    temps = ["%s.%d.tmp" % (path, os.getpid()) for path, _text in outputs]
+    try:
+        for (_path, body), temp in zip(outputs, temps):
+            with open(temp, "x", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        for (path, _text), temp in zip(outputs, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            pathlib.Path(temp).unlink(missing_ok=True)
+    return args.out
 
 
 def _summary(experiment, fields):
@@ -280,10 +299,8 @@ def run_clt(args):
     report = stats.clt_report(cf, r, args.x, table, k_max=args.k_max)
     config = _spec_config(spec)
     config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
-    results = report.to_json_dict()
-    path = _write_report(args, "clt", config, results)
-    with open(args.out + SAMPLE_SUFFIX, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.sample_csv())
+    path = _write_report(args, "clt", config, report.to_json_dict(),
+                         extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())])
     _summary(
         "clt",
         [
@@ -296,10 +313,12 @@ def run_clt(args):
     return EXIT_OK
 
 
-def run_ramified(args):
+def run_average(args):
+    """ramified and index: a family average over the primes up to --bound."""
     spec = _family_spec(args)
     cf = _certified(spec)
-    average, reference = stats.ramified_average(cf, args.bound)
+    statistic = {"ramified": stats.ramified_average, "index": stats.index_prime_average}
+    average, reference = statistic[args.command](cf, args.bound)
     config = _spec_config(spec)
     config["bound"] = args.bound
     results = {
@@ -308,34 +327,9 @@ def run_ramified(args):
         "excluded": cf.excluded,
         "family_size": len(cf),
     }
-    path = _write_report(args, "ramified", config, results)
+    path = _write_report(args, args.command, config, results)
     _summary(
-        "ramified",
-        [
-            ("family", len(cf)),
-            ("excluded", cf.excluded),
-            ("avg", "%.4f" % average),
-            ("out", path),
-        ],
-    )
-    return EXIT_OK
-
-
-def run_index(args):
-    spec = _family_spec(args)
-    cf = _certified(spec)
-    average, reference = stats.index_prime_average(cf, args.bound)
-    config = _spec_config(spec)
-    config["bound"] = args.bound
-    results = {
-        "average": average,
-        "reference": reference,
-        "excluded": cf.excluded,
-        "family_size": len(cf),
-    }
-    path = _write_report(args, "index", config, results)
-    _summary(
-        "index",
+        args.command,
         [
             ("family", len(cf)),
             ("excluded", cf.excluded),
@@ -399,7 +393,8 @@ def _add_family(sub):
     sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sub.add_argument("--sample-size", type=int, default=0)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=25, help="certifier prime budget")
+    sub.add_argument("--budget", type=int, default=CERTIFIER_PRIME_BUDGET,
+                     help="certifier prime budget")
 
 
 def build_parser(defaults=None):
@@ -438,16 +433,16 @@ def build_parser(defaults=None):
         _add_family(sub)
         sub.add_argument("--x", type=float, required=True)
         sub.add_argument("--r", required=True, help="splitting type, comma-separated")
-        sub.add_argument("--k-max", type=int, default=6)
+        sub.add_argument("--k-max", type=int, default=stats.DEFAULT_K_MAX)
         _add_common(sub)
         sub.set_defaults(func=runner)
 
-    for name, runner in [("ramified", run_ramified), ("index", run_index)]:
+    for name in ("ramified", "index"):
         sub = subs.add_parser(name)
         _add_family(sub)
         sub.add_argument("--bound", type=int, required=True)
         _add_common(sub)
-        sub.set_defaults(func=runner)
+        sub.set_defaults(func=run_average)
 
     sub = subs.add_parser("ansplit", help="A_n class splitting table")
     sub.add_argument("--n", type=int, required=True)

@@ -1,16 +1,17 @@
 """Polynomial family generation and cycle-type Galois certification.
 
-Families are streams of monic IntPolynomial values, either the full
-coefficient box [-N, N]^n in lexicographic order or reproducible uniform
-samples.  Certification is sound but not complete: a polynomial is
-declared S_n only when reduction witnesses prove it, and everything the
-witness scan cannot settle is reported as excluded.
+A family of monic degree-n polynomials is one (m, n) coefficient array in
+batch.pack format, from generation to the statistics: either the full
+box [-N, N]^n in lexicographic order or reproducible uniform samples.
+Certification is sound but not complete: a polynomial is declared S_n
+only when reduction witnesses prove it, and everything the witness scan
+cannot settle is reported as excluded.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 
 import numpy as np
 
@@ -21,17 +22,22 @@ from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import IntPolynomial, discriminant, is_perfect_square
 
 # Largest exhaustive box, in polynomials; an exhaustive run holds all of
-# them at once.  Peak RSS grows by about 350, 435, 520 and 555 bytes per
-# polynomial at n = 2, 3, 4, 6 (slope of peak RSS between two box sizes
-# of the ramified subcommand; CPython 3.11, numpy 2.4).  Allowing 50 more
-# per degree above 6, the largest admitted box of every degree needs at
-# most 1.47 GB on top of the interpreter's ~35 MB: 1731^2 (1.04 GB),
-# 143^3 (1.27 GB), 41^4 (1.47 GB), 19^5 (1.34 GB), 5^9 (1.38 GB) and
-# 3^13 (1.44 GB); 3^14 is refused.
+# them at once.  Peak RSS grows by about 169, 258, 318 and 337 bytes per
+# polynomial at n = 2, 3, 4, 6 (slope of peak RSS of the ramified
+# subcommand between boxes of 90,601/811,801, 68,921/531,441,
+# 14,641/83,521 and 729/15,625 polynomials; CPython 3.11, numpy 2.4).
+# Taking n = 6's slope for n = 5 and allowing 50 more per degree above 6,
+# the largest admitted box of every degree needs at most 1.1 GB on top of
+# the interpreter's ~35 MB: 1731^2 (0.51 GB), 143^3 (0.75 GB), 41^4
+# (0.90 GB), 19^5 (0.83 GB), 5^9 (0.95 GB) and 3^13 (1.10 GB); 3^14 is
+# refused.  Memory would admit more, but time would not: the 41^4
+# quartic box already takes about an hour in the scalar certifier.
 EXHAUSTIVE_BUDGET = 3 * 10**6
 
-# The certifier scans the primes up to this limit.
+# The certifier scans the primes up to this limit, spending at most the
+# budget's number of primes at which f is squarefree.
 CERTIFIER_TABLE_LIMIT = 1000
+CERTIFIER_PRIME_BUDGET = 25
 
 SN_CERTIFIED = "SnCertified"
 AN_CANDIDATE = "AnCandidate"
@@ -50,7 +56,7 @@ class FamilySpec:
     mode: str = "exhaustive"
     sample_size: int = 0
     seed: int = 0
-    certifier_prime_budget: int = 25
+    certifier_prime_budget: int = CERTIFIER_PRIME_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_ENUM_DEGREE:
@@ -76,23 +82,28 @@ class FamilySpec:
 
 
 def _subseed(seed, index):
-    """Stable per-index sub-seed so sharded generation reproduces the stream."""
+    """Stable sub-seed of draw `index`: each draw depends on (seed, index) only."""
     digest = hashlib.sha256(b"%d:%d" % (seed, index)).digest()
     return int.from_bytes(digest[:16], "big")
 
 
 def generate(spec):
-    """Stream the family: all of the box lexicographically, or seeded draws."""
+    """The family as one (m, n) array in batch.pack format.
+
+    Exhaustive: all of the box, in the lexicographic order of
+    itertools.product.  Sampled: draw i is n coefficients from
+    random.Random(_subseed(seed, i)).
+    """
     n, big_n = spec.n, spec.height_bound
-    if spec.mode == "exhaustive":
-        for tail in product(range(-big_n, big_n + 1), repeat=n):
-            yield IntPolynomial(coeffs=tail)
-    else:
+    if spec.mode == "sampled":
+        rows = []
         for index in range(spec.sample_size):
             rng = random.Random(_subseed(spec.seed, index))
-            yield IntPolynomial(
-                coeffs=tuple(rng.randrange(-big_n, big_n + 1) for _ in range(n))
-            )
+            rows.append(tuple(rng.randrange(-big_n, big_n + 1) for _ in range(n)))
+        return batch.pack(rows)
+    # The budget keeps big_n far below the kernels' 2^62 height bound.
+    side = np.arange(-big_n, big_n + 1, dtype=np.int64)
+    return np.stack(np.meshgrid(*[side] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,8 +164,13 @@ def _witness_kinds(n):
     return kinds
 
 
-def certify_stream(polys, table, budget):
-    """Cycle-type certification of G_f = S_n for a family of one degree n.
+def _poly(row):
+    """The polynomial of one packed row."""
+    return IntPolynomial(coeffs=tuple(row.tolist()))
+
+
+def certify_stream(coeffs, table, budget):
+    """Cycle-type certification of G_f = S_n for an (m, n) packed family.
 
     Scans the table's primes in order, spending at most `budget` primes
     at which f is squarefree.  The reduction type at such a prime is a
@@ -168,16 +184,11 @@ def certify_stream(polys, table, budget):
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    polys = list(polys)
-    if not polys:
-        return []
-    n = polys[0].degree
-    coeffs = batch.pack(polys)
+    m, n = coeffs.shape
     types = enumerate_types(n)
     kinds = _witness_kinds(n)
     witness_codes = np.flatnonzero(np.logical_or.reduce(kinds)).tolist()
-    m = len(polys)
-    disc = [discriminant(f) for f in polys]
+    disc = [discriminant(_poly(row)) for row in coeffs]
     # A zero discriminant means gcd(f, f') is a proper factor over Q.
     done = np.array([d == 0 for d in disc], dtype=bool)
     seen = [np.zeros(m, dtype=bool) for _ in kinds]
@@ -205,8 +216,8 @@ def certify_stream(polys, table, budget):
     certified = np.logical_and.reduce(seen).tolist()
     irreducible = seen[0].tolist()
     certs = []
-    for f, d, found, full, irr in zip(polys, disc, witnesses, certified, irreducible):
-        if d == 0 or (not irr and _integer_root(f) is not None):
+    for row, d, found, full, irr in zip(coeffs, disc, witnesses, certified, irreducible):
+        if d == 0 or (not irr and _integer_root(_poly(row)) is not None):
             status = REDUCIBLE
         elif full:
             status = SN_CERTIFIED
@@ -218,25 +229,17 @@ def certify_stream(polys, table, budget):
     return certs
 
 
-def certified_rows(polys, table, budget):
-    """Certify a stream; its S_n-certified rows, their discriminants, the rest.
+def certified_rows(coeffs, table, budget):
+    """Certify a packed family; its S_n-certified rows, their discriminants, the rest.
 
-    Returns (coeffs, disc, excluded): the certified rows as one (k, n)
-    array in batch.pack format (shape (0, n) when none is certified),
-    their discriminants in the same order, and the excluded count.
+    Returns (rows, disc, excluded): the certified rows of coeffs (shape
+    (0, n) when none is certified), their discriminants in the same order,
+    and the excluded count.
     """
-    polys = list(polys)
-    certs = certify_stream(polys, table, budget)
-    keep = [c.status == SN_CERTIFIED for c in certs]
+    certs = certify_stream(coeffs, table, budget)
+    keep = np.array([c.status == SN_CERTIFIED for c in certs], dtype=bool)
     disc = tuple(c.discriminant for c in compress(certs, keep))
-    # Free the certificates and their witnesses before packing, so that the
-    # packed rows do not raise the peak set by the certifier's prime scan.
-    del certs
-    if disc:
-        coeffs = batch.pack(compress(polys, keep))
-    else:
-        coeffs = np.zeros((0, polys[0].degree if polys else 0), dtype=np.int64)
-    return coeffs, disc, len(polys) - len(disc)
+    return coeffs[keep], disc, len(certs) - len(disc)
 
 
 def fiber_probability(spec, targets):

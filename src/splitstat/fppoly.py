@@ -12,8 +12,9 @@ from itertools import product
 
 from .errors import ResourceLimitError
 
-# Moduli are restricted so that double-width products fit machine words
-# in the vectorized kernels; the pure-python path shares the bound.
+# Moduli of the scalar routines here, which use Python integers, stay below
+# this bound.  The vectorized kernels stop at batch.MAX_KERNEL_PRIME = 2^20
+# and call these routines above it.
 MAX_MODULUS = 2**31
 
 ENUMERATION_BUDGET = 10**7

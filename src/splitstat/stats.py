@@ -27,7 +27,7 @@ DEFAULT_K_MAX = 6
 
 @dataclass(frozen=True, eq=False)
 class CertifiedFamily:
-    """The certified subfamily of a polynomial stream, plus exclusion count.
+    """The certified subfamily of a packed family, plus exclusion count.
 
     coeffs is the (k, n) array of the certified rows in batch.pack format
     and disc their discriminants, in the same order.
@@ -44,12 +44,13 @@ class CertifiedFamily:
         return len(self.coeffs)
 
 
-def certify_family(polys, table=None, budget=25, description=""):
-    """Certify a stream and keep only the S_n-certified polynomials."""
+def certify_family(coeffs, table=None, budget=family_mod.CERTIFIER_PRIME_BUDGET,
+                   description=""):
+    """Certify a packed family and keep only its S_n-certified rows."""
     if table is None:
         table = sieve_primes(family_mod.CERTIFIER_TABLE_LIMIT)
-    coeffs, disc, excluded = family_mod.certified_rows(polys, table, budget)
-    return CertifiedFamily(coeffs, disc, excluded, description)
+    rows, disc, excluded = family_mod.certified_rows(coeffs, table, budget)
+    return CertifiedFamily(rows, disc, excluded, description)
 
 
 def _require_nonempty(cf):

@@ -47,7 +47,7 @@ def sampled_cubics(table_1e5):
         n=3, height_bound=HEIGHT, mode="sampled", sample_size=SAMPLE_SIZE, seed=SEED
     )
     return stats.certify_family(
-        list(generate(spec)), table=sieve_primes(1000), budget=25
+        generate(spec), table=sieve_primes(1000), budget=25
     )
 
 
@@ -229,7 +229,7 @@ def test_08_dedekind_vs_quadratic_field_rule(acceptance_log):
 def exhaustive_cubics():
     spec = FamilySpec(n=3, height_bound=50)
     return stats.certify_family(
-        list(generate(spec)), table=sieve_primes(1000), budget=25
+        generate(spec), table=sieve_primes(1000), budget=25
     )
 
 
@@ -249,7 +249,7 @@ def test_09_ramified_prime_average(acceptance_log, exhaustive_cubics):
 def test_10_index_prime_average(acceptance_log):
     spec = FamilySpec(n=2, height_bound=100)
     family = stats.certify_family(
-        list(generate(spec)), table=sieve_primes(1000), budget=25
+        generate(spec), table=sieve_primes(1000), budget=25
     )
     average, _ = stats.index_prime_average(family, 5)
     reference = 1 / 4 + 1 / 9

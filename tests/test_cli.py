@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -122,6 +123,16 @@ def test_clt_writes_sample_csv(tmp_path):
     assert doc["results"]["clt_sample_size"] > 0
 
 
+def test_index_subcommand(tmp_path):
+    out = tmp_path / "index.json"
+    assert main(["index", "--n", "2", "--N", "30", "--bound", "11", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["experiment"] == "index"
+    assert doc["config"]["bound"] == 11
+    assert doc["results"]["family_size"] + doc["results"]["excluded"] == 61**2
+    assert doc["results"]["reference"] == pytest.approx(1 / 4 + 1 / 9 + 1 / 25 + 1 / 49 + 1 / 121)
+
+
 def test_refusal_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "ramified.json"
     out.write_text("kept\n")
@@ -147,6 +158,29 @@ def test_clt_refusal_writes_nothing(tmp_path):
     assert code == 2
     assert not out.exists()
     assert sample.read_text() == "kept\n"
+
+
+def test_clt_failure_leaves_no_partial_output(tmp_path, monkeypatch):
+    out = tmp_path / "clt.json"
+    args = ["clt", "--n", "3", "--N", str(10**9), "--mode", "sampled",
+            "--sample-size", "150", "--seed", "3", "--x", "300", "--r", "0,0,1",
+            "--out", str(out)]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stats.StatReport, "sample_csv", fail)
+        with pytest.raises(RuntimeError):
+            main(args)
+    assert list(tmp_path.iterdir()) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", fail)  # after both temp files are written
+        with pytest.raises(RuntimeError):
+            main(args)
+    assert list(tmp_path.iterdir()) == []
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clt.json", "clt.json.sample.csv"]
 
 
 def test_config_file_defaults_and_cli_priority(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from splitstat.family import (
     SN_CERTIFIED,
     UNDETERMINED,
     FamilySpec,
+    certified_rows,
     certify_stream,
     fiber_probability,
     generate,
@@ -31,8 +33,8 @@ DOMAIN_PRIMES = sieve_primes(2**20).primes
 KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
 
 
-def _certify(f, budget=25):
-    return certify_stream([f], TABLE, budget)[0]
+def _certify(row, budget=25):
+    return certify_stream(batch.pack([row]), TABLE, budget)[0]
 
 
 def _oracle_codes(rows, p):
@@ -64,43 +66,59 @@ def test_family_spec_validation():
 
 
 def test_generate_exhaustive():
-    polys = list(generate(FamilySpec(n=2, height_bound=1)))
-    assert len(polys) == 9
-    assert polys[0].coeffs == (-1, -1)
-    assert polys[-1].coeffs == (1, 1)
-    assert list(generate(FamilySpec(n=3, height_bound=0)))[0].coeffs == (0, 0, 0)
+    for n, height in [(1, 3), (2, 1), (2, 2), (3, 0), (3, 2), (4, 2)]:
+        coeffs = generate(FamilySpec(n=n, height_bound=height))
+        box = np.array(list(product(range(-height, height + 1), repeat=n)))
+        assert coeffs.dtype == np.int64 and coeffs.flags.c_contiguous
+        assert coeffs.shape == box.shape and (coeffs == box).all(), (n, height)
 
 
 def test_generate_sampled_deterministic():
     spec = FamilySpec(n=2, height_bound=10**6, mode="sampled", sample_size=50, seed=7)
-    a = [f.coeffs for f in generate(spec)]
-    b = [f.coeffs for f in generate(spec)]
-    assert a == b
-    assert len(a) == 50
-    assert all(abs(c) <= 10**6 for t in a for c in t)
+    a = generate(spec)
+    assert a.dtype == np.int64 and a.shape == (50, 2)
+    assert (a == generate(spec)).all()
+    assert (np.abs(a) <= 10**6).all()
     other = FamilySpec(n=2, height_bound=10**6, mode="sampled", sample_size=50, seed=8)
-    assert a != [f.coeffs for f in generate(other)]
+    assert (a != generate(other)).any()
+    # Draw i is random.Random(_subseed(seed, i)), pinned.
+    small = FamilySpec(n=2, height_bound=10, mode="sampled", sample_size=6, seed=7)
+    assert [tuple(row) for row in generate(small).tolist()] == [
+        (-7, 2), (2, 9), (8, -4), (-6, -2), (-1, 2), (1, 7)]
+    huge = FamilySpec(n=3, height_bound=2**64, mode="sampled", sample_size=2, seed=7)
+    coeffs = generate(huge)
+    assert coeffs.dtype == object
+    assert [tuple(row) for row in coeffs.tolist()] == [
+        (6949142590151003363, 10931521264089054602, -248668961329141903),
+        (-9533134185274568833, -12483256141774059573, 6183784080481168661)]
+
+
+def test_certify_empty_family():
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert certify_stream(empty, TABLE, 25) == []
+    rows, disc, excluded = certified_rows(empty, TABLE, 25)
+    assert rows.shape == (0, 3) and disc == () and excluded == 0
 
 
 def test_certify_examples():
-    assert _certify(IntPolynomial(coeffs=(-1, -1, 0))).status == SN_CERTIFIED
-    assert _certify(IntPolynomial(coeffs=(-1, -3, 0))).status == AN_CANDIDATE
-    assert _certify(IntPolynomial(coeffs=(-1, 0))).status == REDUCIBLE
+    assert _certify((-1, -1, 0)).status == SN_CERTIFIED
+    assert _certify((-1, -3, 0)).status == AN_CANDIDATE
+    assert _certify((-1, 0)).status == REDUCIBLE
     # X^3 (disc 0) is reducible via the gcd argument
-    assert _certify(IntPolynomial(coeffs=(0, 0, 0))).status == REDUCIBLE
+    assert _certify((0, 0, 0)).status == REDUCIBLE
 
 
 def test_certificate_witnesses_are_sound():
-    cert = _certify(IntPolynomial(coeffs=(-1, -1, 0)))
+    cert = _certify((-1, -1, 0))
     f = IntPolynomial(coeffs=(-1, -1, 0))
     for p, r in cert.witnesses:
         assert fppoly.splitting_type_mod_p(f, p) == r
 
 
 def test_no_false_certificates_small_cubics():
-    polys = list(generate(FamilySpec(n=3, height_bound=6)))
-    for f, cert in zip(polys, certify_stream(polys, TABLE, 25)):
-        d = discriminant(f)
+    coeffs = generate(FamilySpec(n=3, height_bound=6))
+    for row, cert in zip(coeffs.tolist(), certify_stream(coeffs, TABLE, 25)):
+        d = discriminant(IntPolynomial(coeffs=tuple(row)))
         if cert.status == SN_CERTIFIED:
             assert not is_perfect_square(d)
         elif cert.status == AN_CANDIDATE:
@@ -109,9 +127,9 @@ def test_no_false_certificates_small_cubics():
 
 def test_certified_fraction_floor():
     spec = FamilySpec(n=3, height_bound=50)
-    polys = list(generate(spec))
-    certs = certify_stream(polys, TABLE, 25)
-    frac = sum(1 for c in certs if c.status == SN_CERTIFIED) / len(polys)
+    coeffs = generate(spec)
+    certs = certify_stream(coeffs, TABLE, 25)
+    frac = sum(1 for c in certs if c.status == SN_CERTIFIED) / len(coeffs)
     assert frac >= 0.95
 
 
@@ -141,14 +159,16 @@ def test_types_mod_p_matches_oracle(n):
     big = (2**62,) + (1,) * (n - 1)  # one row outside the kernel bounds
     for p in KERNEL_PRIMES:
         rows = _kernel_rows(n, p, rng)
-        polys = [IntPolynomial(coeffs=r) for r in rows]
         expected = _oracle_codes(rows, p)
-        kernel = batch.pack(polys)
+        kernel = batch.pack(rows)
         assert kernel.dtype == np.int64
         assert batch.types_mod_p(kernel, p).tolist() == expected, p
-        scalar = batch.pack(polys + [IntPolynomial(coeffs=big)])
+        scalar = batch.pack(rows + [big])
         assert scalar.dtype == object
         assert batch.types_mod_p(scalar, p).tolist() == expected + _oracle_codes([big], p), p
+    for ragged in ([(1,) * n, (1,) * (n + 1)], [big, (1,) * (n + 1)]):
+        with pytest.raises(ValueError):
+            batch.pack(ragged)
 
 
 @st.composite
@@ -171,46 +191,46 @@ def _kernel_family(draw, n):
 @given(data=st.data())
 def test_types_mod_p_kernel_property(n, data):
     p, rows = data.draw(_kernel_family(n))
-    coeffs = batch.pack([IntPolynomial(coeffs=r) for r in rows])
+    coeffs = batch.pack(rows)
     assert coeffs.dtype == np.int64
     assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
 
 
-def _scalar_certify(f, budget):
-    """Certify f alone, through the object-dtype (scalar) path."""
-    big = IntPolynomial(coeffs=(2**62,) + (1,) * (f.degree - 1))
-    return certify_stream([f, big], TABLE, budget)[0]
+def _scalar_certify(row, budget):
+    """Certify one row alone, through the object-dtype (scalar) path."""
+    big = (2**62,) + (1,) * (len(row) - 1)
+    return certify_stream(batch.pack([tuple(row), big]), TABLE, budget)[0]
 
 
 def test_bulk_certification_matches_scalar():
     spec = FamilySpec(n=3, height_bound=4)
-    polys = list(generate(spec))
-    bulk = certify_stream(polys, TABLE, 25)
-    scalar = [_scalar_certify(f, 25) for f in polys]
+    coeffs = generate(spec)
+    bulk = certify_stream(coeffs, TABLE, 25)
+    scalar = [_scalar_certify(row, 25) for row in coeffs.tolist()]
     assert bulk == scalar
 
 
 def test_bulk_certification_matches_scalar_tight_budget():
     spec = FamilySpec(n=3, height_bound=3)
-    polys = list(generate(spec))
+    coeffs = generate(spec)
     for budget in (1, 2, 5):
-        assert certify_stream(polys, TABLE, budget) == [
-            _scalar_certify(f, budget) for f in polys
+        assert certify_stream(coeffs, TABLE, budget) == [
+            _scalar_certify(row, budget) for row in coeffs.tolist()
         ]
 
 
 @pytest.mark.parametrize("n, height", [(2, 10), (3, 3)])
 def test_kernel_and_scalar_certification_agree(n, height):
-    polys = list(generate(FamilySpec(n=n, height_bound=height)))
-    big = IntPolynomial(coeffs=(2**62,) + (1,) * (n - 1))
+    rows = [tuple(row) for row in generate(FamilySpec(n=n, height_bound=height)).tolist()]
+    big = (2**62,) + (1,) * (n - 1)
     for budget in (1, 2, 5, 25):
-        kernel = certify_stream(polys, TABLE, budget)
-        scalar = certify_stream(polys + [big], TABLE, budget)
+        kernel = certify_stream(batch.pack(rows), TABLE, budget)
+        scalar = certify_stream(batch.pack(rows + [big]), TABLE, budget)
         assert kernel == scalar[:-1], budget
 
 
 def test_cubic_certificates_pinned():
-    polys = list(generate(FamilySpec(n=3, height_bound=3)))
+    coeffs = generate(FamilySpec(n=3, height_bound=3))
     expected = {
         1: (0, 10, 117, 216),
         2: (120, 10, 117, 96),
@@ -218,7 +238,7 @@ def test_cubic_certificates_pinned():
         25: (216, 10, 117, 0),
     }
     for budget, counts in expected.items():
-        statuses = [c.status for c in certify_stream(polys, TABLE, budget)]
+        statuses = [c.status for c in certify_stream(coeffs, TABLE, budget)]
         assert tuple(statuses.count(s) for s in (
             SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)) == counts, budget
 
@@ -226,29 +246,25 @@ def test_cubic_certificates_pinned():
 def test_composite_degree_needs_long_cycle():
     # Galois group D4: transitive, with a 4-cycle and a transposition.
     for a0 in (-2, 2, -3, 3):
-        assert _certify(IntPolynomial(coeffs=(a0, 0, 0, 0))).status != SN_CERTIFIED
-    cert = _certify(IntPolynomial(coeffs=(-1, -1, 0, 0)))  # X^4 - X - 1, S_4
+        assert _certify((a0, 0, 0, 0)).status != SN_CERTIFIED
+    cert = _certify((-1, -1, 0, 0))  # X^4 - X - 1, S_4
     assert cert.status == SN_CERTIFIED
     kinds = {r for _p, r in cert.witnesses}
     assert (0, 0, 0, 1) in kinds and (1, 0, 1, 0) in kinds
-    polys = list(generate(FamilySpec(n=4, height_bound=3)))
-    statuses = [c.status for c in certify_stream(polys, TABLE, 25)]
+    coeffs = generate(FamilySpec(n=4, height_bound=3))
+    statuses = [c.status for c in certify_stream(coeffs, TABLE, 25)]
     assert (statuses.count(SN_CERTIFIED), statuses.count(REDUCIBLE),
             statuses.count(UNDETERMINED)) == (1382, 731, 288)
 
 
 def test_batch_kernel_matches_scalar():
     rng = random.Random(23)
-    polys = [
-        IntPolynomial(coeffs=tuple(rng.randrange(-10**12, 10**12) for _ in range(3)))
-        for _ in range(60)
-    ]
+    rows = [tuple(rng.randrange(-10**12, 10**12) for _ in range(3)) for _ in range(60)]
     primes = [2, 3, 5, 7, 97, 1009, 65537, 999983]
-    matrix = batch.cubic_count_matrix(batch.pack(polys), primes)
-    expected = np.zeros((len(polys), 4), dtype=np.int64)
-    rows = [f.coeffs for f in polys]
+    matrix = batch.cubic_count_matrix(batch.pack(rows), primes)
+    expected = np.zeros((len(rows), 4), dtype=np.int64)
     for p in primes:
-        expected[np.arange(len(polys)), _oracle_codes(rows, p)] += 1
+        expected[np.arange(len(rows)), _oracle_codes(rows, p)] += 1
     assert (matrix == expected).all()
 
 
@@ -289,5 +305,5 @@ def test_fiber_probability_rejects_bad_targets():
 def test_undetermined_is_possible():
     # X^4 + 1 is irreducible over Q but reducible mod every prime:
     # no irreducible witness exists, and no integer root either.
-    cert = _certify(IntPolynomial(coeffs=(1, 0, 0, 0)))
+    cert = _certify((1, 0, 0, 0))
     assert cert.status == UNDETERMINED
