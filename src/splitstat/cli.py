@@ -35,14 +35,25 @@ class ConfigError(Exception):
 def _parse_type(text, n):
     try:
         r = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError("field r: entries must be integers, got %r" % text)
-    if len(r) != n or sum((i + 1) * m for i, m in enumerate(r)) != n:
-        raise ConfigError(
-            "field r: %s is not a splitting type of degree %d (sum i*r_i != n)"
-            % (text, n)
-        )
+        if splittypes.validate_type(r) != n:
+            raise ValueError("it has %d entries, not n = %d" % (len(r), n))
+    except ValueError as exc:
+        raise ConfigError("field r: %r is not a splitting type: %s" % (text, exc))
     return r
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _prime(text):
+    value = int(text)
+    if value < 2 or any(value % q == 0 for q in range(2, math.isqrt(value) + 1)):
+        raise argparse.ArgumentTypeError("%d is not prime" % value)
+    return value
 
 
 def _parse_target(text, n):
@@ -106,13 +117,15 @@ def _check_outputs(args):
             raise ConfigError("output %s exists; pass --force to overwrite" % path)
 
 
-def _write_report(args, experiment, config, results, table_header=None, rows=None,
-                  extra=()):
+def _write_report(args, experiment, config, results, extra=()):
     """Write the report to --out, and each (path, text) of extra with it.
 
-    Every text is complete before anything is written; each goes to a temp
-    file beside its path and is then moved into place, so a failure before
-    the moves leaves no output and no temp file.  Returns --out.
+    The CSV table is read off results: a dict gives its sorted key,value
+    rows; a list of dicts gives the first dict's keys as the header and
+    one row of values per dict.  Every text is complete before anything is
+    written; each goes to a temp file beside its path and is then moved
+    into place, so a failure before the moves leaves no output and no temp
+    file.  Returns --out.
     """
     meta = {"experiment": experiment, "version": __version__}
     if args.format == "json":
@@ -125,14 +138,12 @@ def _write_report(args, experiment, config, results, table_header=None, rows=Non
         for key in sorted(config):
             buf.write("# %s=%s\n" % (key, config[key]))
         writer = csv.writer(buf, lineterminator="\n")
-        if table_header is None:
+        if isinstance(results, dict):
             writer.writerow(["key", "value"])
-            for key in sorted(results):
-                writer.writerow([key, results[key]])
+            writer.writerows(sorted(results.items()))
         else:
-            writer.writerow(table_header)
-            for row in rows:
-                writer.writerow(row)
+            writer.writerow(list(results[0]))
+            writer.writerows(row.values() for row in results)
         text = buf.getvalue()
     outputs = [(args.out, text), *extra]
     temps = ["%s.%d.tmp" % (path, os.getpid()) for path, _text in outputs]
@@ -161,34 +172,19 @@ def _summary(experiment, fields):
 
 def run_counts(args):
     config = {"n": args.n, "p": args.p, "pmin": args.pmin, "pmax": args.pmax}
-    rows = []
     results = []
     for r in splittypes.enumerate_types(args.n):
         empirical = splittypes.empirical_second_order(r, args.pmin, args.pmax)
-        row = {
+        results.append({
             "r": ",".join(map(str, r)),
             "class_count": splittypes.class_count(args.n, r, args.p),
             "delta": str(splittypes.delta(r)),
             "paper_second_order": str(splittypes.paper_second_order(r)),
             "empirical_second_order": str(empirical),
-        }
-        results.append(row)
-        rows.append(list(row.values()))
-    path = _write_report(
-        args,
-        "counts",
-        config,
-        results,
-        table_header=[
-            "r",
-            "class_count",
-            "delta",
-            "paper_second_order",
-            "empirical_second_order",
-        ],
-        rows=rows,
-    )
-    _summary("counts", [("n", args.n), ("p", args.p), ("types", len(rows)), ("out", path)])
+        })
+    path = _write_report(args, "counts", config, results)
+    _summary("counts",
+             [("n", args.n), ("p", args.p), ("types", len(results)), ("out", path)])
     return EXIT_OK
 
 
@@ -230,15 +226,25 @@ def _certified(spec):
     )
 
 
-def run_chebotarev(args):
+def _prime_sum_setup(args):
+    """Set-up of chebotarev, moments and clt: a statistic over the primes up to --x.
+
+    Returns the type r, the certified family, the primes up to x and the
+    report config.
+    """
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
     cf = _certified(spec)
     table = sieve_primes(int(args.x))
-    mean, reference = stats.family_chebotarev_mean(cf, r, args.x, table)
     config = _spec_config(spec)
     config.update({"r": args.r, "x": args.x})
+    return r, cf, table, config
+
+
+def run_chebotarev(args):
+    r, cf, table, config = _prime_sum_setup(args)
+    mean, reference = stats.family_chebotarev_mean(cf, r, args.x, table)
     results = {
         "empirical_mean": mean,
         "exact_reference": reference,
@@ -260,29 +266,13 @@ def run_chebotarev(args):
 
 
 def run_moments(args):
-    spec = _family_spec(args)
-    r = _parse_type(args.r, args.n)
-    _regime_warning(args.x, spec.height_bound)
-    cf = _certified(spec)
-    table = sieve_primes(int(args.x))
-    config = _spec_config(spec)
-    config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
-    rows = []
+    r, cf, table, config = _prime_sum_setup(args)
+    config["k_max"] = args.k_max
     results = []
     for k in range(1, args.k_max + 1):
-        moment, reference = stats.family_centered_moment(
-            cf, r, args.x, k, table, k_max=args.k_max
-        )
+        moment, reference = stats.family_centered_moment(cf, r, args.x, k, table)
         results.append({"k": k, "moment": moment, "reference": reference})
-        rows.append([k, repr(moment), repr(reference)])
-    path = _write_report(
-        args,
-        "moments",
-        config,
-        results,
-        table_header=["k", "moment", "reference"],
-        rows=rows,
-    )
+    path = _write_report(args, "moments", config, results)
     _summary(
         "moments",
         [("family", len(cf)), ("excluded", cf.excluded), ("out", path)],
@@ -291,14 +281,9 @@ def run_moments(args):
 
 
 def run_clt(args):
-    spec = _family_spec(args)
-    r = _parse_type(args.r, args.n)
-    _regime_warning(args.x, spec.height_bound)
-    cf = _certified(spec)
-    table = sieve_primes(int(args.x))
+    r, cf, table, config = _prime_sum_setup(args)
+    config["k_max"] = args.k_max
     report = stats.clt_report(cf, r, args.x, table, k_max=args.k_max)
-    config = _spec_config(spec)
-    config.update({"r": args.r, "x": args.x, "k_max": args.k_max})
     path = _write_report(args, "clt", config, report.to_json_dict(),
                          extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())])
     _summary(
@@ -342,7 +327,6 @@ def run_average(args):
 
 def run_ansplit(args):
     config = {"n": args.n}
-    rows = []
     results = []
     for r in splittypes.enumerate_types(args.n):
         par = splittypes.parity(r)
@@ -350,16 +334,8 @@ def run_ansplit(args):
         results.append(
             {"r": ",".join(map(str, r)), "parity": par, "splits": str(splits)}
         )
-        rows.append([",".join(map(str, r)), par, str(splits)])
-    path = _write_report(
-        args,
-        "ansplit",
-        config,
-        results,
-        table_header=["r", "parity", "splits"],
-        rows=rows,
-    )
-    _summary("ansplit", [("n", args.n), ("types", len(rows)), ("out", path)])
+    path = _write_report(args, "ansplit", config, results)
+    _summary("ansplit", [("n", args.n), ("types", len(results)), ("out", path)])
     return EXIT_OK
 
 
@@ -407,7 +383,7 @@ def build_parser(defaults=None):
 
     sub = subs.add_parser("counts", help="exact class counts per splitting type")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--p", type=_prime, required=True)
     sub.add_argument("--pmin", type=int, default=101)
     sub.add_argument("--pmax", type=int, default=199)
     _add_common(sub)
@@ -433,7 +409,9 @@ def build_parser(defaults=None):
         _add_family(sub)
         sub.add_argument("--x", type=float, required=True)
         sub.add_argument("--r", required=True, help="splitting type, comma-separated")
-        sub.add_argument("--k-max", type=int, default=stats.DEFAULT_K_MAX)
+        if name != "chebotarev":
+            sub.add_argument("--k-max", type=_positive_int, default=stats.DEFAULT_K_MAX,
+                             help="highest moment")
         _add_common(sub)
         sub.set_defaults(func=runner)
 
@@ -478,7 +456,7 @@ def main(argv=None):
             args = build_parser(_config_defaults(args)).parse_args(argv)
         _check_outputs(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write("configuration error: %s\n" % exc)
         return EXIT_CONFIG
     except SplitstatError as exc:

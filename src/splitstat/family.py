@@ -34,9 +34,10 @@ from .zpoly import IntPolynomial, discriminant, is_perfect_square
 # quartic box already takes about an hour in the scalar certifier.
 EXHAUSTIVE_BUDGET = 3 * 10**6
 
-# The certifier scans the primes up to this limit, spending at most the
-# budget's number of primes at which f is squarefree.
+# The certifier scans the primes up to this limit, sieved once, spending
+# at most the budget's number of primes at which f is squarefree.
 CERTIFIER_TABLE_LIMIT = 1000
+CERTIFIER_PRIMES = sieve_primes(CERTIFIER_TABLE_LIMIT).primes
 CERTIFIER_PRIME_BUDGET = 25
 
 SN_CERTIFIED = "SnCertified"
@@ -169,10 +170,10 @@ def _poly(row):
     return IntPolynomial(coeffs=tuple(row.tolist()))
 
 
-def certify_stream(coeffs, table, budget):
+def certify_stream(coeffs, budget):
     """Cycle-type certification of G_f = S_n for an (m, n) packed family.
 
-    Scans the table's primes in order, spending at most `budget` primes
+    Scans CERTIFIER_PRIMES in order, spending at most `budget` primes
     at which f is squarefree.  The reduction type at such a prime is a
     witness when it shows a kind of cycle not yet seen for f: an n-cycle,
     a transposition, or (for composite n) an (n-1)-cycle.  The n-cycle
@@ -194,7 +195,7 @@ def certify_stream(coeffs, table, budget):
     seen = [np.zeros(m, dtype=bool) for _ in kinds]
     used = np.zeros(m, dtype=np.int64)
     witnesses = [()] * m
-    for p in table.primes:
+    for p in CERTIFIER_PRIMES:
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
@@ -229,14 +230,14 @@ def certify_stream(coeffs, table, budget):
     return certs
 
 
-def certified_rows(coeffs, table, budget):
+def certified_rows(coeffs, budget):
     """Certify a packed family; its S_n-certified rows, their discriminants, the rest.
 
     Returns (rows, disc, excluded): the certified rows of coeffs (shape
     (0, n) when none is certified), their discriminants in the same order,
     and the excluded count.
     """
-    certs = certify_stream(coeffs, table, budget)
+    certs = certify_stream(coeffs, budget)
     keep = np.array([c.status == SN_CERTIFIED for c in certs], dtype=bool)
     disc = tuple(c.discriminant for c in compress(certs, keep))
     return coeffs[keep], disc, len(certs) - len(disc)
@@ -265,9 +266,7 @@ def fiber_probability(spec, targets):
             "prod p_i^n = %d is not below 2N = %d" % (modulus_power, 2 * big_n)
         )
 
-    coeffs, _disc, _excluded = certified_rows(
-        generate(spec), sieve_primes(CERTIFIER_TABLE_LIMIT), spec.certifier_prime_budget
-    )
+    coeffs, _disc, _excluded = certified_rows(generate(spec), spec.certifier_prime_budget)
     if len(coeffs) == 0:
         raise RegimeError("no certified polynomials in family")
     hit = np.ones(len(coeffs), dtype=bool)

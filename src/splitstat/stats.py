@@ -44,12 +44,9 @@ class CertifiedFamily:
         return len(self.coeffs)
 
 
-def certify_family(coeffs, table=None, budget=family_mod.CERTIFIER_PRIME_BUDGET,
-                   description=""):
+def certify_family(coeffs, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
     """Certify a packed family and keep only its S_n-certified rows."""
-    if table is None:
-        table = sieve_primes(family_mod.CERTIFIER_TABLE_LIMIT)
-    rows, disc, excluded = family_mod.certified_rows(coeffs, table, budget)
+    rows, disc, excluded = family_mod.certified_rows(coeffs, budget)
     return CertifiedFamily(rows, disc, excluded, description)
 
 
@@ -156,8 +153,7 @@ def family_chebotarev_mean(cf, r, x, table):
     return mean, exact_chebotarev_reference(n, r, x, table)
 
 
-def family_centered_moment(cf, r, x, k, table, k_max=DEFAULT_K_MAX,
-                           center="asymptotic"):
+def family_centered_moment(cf, r, x, k, table, center="asymptotic"):
     """Empirical k-th moment of the centered count pi_{f,r}(x), with reference.
 
     center selects the subtracted term: "asymptotic" uses delta(r) pi(x);
@@ -165,8 +161,8 @@ def family_centered_moment(cf, r, x, k, table, k_max=DEFAULT_K_MAX,
     deterministic O(log log x) bias that dominates the odd moments.
     Reference is C_{k,r} pi(x)^{k/2} for even k and 0 for odd k.
     """
-    if not 1 <= k <= k_max:
-        raise ValueError("k must be between 1 and %d" % k_max)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if center not in ("asymptotic", "exact"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
     _require_nonempty(cf)
@@ -272,7 +268,7 @@ def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
     variance = math.fsum((c - mean) ** 2 for c in values) / len(values)
     moments = {}
     for k in range(1, k_max + 1):
-        moments[k] = family_centered_moment(cf, r, x, k, table, k_max=k_max)
+        moments[k] = family_centered_moment(cf, r, x, k, table)
     return StatReport(
         description=cf.description,
         n=n,
@@ -301,7 +297,7 @@ def ramified_average(cf, bound):
     return total / len(cf), reference
 
 
-def index_prime_average(cf, bound, rng_seed=0):
+def index_prime_average(cf, bound):
     """Average number of primes p <= bound dividing the index a_f.
 
     Only primes with p^2 | disc(f) are submitted to the Dedekind test,
@@ -316,7 +312,7 @@ def index_prime_average(cf, bound, rng_seed=0):
     for i, d in enumerate(cf.disc):
         for p in primes:
             if d % (p * p) == 0 and not dedekind_is_p_maximal(
-                IntPolynomial(coeffs=tuple(cf.coeffs[i].tolist())), p, rng_seed
+                IntPolynomial(coeffs=tuple(cf.coeffs[i].tolist())), p
             ):
                 total += 1
     reference = math.fsum(1.0 / (p * p) for p in primes)

@@ -116,21 +116,21 @@ def _int_poly_mul(a, b):
     return out
 
 
-def dedekind_is_p_maximal(f, p, rng_seed=0):
+def dedekind_is_p_maximal(f, p):
     """Dedekind criterion: True iff p does not divide the index of Z[alpha].
 
-    Factors f mod p, lifts the radical g and cofactor h with coefficients
-    in [0, p), forms M = (g*h - f)/p and tests gcd(M, g, h) = 1 mod p.
+    Takes the radical g of f mod p as the product of its squarefree parts
+    and the cofactor h = f/g mod p, lifts both with coefficients in [0, p),
+    forms M = (g*h - f)/p and tests gcd(M, g, h) = 1 mod p.
     Raises ReduciblePolynomialError when the lift exposes a proper integer
     factorization of f.
     """
     n = f.degree
-    fbar = fppoly.reduce_mod_p(f, p)
-    factors = fppoly.full_factor_mod_p(fbar, rng_seed)
+    fbar = [c % p for c in f.all_coeffs()]
     radical = [1]
-    for g, _mult in factors:
-        radical = fppoly._mul(radical, list(g.coeffs), p)
-    hbar = fppoly._divmod([c % p for c in f.all_coeffs()], radical, p)[0]
+    for part, _mult in fppoly._squarefree_decomposition(fbar, p):
+        radical = fppoly._mul(radical, part, p)
+    hbar = fppoly._divmod(fbar, radical, p)[0]
 
     # Lifts with representatives in [0, p); both monic by construction.
     g_lift = list(radical)

@@ -46,9 +46,7 @@ def sampled_cubics(table_1e5):
     spec = FamilySpec(
         n=3, height_bound=HEIGHT, mode="sampled", sample_size=SAMPLE_SIZE, seed=SEED
     )
-    return stats.certify_family(
-        generate(spec), table=sieve_primes(1000), budget=25
-    )
+    return stats.certify_family(generate(spec), budget=25)
 
 
 def test_01_exact_class_counts_match_census(acceptance_log):
@@ -228,9 +226,7 @@ def test_08_dedekind_vs_quadratic_field_rule(acceptance_log):
 @pytest.fixture(scope="module")
 def exhaustive_cubics():
     spec = FamilySpec(n=3, height_bound=50)
-    return stats.certify_family(
-        generate(spec), table=sieve_primes(1000), budget=25
-    )
+    return stats.certify_family(generate(spec), budget=25)
 
 
 def test_09_ramified_prime_average(acceptance_log, exhaustive_cubics):
@@ -248,9 +244,7 @@ def test_09_ramified_prime_average(acceptance_log, exhaustive_cubics):
 
 def test_10_index_prime_average(acceptance_log):
     spec = FamilySpec(n=2, height_bound=100)
-    family = stats.certify_family(
-        generate(spec), table=sieve_primes(1000), budget=25
-    )
+    family = stats.certify_family(generate(spec), budget=25)
     average, _ = stats.index_prime_average(family, 5)
     reference = 1 / 4 + 1 / 9
     ok = abs(average - reference) <= 0.25 * reference

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -5,6 +6,13 @@ import pytest
 
 from splitstat import stats
 from splitstat.cli import main
+
+
+def _refuse_computing(monkeypatch):
+    def certify_family(*args, **kwargs):
+        raise AssertionError("computed before refusing the configuration")
+
+    monkeypatch.setattr(stats, "certify_family", certify_family)
 
 
 def test_counts_csv(tmp_path):
@@ -17,6 +25,28 @@ def test_counts_csv(tmp_path):
     table = [l for l in lines if not l.startswith("#")]
     assert table[0] == "r,class_count,delta,paper_second_order,empirical_second_order"
     assert len(table) == 4  # header + p(3) rows
+
+
+def _csv_table(path):
+    lines = path.read_text().splitlines()
+    return list(csv.reader(l for l in lines if not l.startswith("#")))
+
+
+@pytest.mark.parametrize("args", [
+    ["counts", "--n", "3", "--p", "5"],
+    ["moments", "--n", "2", "--N", "10", "--x", "100", "--r", "2,0", "--k-max", "4"],
+    ["ansplit", "--n", "5"],
+])
+def test_csv_table_matches_json_rows(tmp_path, args):
+    json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(args + ["--out", str(json_out)]) == 0
+    assert main(args + ["--out", str(csv_out), "--format", "csv"]) == 0
+    rows = json.loads(json_out.read_text())["results"]
+    header, *table = _csv_table(csv_out)
+    assert len(table) == len(rows) > 0
+    for row, line in zip(rows, table):
+        assert sorted(header) == sorted(row)
+        assert line == [str(row[key]) for key in header]
 
 
 def test_counts_values(tmp_path):
@@ -47,14 +77,17 @@ def test_refuses_overwrite(tmp_path):
     assert main(args + ["--force"]) == 0
 
 
-def test_invalid_type_exit_code(tmp_path, capsys):
+def test_invalid_type_exit_code(tmp_path, monkeypatch, capsys):
+    _refuse_computing(monkeypatch)
     out = tmp_path / "bad.json"
-    code = main(
-        ["chebotarev", "--n", "3", "--N", "20", "--x", "100", "--r", "2,1,0",
-         "--out", str(out)]
-    )
-    assert code == 2
-    assert "r" in capsys.readouterr().err
+    for r in ("2,1,0", "-1,2,0"):  # weighted sum 4; weighted sum 3, negative entry
+        code = main(
+            ["chebotarev", "--n", "3", "--N", "20", "--x", "100", "--r=" + r,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "configuration error: field r" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_big_n(tmp_path):
@@ -136,14 +169,42 @@ def test_index_subcommand(tmp_path):
 def test_refusal_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "ramified.json"
     out.write_text("kept\n")
-
-    def certify_family(*args, **kwargs):
-        raise AssertionError("computed before refusing the existing output")
-
-    monkeypatch.setattr(stats, "certify_family", certify_family)
+    _refuse_computing(monkeypatch)
     code = main(["ramified", "--n", "3", "--N", "20", "--bound", "7", "--out", str(out)])
     assert code == 2
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["clt", "--n", "3", "--N", "3", "--x", "50", "--r", "0,0,1"],  # pi(x) < 30
+    ["ramified", "--n", "3", "--N", "3", "--bound", "1"],
+])
+def test_statistic_value_error_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "v.json"
+    assert main(args + ["--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+X_R = ["--n", "3", "--N", "3", "--x", "300", "--r", "0,0,1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["moments", *X_R, "--k-max", "0"],
+    ["moments", *X_R, "--k-max", "-2"],
+    ["clt", *X_R, "--k-max", "0"],
+    ["clt", *X_R, "--k-max", "-2"],
+    ["chebotarev", *X_R, "--k-max", "3"],  # only moments and clt take it
+    ["counts", "--n", "2", "--p", "4"],
+    ["counts", "--n", "2", "--p", "1"],
+    ["counts", "--n", "2", "--p", "91"],
+])
+def test_bad_flag_refused_before_computing(tmp_path, monkeypatch, args):
+    _refuse_computing(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clt_refusal_writes_nothing(tmp_path):

@@ -25,8 +25,6 @@ from splitstat.primes import sieve_primes
 from splitstat.splittypes import enumerate_types
 from splitstat.zpoly import IntPolynomial, discriminant, is_perfect_square
 
-TABLE = sieve_primes(1000)
-
 # The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
 TOP = 2**62 - 1
 DOMAIN_PRIMES = sieve_primes(2**20).primes
@@ -34,7 +32,7 @@ KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
 
 
 def _certify(row, budget=25):
-    return certify_stream(batch.pack([row]), TABLE, budget)[0]
+    return certify_stream(batch.pack([row]), budget)[0]
 
 
 def _oracle_codes(rows, p):
@@ -95,8 +93,8 @@ def test_generate_sampled_deterministic():
 
 def test_certify_empty_family():
     empty = np.zeros((0, 3), dtype=np.int64)
-    assert certify_stream(empty, TABLE, 25) == []
-    rows, disc, excluded = certified_rows(empty, TABLE, 25)
+    assert certify_stream(empty, 25) == []
+    rows, disc, excluded = certified_rows(empty, 25)
     assert rows.shape == (0, 3) and disc == () and excluded == 0
 
 
@@ -117,7 +115,7 @@ def test_certificate_witnesses_are_sound():
 
 def test_no_false_certificates_small_cubics():
     coeffs = generate(FamilySpec(n=3, height_bound=6))
-    for row, cert in zip(coeffs.tolist(), certify_stream(coeffs, TABLE, 25)):
+    for row, cert in zip(coeffs.tolist(), certify_stream(coeffs, 25)):
         d = discriminant(IntPolynomial(coeffs=tuple(row)))
         if cert.status == SN_CERTIFIED:
             assert not is_perfect_square(d)
@@ -128,7 +126,7 @@ def test_no_false_certificates_small_cubics():
 def test_certified_fraction_floor():
     spec = FamilySpec(n=3, height_bound=50)
     coeffs = generate(spec)
-    certs = certify_stream(coeffs, TABLE, 25)
+    certs = certify_stream(coeffs, 25)
     frac = sum(1 for c in certs if c.status == SN_CERTIFIED) / len(coeffs)
     assert frac >= 0.95
 
@@ -199,13 +197,13 @@ def test_types_mod_p_kernel_property(n, data):
 def _scalar_certify(row, budget):
     """Certify one row alone, through the object-dtype (scalar) path."""
     big = (2**62,) + (1,) * (len(row) - 1)
-    return certify_stream(batch.pack([tuple(row), big]), TABLE, budget)[0]
+    return certify_stream(batch.pack([tuple(row), big]), budget)[0]
 
 
 def test_bulk_certification_matches_scalar():
     spec = FamilySpec(n=3, height_bound=4)
     coeffs = generate(spec)
-    bulk = certify_stream(coeffs, TABLE, 25)
+    bulk = certify_stream(coeffs, 25)
     scalar = [_scalar_certify(row, 25) for row in coeffs.tolist()]
     assert bulk == scalar
 
@@ -214,7 +212,7 @@ def test_bulk_certification_matches_scalar_tight_budget():
     spec = FamilySpec(n=3, height_bound=3)
     coeffs = generate(spec)
     for budget in (1, 2, 5):
-        assert certify_stream(coeffs, TABLE, budget) == [
+        assert certify_stream(coeffs, budget) == [
             _scalar_certify(row, budget) for row in coeffs.tolist()
         ]
 
@@ -224,8 +222,8 @@ def test_kernel_and_scalar_certification_agree(n, height):
     rows = [tuple(row) for row in generate(FamilySpec(n=n, height_bound=height)).tolist()]
     big = (2**62,) + (1,) * (n - 1)
     for budget in (1, 2, 5, 25):
-        kernel = certify_stream(batch.pack(rows), TABLE, budget)
-        scalar = certify_stream(batch.pack(rows + [big]), TABLE, budget)
+        kernel = certify_stream(batch.pack(rows), budget)
+        scalar = certify_stream(batch.pack(rows + [big]), budget)
         assert kernel == scalar[:-1], budget
 
 
@@ -238,7 +236,7 @@ def test_cubic_certificates_pinned():
         25: (216, 10, 117, 0),
     }
     for budget, counts in expected.items():
-        statuses = [c.status for c in certify_stream(coeffs, TABLE, budget)]
+        statuses = [c.status for c in certify_stream(coeffs, budget)]
         assert tuple(statuses.count(s) for s in (
             SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)) == counts, budget
 
@@ -252,7 +250,7 @@ def test_composite_degree_needs_long_cycle():
     kinds = {r for _p, r in cert.witnesses}
     assert (0, 0, 0, 1) in kinds and (1, 0, 1, 0) in kinds
     coeffs = generate(FamilySpec(n=4, height_bound=3))
-    statuses = [c.status for c in certify_stream(coeffs, TABLE, 25)]
+    statuses = [c.status for c in certify_stream(coeffs, 25)]
     assert (statuses.count(SN_CERTIFIED), statuses.count(REDUCIBLE),
             statuses.count(UNDETERMINED)) == (1382, 731, 288)
 

@@ -68,34 +68,34 @@ def test_partition_identity():
 def test_certify_family_counts_exclusions():
     spec = FamilySpec(n=3, height_bound=5)
     coeffs = generate(spec)
-    cf = certify_family(coeffs, table=TABLE, budget=25)
+    cf = certify_family(coeffs, budget=25)
     assert len(cf) + cf.excluded == len(coeffs)
     assert len(cf) > 0
     # The family keeps the certified rows, in stream order, and their
     # discriminants from certification.
     kept = [
         tuple(row)
-        for row, c in zip(coeffs.tolist(), certify_stream(coeffs, TABLE, 25))
+        for row, c in zip(coeffs.tolist(), certify_stream(coeffs, 25))
         if c.status == SN_CERTIFIED
     ]
     assert cf.coeffs.shape == (len(cf), 3)
     assert [tuple(row) for row in cf.coeffs.tolist()] == kept
     assert cf.disc == tuple(discriminant(IntPolynomial(coeffs=row)) for row in kept)
-    none = certify_family(batch.pack([(-1, 0)]), table=TABLE)
+    none = certify_family(batch.pack([(-1, 0)]))
     assert none.coeffs.shape == (0, 2) and none.disc == () and none.excluded == 1
 
 
 def test_empty_family_error():
-    cf = certify_family(batch.pack([(-1, 0)]), table=TABLE)  # reducible
+    cf = certify_family(batch.pack([(-1, 0)]))  # reducible
     with pytest.raises(EmptyFamilyError):
         family_chebotarev_mean(cf, (2, 0), 100, TABLE)
 
 
 def test_family_indicator_moments():
-    single = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    single = certify_family(batch.pack([(-1, -1, 0)]))
     mean, variance, reference = family_indicator_moments(single, (0, 0, 1), 2)
     assert mean == 1 and variance == 0
-    cf = certify_family(generate(FamilySpec(n=3, height_bound=50)), table=TABLE)
+    cf = certify_family(generate(FamilySpec(n=3, height_bound=50)))
     mean, variance, reference = family_indicator_moments(cf, (1, 1, 0), 5)
     assert reference == pytest.approx(50 / 125)
     assert abs(mean - 0.4) <= 0.02
@@ -104,7 +104,7 @@ def test_family_indicator_moments():
 
 
 def test_indicator_mean_matches_single_prime_chebotarev():
-    cf = certify_family(generate(FamilySpec(n=3, height_bound=8)), table=TABLE)
+    cf = certify_family(generate(FamilySpec(n=3, height_bound=8)))
     for r in enumerate_types(3):
         mean, _, _ = family_indicator_moments(cf, r, 5)
         # x = 5 counts primes {2,3,5}; subtract the p=2 and p=3 contributions
@@ -114,7 +114,7 @@ def test_indicator_mean_matches_single_prime_chebotarev():
 
 
 def test_chebotarev_single_polynomial():
-    cf = certify_family(batch.pack([(1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(1, 0)]))
     mean, reference = family_chebotarev_mean(cf, (2, 0), 13, TABLE)
     assert mean == 2
     assert reference == pytest.approx(exact_chebotarev_reference(2, (2, 0), 13, TABLE))
@@ -123,7 +123,7 @@ def test_chebotarev_single_polynomial():
 
 
 def test_centered_moment_k2_identity():
-    cf = certify_family(generate(FamilySpec(n=3, height_bound=4)), table=TABLE)
+    cf = certify_family(generate(FamilySpec(n=3, height_bound=4)))
     r = (3, 0, 0)
     x = 200
     m2, _ = family_centered_moment(cf, r, x, 2, TABLE)
@@ -138,7 +138,7 @@ def test_centered_moment_k2_identity():
 
 
 def test_centered_moment_center_options():
-    cf = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-1, -1, 0)]))
     r = (0, 0, 1)
     m_a, _ = family_centered_moment(cf, r, 100, 1, TABLE)
     m_e, _ = family_centered_moment(cf, r, 100, 1, TABLE, center="exact")
@@ -151,9 +151,9 @@ def test_centered_moment_center_options():
 
 
 def test_centered_moment_k_bounds():
-    cf = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
-        family_centered_moment(cf, (3, 0, 0), 100, 7, TABLE)
+        family_centered_moment(cf, (3, 0, 0), 100, 0, TABLE)
 
 
 def test_normal_cdf():
@@ -185,7 +185,7 @@ def test_ks_distance_gaussian_pipeline():
 
 def test_clt_report_structure_and_determinism():
     spec = FamilySpec(n=3, height_bound=10**9, mode="sampled", sample_size=300, seed=4)
-    cf = certify_family(generate(spec), table=TABLE)
+    cf = certify_family(generate(spec))
     table = sieve_primes(2000)
     rep1 = clt_report(cf, (0, 0, 1), 2000, table)
     rep2 = clt_report(cf, (0, 0, 1), 2000, table)
@@ -204,7 +204,7 @@ def test_clt_report_structure_and_determinism():
 
 
 def test_clt_report_preconditions():
-    cf = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
         clt_report(cf, (0, 0, 1), 50, TABLE)  # pi(x) < 30
     with pytest.raises(ValueError):
@@ -212,25 +212,25 @@ def test_clt_report_preconditions():
 
 
 def test_ramified_average_examples():
-    cf = certify_family(batch.pack([(-5, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-5, 0)]))
     average, reference = ramified_average(cf, 10)
     assert average == 2
     assert reference == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)
-    cf = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-1, -1, 0)]))
     assert ramified_average(cf, 10)[0] == 0
 
 
 def test_index_prime_average_examples():
-    cf = certify_family(batch.pack([(3, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(3, 0)]))
     average, reference = index_prime_average(cf, 10)
     assert average == 1
     assert reference == pytest.approx(sum(1 / (p * p) for p in (2, 3, 5, 7)))
-    cf = certify_family(batch.pack([(-1, -1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(-1, -1, 0)]))
     assert index_prime_average(cf, 100)[0] == 0
 
 
 def test_split_lower_bound_fraction_single():
-    cf = certify_family(batch.pack([(1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(1, 0)]))
     # pi(127)=31; X^2+1 splits at the 14 primes = 1 mod 4 up to 127,
     # well above the floor (1/2)(31)/2 = 7.75
     table = sieve_primes(127)
@@ -239,6 +239,6 @@ def test_split_lower_bound_fraction_single():
 
 
 def test_split_lower_bound_fraction_precondition():
-    cf = certify_family(batch.pack([(1, 0)]), table=TABLE)
+    cf = certify_family(batch.pack([(1, 0)]))
     with pytest.raises(ValueError):
         split_lower_bound_fraction(cf, 20, sieve_primes(20))
