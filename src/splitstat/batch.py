@@ -2,9 +2,11 @@
 
 types_mod_p is the single entry point.  Quadratic and cubic families run
 through vectorized numpy kernels while coefficients fit in 64-bit words
-(|c| < 2^62) and p < 2^20, so that double-width products never overflow;
-every other family calls fppoly.splitting_type_mod_p row by row, and the
-kernels are tested against that oracle.
+(|c| < 2^62) and p < 2^20.  The kernels compute in float64: residues stay
+below 2^20 in absolute value, so every product is below 2^40 and every sum
+reduced at once stays below 2^44, far inside the 2^53 range where float64
+integers are exact.  Every other family calls fppoly.splitting_type_mod_p
+row by row, and the kernels are tested against that oracle.
 """
 
 import numpy as np
@@ -18,6 +20,13 @@ MAX_KERNEL_HEIGHT = 2**62
 
 # Cubic codes, in enumerate_types(3) order; ABSENT is the not-squarefree code.
 INERT, TRANSPOSITION, SPLIT, ABSENT = 0, 1, 2, 3
+
+# Codes mod 2, indexed by the coefficient parities a_0 + 2 a_1 (+ 4 a_2).
+_QUADRATIC_MOD_2 = np.array([2, 2, 1, 0], dtype=np.int8)
+_CUBIC_MOD_2 = np.array(
+    [ABSENT, TRANSPOSITION, ABSENT, INERT, ABSENT, INERT, TRANSPOSITION, ABSENT],
+    dtype=np.int8,
+)
 
 
 def pack(rows):
@@ -60,119 +69,93 @@ def types_mod_p(coeffs, p):
     )
 
 
+def _residues(x, p):
+    """int64 coefficients as float64 residues in [0, p), exactly."""
+    return (x - x // p * p).astype(np.float64)
+
+
+def _reduce(x, p):
+    """Replace x by its residue mod p nearest 0, in place, and return it.
+
+    For odd p and integral |x| < 2^44 the quotient estimate is off by less
+    than 2^-8 / p, so the result is exact and |result| <= (p - 1) / 2: each
+    residue class has one representative, and residues compare with ==.
+    """
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _is_square(d, p):
+    """Euler's criterion: d^((p-1)/2) is 1 exactly on the nonzero squares."""
+    power = d
+    for bit in bin((p - 1) // 2)[3:]:
+        power = _reduce(power * power, p)
+        if bit == "1":
+            power = _reduce(power * d, p)
+    return power == 1
+
+
 def _quadratic_codes(a0, a1, p):
     """Codes for X^2 + a1 X + a0 mod p: 0 inert, 1 split, 2 not squarefree."""
-    a0 = np.remainder(a0, p)
-    a1 = np.remainder(a1, p)
     if p == 2:
-        # Squarefree iff the derivative a1 is nonzero; then X^2 + X + 1 is
-        # the only irreducible one.
-        codes = np.where(a0 == 1, 0, 1).astype(np.int8)
-        codes[a1 == 0] = 2
-        return codes
-    disc = (a1 * a1 - 4 * a0) % p
-    # Euler's criterion: disc^((p-1)/2) is 1 exactly on nonzero squares.
-    power = np.ones_like(disc)
-    base = disc
-    e = (p - 1) // 2
-    while e:
-        if e & 1:
-            power = (power * base) % p
-        base = (base * base) % p
-        e >>= 1
-    codes = (power == 1).astype(np.int8)
+        return _QUADRATIC_MOD_2[(a0 & 1) + 2 * (a1 & 1)]
+    b = _residues(a1, p)
+    disc = _reduce(b * b - 4 * _residues(a0, p), p)
+    codes = _is_square(disc, p).astype(np.int8)
     codes[disc == 0] = 2
     return codes
 
 
-def _square_mod_f(c0, c1, c2, a, b, c, p):
-    """(c0 + c1 X + c2 X^2)^2 reduced modulo X^3 + aX^2 + bX + c, mod p."""
-    s0 = (c0 * c0) % p
-    s1 = (2 * c0 * c1) % p
-    s2 = (c1 * c1 + 2 * c0 * c2) % p
-    s3 = (2 * c1 * c2) % p
-    s4 = (c2 * c2) % p
-    # X^4 -> eliminate via X^3 = -aX^2 - bX - c
-    s3 = (s3 - a * s4) % p
-    s2 = (s2 - b * s4) % p
-    s1 = (s1 - c * s4) % p
-    s2 = (s2 - a * s3) % p
-    s1 = (s1 - b * s3) % p
-    s0 = (s0 - c * s3) % p
-    return s0, s1, s2
-
-
-def _times_x_mod_f(c0, c1, c2, a, b, c, p):
-    t = c2
-    return (-c * t) % p, (c0 - b * t) % p, (c1 - a * t) % p
-
-
-def _frobenius_mod_f(a, b, c, p):
-    """X^p modulo X^3 + aX^2 + bX + c, coefficient arrays mod p."""
-    zeros = np.zeros_like(a)
-    c0, c1, c2 = zeros, np.ones_like(a), zeros  # the polynomial X
-    for bit in bin(p)[3:]:
-        c0, c1, c2 = _square_mod_f(c0, c1, c2, a, b, c, p)
-        if bit == "1":
-            c0, c1, c2 = _times_x_mod_f(c0, c1, c2, a, b, c, p)
-    return c0, c1, c2
+def _cubic_discriminant(a, b, c, p):
+    """a^2 b^2 - 4 b^3 - 4 a^3 c - 27 c^2 + 18 abc, the discriminant of
+    X^3 + aX^2 + bX + c, reduced mod p; its temporaries die on return."""
+    aa = _reduce(a * a, p)
+    bb = _reduce(b * b, p)
+    inner = _reduce(18 * _reduce(a * b, p) - 4 * _reduce(a * aa, p) - 27 * c, p)
+    return _reduce(aa * bb - 4 * b * bb + c * inner, p)
 
 
 def _cubic_codes(a0, a1, a2, p):
     """Splitting-type codes for cubics X^3 + a2 X^2 + a1 X + a0 mod p.
 
     Input arrays are arbitrary int64 coefficients; output is an int8 array
-    with INERT / TRANSPOSITION / SPLIT / ABSENT per polynomial.
+    with INERT / TRANSPOSITION / SPLIT / ABSENT per polynomial.  For odd p,
+    Stickelberger's parity theorem makes a squarefree cubic a TRANSPOSITION
+    exactly when its discriminant is a nonsquare; the other squarefree
+    cubics are SPLIT when X^p = X mod f and INERT otherwise.
     """
-    a = np.remainder(a2, p)
-    b = np.remainder(a1, p)
-    c = np.remainder(a0, p)
-    disc = (
-        (18 * ((a * b) % p)) % p * c
-        - (4 * ((a * a) % p)) % p * ((a * c) % p)
-        + ((a * a) % p) * ((b * b) % p)
-        - (4 * ((b * b) % p)) % p * b
-        - (27 * c) % p * c
-    ) % p
-    codes = np.full(a.shape, ABSENT, dtype=np.int8)
-    sf = disc != 0
-    if not sf.any():
-        return codes
+    if p == 2:
+        return _CUBIC_MOD_2[(a0 & 1) + 2 * (a1 & 1) + 4 * (a2 & 1)]
+    a, b, c = _residues(a2, p), _residues(a1, p), _residues(a0, p)
+    disc = _cubic_discriminant(a, b, c, p)
+    codes = np.where(disc == 0, ABSENT, TRANSPOSITION).astype(np.int8)
 
-    u0, u1, u2 = _frobenius_mod_f(a, b, c, p)
-    u1 = (u1 - 1) % p  # u = X^p - X mod f
-
-    zero_u = (u0 == 0) & (u1 == 0) & (u2 == 0)
-    deg0 = (~zero_u) & (u1 == 0) & (u2 == 0)
-    deg1 = (u1 != 0) & (u2 == 0)
-    deg2 = u2 != 0
-
-    codes[sf & zero_u] = SPLIT
-    codes[sf & deg0] = INERT
-
-    # deg(u) = 1: one candidate root -u0/u1; homogeneous evaluation of f.
-    w1 = (
-        -((((u0 * u0) % p) * u0) % p)
-        + a * ((u0 * u0) % p) % p * u1
-        - b * u0 % p * ((u1 * u1) % p)
-        + c * ((((u1 * u1) % p) * u1) % p)
-    ) % p
-    codes[sf & deg1 & (w1 == 0)] = TRANSPOSITION
-    codes[sf & deg1 & (w1 != 0)] = INERT
-
-    # deg(u) = 2: fraction-free Euclid, f mod u then u mod that.
-    r0 = (u2 * c) % p
-    r1 = (u2 * b - u0) % p
-    r2 = (u2 * a - u1) % p
-    v1 = (u2 * r1 - r2 * u1) % p
-    v0 = (u2 * r0 - r2 * u0) % p
-    both_zero = sf & deg2 & (v0 == 0) & (v1 == 0)
-    if both_zero.any():
-        raise AssertionError("degree-2 gcd for a squarefree cubic")
-    w2 = (u2 * ((v0 * v0) % p) - u1 * ((v0 * v1) % p) + u0 * ((v1 * v1) % p)) % p
-    codes[sf & deg2 & (v1 != 0) & (w2 == 0)] = TRANSPOSITION
-    codes[sf & deg2 & (v1 != 0) & (w2 != 0)] = INERT
-    codes[sf & deg2 & (v1 == 0)] = INERT
+    # X^p mod f on the square-discriminant rows, by square-and-multiply
+    # from X^2 or X^3 = -c - bX - aX^2, as the top two bits of p say.
+    # Each step reduces X^5 (after a multiply by X), X^4 and X^3 once and
+    # then the three remaining coefficients once.
+    rows = np.flatnonzero(_is_square(disc, p))
+    a, b, c = a[rows], b[rows], c[rows]
+    if bin(p)[3] == "0":
+        u0, u1, u2 = np.zeros_like(a), np.zeros_like(a), np.ones_like(a)
+    else:
+        u0, u1, u2 = _reduce(-c, p), _reduce(-b, p), _reduce(-a, p)
+    for bit in bin(p)[4:]:
+        twice = u0 + u0
+        s = [u0 * u0, twice * u1, u1 * u1 + twice * u2, 2 * u1 * u2, u2 * u2]
+        if bit == "1":
+            s.insert(0, 0)
+        for k in range(len(s) - 1, 2, -1):
+            top = _reduce(s[k], p)
+            s[k - 1] -= a * top
+            s[k - 2] -= b * top
+            s[k - 3] -= c * top
+        u0, u1, u2 = (_reduce(s_k, p) for s_k in s[:3])
+    fixed = (u0 == 0) & (u1 == 1) & (u2 == 0)
+    codes[rows] = np.where(fixed, SPLIT, INERT)
     return codes
 
 
@@ -182,12 +165,13 @@ def cubic_count_matrix(coeffs, primes):
     coeffs is an (m, 3) int64 array within the kernel bounds and every
     prime is below MAX_KERNEL_PRIME.  Returns an int64 array of shape
     (m, 4) whose columns are the codes INERT, TRANSPOSITION, SPLIT, ABSENT.
+    Each prime costs one _cubic_codes call: Euler's criterion on every
+    row's discriminant and X^p mod f on the square-discriminant rows.
     """
     a0, a1, a2 = (np.ascontiguousarray(column) for column in coeffs.T)
     m = len(coeffs)
-    counts = np.zeros((m, 4), dtype=np.int64)
-    rows = np.arange(m)
+    counts = np.zeros(4 * m, dtype=np.int64)
+    first = 4 * np.arange(m)  # flat index of each row's INERT count
     for p in primes:
-        codes = _cubic_codes(a0, a1, a2, int(p))
-        counts[rows, codes] += 1
-    return counts
+        counts[first + _cubic_codes(a0, a1, a2, int(p))] += 1
+    return counts.reshape(m, 4)

@@ -17,10 +17,6 @@ class RegimeError(SplitstatError):
     """Parameters violate the small-modulus regime required by a statistic."""
 
 
-class NonConvergenceError(SplitstatError):
-    """An empirically extracted constant failed to stabilize."""
-
-
 class EmptyFamilyError(SplitstatError):
     """A family-level statistic was requested for an empty (sub)family."""
 

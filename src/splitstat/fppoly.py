@@ -13,8 +13,9 @@ from itertools import product
 from .errors import ResourceLimitError
 
 # Moduli of the scalar routines here, which use Python integers, stay below
-# this bound.  The vectorized kernels stop at batch.MAX_KERNEL_PRIME = 2^20
-# and call these routines above it.
+# this bound.  The float64 kernels of batch stop at batch.MAX_KERNEL_PRIME =
+# 2^20, which keeps their reduced sums below 2^44 of the 2^53 that float64
+# holds exactly, and call these routines above it.
 MAX_MODULUS = 2**31
 
 ENUMERATION_BUDGET = 10**7

@@ -9,7 +9,6 @@ floating view on demand.
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import NonConvergenceError
 from .primes import sieve_primes
 
 MAX_ENUM_DEGREE = 20
@@ -126,35 +125,29 @@ def paper_second_order(r):
     return delta(r) * num / den
 
 
-def empirical_second_order(r, p_min, p_max, bound=8):
+def empirical_second_order(r, p_min, p_max):
     """Second-order coefficient of class_count(n,r,p)/p^n about delta(r).
 
-    Computes c(p) = p*(class_count/p^n - delta(r)) exactly over the primes
-    in [p_min, p_max] and extracts the limit by Richardson extrapolation
-    from the two largest primes; raises NonConvergenceError when the c(p)
-    do not stay within O(1/p) of c(p_max).
+    class_count(n, r, .) is an integer-valued polynomial of degree n, so
+    c(p) = p*(class_count/p^n - delta(r)) is a polynomial of degree < n in
+    1/p.  Richardson extrapolation from the exact c(p) at the n largest
+    primes in [p_min, p_max] (Neville's scheme at 1/p = 0) gives its
+    constant term exactly; fewer than n primes raise ValueError.
     """
     n = validate_type(r)
-    primes = [p for p in sieve_primes(p_max).primes if p >= p_min]
-    if len(primes) < 3:
-        raise ValueError("need at least 3 primes in [p_min, p_max]")
+    primes = [p for p in sieve_primes(p_max).primes if p >= p_min][-n:]
+    if len(primes) < n:
+        raise ValueError(
+            "need %d primes in [%d, %d], found %d" % (n, p_min, p_max, len(primes))
+        )
     d = delta(r)
-    cs = [p * (Fraction(class_count(n, r, p), p**n) - d) for p in primes]
-    c_last = cs[-1]
-    for p, c in zip(primes, cs):
-        if abs(c - c_last) * p > bound:
-            raise NonConvergenceError(
-                "second-order coefficient does not stabilize for r=%s" % (r,)
-            )
-    p1, p2 = primes[-2], primes[-1]
-    c1, c2 = cs[-2], cs[-1]
-    limit = Fraction(p2 * c2 - p1 * c1, p2 - p1)
-    for p, c in zip(primes, cs):
-        if abs(c - limit) * p > bound:
-            raise NonConvergenceError(
-                "extrapolated coefficient %s not within O(1/p) of data" % limit
-            )
-    return limit
+    t = [Fraction(1, p) for p in primes]
+    c = [p * (Fraction(class_count(n, r, p), p**n) - d) for p in primes]
+    # After step k, c[i] is the value at 0 of the interpolant through t[i..i+k].
+    for k in range(1, n):
+        for i in range(n - k):
+            c[i] = (t[i + k] * c[i] - t[i] * c[i + 1]) / (t[i + k] - t[i])
+    return c[0]
 
 
 def moment_constant(k, r):

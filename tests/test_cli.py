@@ -60,6 +60,16 @@ def test_counts_values(tmp_path):
     assert doc["meta"]["version"]
 
 
+def test_counts_needs_n_primes(tmp_path):
+    out = tmp_path / "counts.json"
+    args = ["counts", "--n", "4", "--p", "3", "--pmin", "101", "--out", str(out)]
+    assert main(args + ["--pmax", "108"]) == 2  # 101, 103, 107
+    assert list(tmp_path.iterdir()) == []
+    assert main(args + ["--pmax", "109"]) == 0
+    by_type = {row["r"]: row for row in json.loads(out.read_text())["results"]}
+    assert by_type["4,0,0,0"]["empirical_second_order"] == "-1/4"
+
+
 def test_rerun_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -22,7 +22,7 @@ from splitstat.family import (
 )
 from splitstat.fppoly import FieldPolynomial
 from splitstat.primes import sieve_primes
-from splitstat.splittypes import enumerate_types
+from splitstat.splittypes import class_count, enumerate_types
 from splitstat.zpoly import IntPolynomial, discriminant, is_perfect_square
 
 # The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
@@ -192,6 +192,35 @@ def test_types_mod_p_kernel_property(n, data):
     coeffs = batch.pack(rows)
     assert coeffs.dtype == np.int64
     assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
+
+
+@pytest.mark.parametrize("p", sieve_primes(53).primes)
+def test_cubic_kernel_census(p):
+    # Every residue triple once, as the representatives nearest 0.
+    grid = np.indices((p, p, p), dtype=np.int64).reshape(3, -1).T - p // 2
+    codes = batch.types_mod_p(grid, p)
+    counts = np.bincount(codes, minlength=4).tolist()
+    expected = [class_count(3, r, p) for r in enumerate_types(3)]
+    assert counts == expected + [p**3 - sum(expected)]
+    if p <= 13:
+        assert codes.tolist() == _oracle_codes(grid.tolist(), p)
+
+
+@pytest.mark.parametrize("p", DOMAIN_PRIMES[-4:])
+def test_cubic_kernel_half_modulus_residues(p):
+    # Residues near +-p/2 give the kernel's largest float64 products.
+    half = (p - 1) // 2
+    near = [half, -half, half - 1, 1 - half, 0, 1]  # six distinct residues
+    rows = [tuple(_lift(c, p, sign) for c, sign in zip(row, (1, -1, 1)))
+            for row in product(near, repeat=3)]
+    for r1, r2, r3 in product(near[:4], repeat=3):
+        # (X - r1)(X - r2)(X - r3): split, or with a repeated root
+        rows.append((-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -r1 - r2 - r3))
+    coeffs = batch.pack(rows)
+    assert coeffs.dtype == np.int64
+    codes = batch.types_mod_p(coeffs, p).tolist()
+    assert codes == _oracle_codes(rows, p)
+    assert set(codes) == {batch.INERT, batch.TRANSPOSITION, batch.SPLIT, batch.ABSENT}
 
 
 def _scalar_certify(row, budget):

@@ -5,7 +5,6 @@ from math import factorial
 import mpmath
 import pytest
 
-from splitstat.errors import NonConvergenceError
 from splitstat.fppoly import enumerate_class_counts
 from splitstat.splittypes import (
     class_count,
@@ -114,14 +113,24 @@ def test_empirical_second_order():
 
 
 def test_empirical_second_order_needs_enough_primes():
+    # n primes are needed: [101, 104] holds two, [101, 108] three
     with pytest.raises(ValueError):
-        empirical_second_order((0, 1), 101, 104)
+        empirical_second_order((1, 1, 0), 101, 104)
+    with pytest.raises(ValueError):
+        empirical_second_order((0, 2, 0, 0), 101, 108)
+    assert empirical_second_order((0, 1), 101, 104) == Fraction(-1, 2)
+    assert empirical_second_order((0, 2, 0, 0), 101, 109) == Fraction(-1, 4)
 
 
-def test_empirical_second_order_nonconvergence_guard():
-    # a tight bound makes genuinely convergent data look unstable
-    with pytest.raises(NonConvergenceError):
-        empirical_second_order((2, 1, 0, 0), 101, 199, bound=Fraction(1, 10**6))
+def test_empirical_second_order_exact_beyond_degree_3():
+    # c(p) has degree n - 1 in 1/p; two-point extrapolation gave
+    # -9801/39203, -19601/78406 and -1280566787/15368752090 here.
+    assert empirical_second_order((0, 2, 0, 0), 101, 199) == Fraction(-1, 4)
+    assert empirical_second_order((4, 0, 0, 0), 101, 199) == Fraction(-1, 4)
+    assert empirical_second_order((5, 0, 0, 0, 0), 101, 199) == Fraction(-1, 12)
+    # the value does not depend on which n primes are used
+    for r in enumerate_types(6):
+        assert empirical_second_order(r, 2, 13) == empirical_second_order(r, 101, 199)
 
 
 def test_moment_constant():
