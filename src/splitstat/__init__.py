@@ -13,4 +13,3 @@ from .errors import (  # noqa: F401
 )
 from .fppoly import FieldPolynomial  # noqa: F401
 from .primes import PrimeTable, sieve_primes  # noqa: F401
-from .zpoly import IntPolynomial  # noqa: F401

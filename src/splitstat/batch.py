@@ -13,7 +13,6 @@ import numpy as np
 
 from . import fppoly
 from .splittypes import enumerate_types
-from .zpoly import IntPolynomial
 
 MAX_KERNEL_PRIME = 2**20
 MAX_KERNEL_HEIGHT = 2**62
@@ -61,10 +60,7 @@ def types_mod_p(coeffs, p):
     index = {r: code for code, r in enumerate(types)}
     index[None] = len(types)
     return np.array(
-        [
-            index[fppoly.splitting_type_mod_p(IntPolynomial(coeffs=tuple(row)), p)]
-            for row in coeffs.tolist()
-        ],
+        [index[fppoly.splitting_type_mod_p(row, p)] for row in coeffs.tolist()],
         dtype=np.int16,
     )
 

@@ -117,7 +117,7 @@ def _check_outputs(args):
             raise ConfigError("output %s exists; pass --force to overwrite" % path)
 
 
-def _write_report(args, experiment, config, results, extra=()):
+def _write_report(args, experiment, config, results, summary, extra=()):
     """Write the report to --out, and each (path, text) of extra with it.
 
     The CSV table is read off results: a dict gives its sorted key,value
@@ -125,7 +125,8 @@ def _write_report(args, experiment, config, results, extra=()):
     one row of values per dict.  Every text is complete before anything is
     written; each goes to a temp file beside its path and is then moved
     into place, so a failure before the moves leaves no output and no temp
-    file.  Returns --out.
+    file.  Then prints the experiment's name, the (key, value) pairs of
+    summary and out=--out on one line.
     """
     meta = {"experiment": experiment, "version": __version__}
     if args.format == "json":
@@ -156,15 +157,8 @@ def _write_report(args, experiment, config, results, extra=()):
     finally:
         for temp in temps:
             pathlib.Path(temp).unlink(missing_ok=True)
-    return args.out
-
-
-def _summary(experiment, fields):
-    print(
-        experiment
-        + " "
-        + " ".join("%s=%s" % (key, value) for key, value in fields)
-    )
+    fields = [*summary, ("out", args.out)]
+    print(experiment, " ".join("%s=%s" % field for field in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +176,8 @@ def run_counts(args):
             "paper_second_order": str(splittypes.paper_second_order(r)),
             "empirical_second_order": str(empirical),
         })
-    path = _write_report(args, "counts", config, results)
-    _summary("counts",
-             [("n", args.n), ("p", args.p), ("types", len(results)), ("out", path)])
+    _write_report(args, "counts", config, results,
+                  [("n", args.n), ("p", args.p), ("types", len(results))])
     return EXIT_OK
 
 
@@ -199,11 +192,8 @@ def run_fibers(args):
         "reference": reference,
         "deviation": empirical - reference,
     }
-    path = _write_report(args, "fibers", config, results)
-    _summary(
-        "fibers",
-        [("family", spec.size), ("empirical", "%.6g" % empirical), ("out", path)],
-    )
+    _write_report(args, "fibers", config, results,
+                  [("family", spec.size), ("empirical", "%.6g" % empirical)])
     return EXIT_OK
 
 
@@ -252,16 +242,8 @@ def run_chebotarev(args):
         "excluded": cf.excluded,
         "family_size": len(cf),
     }
-    path = _write_report(args, "chebotarev", config, results)
-    _summary(
-        "chebotarev",
-        [
-            ("family", len(cf)),
-            ("excluded", cf.excluded),
-            ("mean", "%.6g" % mean),
-            ("out", path),
-        ],
-    )
+    summary = [("family", len(cf)), ("excluded", cf.excluded), ("mean", "%.6g" % mean)]
+    _write_report(args, "chebotarev", config, results, summary)
     return EXIT_OK
 
 
@@ -272,11 +254,8 @@ def run_moments(args):
     for k in range(1, args.k_max + 1):
         moment, reference = stats.family_centered_moment(cf, r, args.x, k, table)
         results.append({"k": k, "moment": moment, "reference": reference})
-    path = _write_report(args, "moments", config, results)
-    _summary(
-        "moments",
-        [("family", len(cf)), ("excluded", cf.excluded), ("out", path)],
-    )
+    _write_report(args, "moments", config, results,
+                  [("family", len(cf)), ("excluded", cf.excluded)])
     return EXIT_OK
 
 
@@ -284,17 +263,10 @@ def run_clt(args):
     r, cf, table, config = _prime_sum_setup(args)
     config["k_max"] = args.k_max
     report = stats.clt_report(cf, r, args.x, table, k_max=args.k_max)
-    path = _write_report(args, "clt", config, report.to_json_dict(),
-                         extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())])
-    _summary(
-        "clt",
-        [
-            ("family", report.family_size),
-            ("excluded", report.excluded),
-            ("ks", "%.4f" % report.ks_distance),
-            ("out", path),
-        ],
-    )
+    summary = [("family", report.family_size), ("excluded", report.excluded),
+               ("ks", "%.4f" % report.ks_distance)]
+    _write_report(args, "clt", config, report.to_json_dict(), summary,
+                  extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())])
     return EXIT_OK
 
 
@@ -312,16 +284,8 @@ def run_average(args):
         "excluded": cf.excluded,
         "family_size": len(cf),
     }
-    path = _write_report(args, args.command, config, results)
-    _summary(
-        args.command,
-        [
-            ("family", len(cf)),
-            ("excluded", cf.excluded),
-            ("avg", "%.4f" % average),
-            ("out", path),
-        ],
-    )
+    summary = [("family", len(cf)), ("excluded", cf.excluded), ("avg", "%.4f" % average)]
+    _write_report(args, args.command, config, results, summary)
     return EXIT_OK
 
 
@@ -334,8 +298,8 @@ def run_ansplit(args):
         results.append(
             {"r": ",".join(map(str, r)), "parity": par, "splits": str(splits)}
         )
-    path = _write_report(args, "ansplit", config, results)
-    _summary("ansplit", [("n", args.n), ("types", len(results)), ("out", path)])
+    _write_report(args, "ansplit", config, results,
+                  [("n", args.n), ("types", len(results))])
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from . import batch
 from .errors import RegimeError, ResourceLimitError
 from .primes import sieve_primes
 from .splittypes import MAX_ENUM_DEGREE, enumerate_types
-from .zpoly import IntPolynomial, discriminant, is_perfect_square
+from .zpoly import discriminant, is_perfect_square
 
 # Largest exhaustive box, in polynomials; an exhaustive run holds all of
 # them at once.  Peak RSS grows by about 169, 258, 318 and 337 bytes per
@@ -128,7 +128,7 @@ def _integer_root(f):
     huge constant term with only large divisors can miss roots; callers fall
     back to Undetermined in that case.
     """
-    a0 = f.coeffs[0]
+    a0 = f[0]
     if a0 == 0:
         return 0
     target = abs(a0)
@@ -141,7 +141,10 @@ def _integer_root(f):
         d += 1
     for t in small:
         for root in (t, -t):
-            if f(root) == 0:
+            value = 1
+            for c in reversed(f):
+                value = value * root + c
+            if value == 0:
                 return root
     return None
 
@@ -165,11 +168,6 @@ def _witness_kinds(n):
     return kinds
 
 
-def _poly(row):
-    """The polynomial of one packed row."""
-    return IntPolynomial(coeffs=tuple(row.tolist()))
-
-
 def certify_stream(coeffs, budget):
     """Cycle-type certification of G_f = S_n for an (m, n) packed family.
 
@@ -189,7 +187,7 @@ def certify_stream(coeffs, budget):
     types = enumerate_types(n)
     kinds = _witness_kinds(n)
     witness_codes = np.flatnonzero(np.logical_or.reduce(kinds)).tolist()
-    disc = [discriminant(_poly(row)) for row in coeffs]
+    disc = [discriminant(row.tolist()) for row in coeffs]
     # A zero discriminant means gcd(f, f') is a proper factor over Q.
     done = np.array([d == 0 for d in disc], dtype=bool)
     seen = [np.zeros(m, dtype=bool) for _ in kinds]
@@ -218,7 +216,7 @@ def certify_stream(coeffs, budget):
     irreducible = seen[0].tolist()
     certs = []
     for row, d, found, full, irr in zip(coeffs, disc, witnesses, certified, irreducible):
-        if d == 0 or (not irr and _integer_root(_poly(row)) is not None):
+        if d == 0 or (not irr and _integer_root(row.tolist()) is not None):
             status = REDUCIBLE
         elif full:
             status = SN_CERTIFIED

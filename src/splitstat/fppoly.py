@@ -3,7 +3,9 @@
 Polynomials over GF(p) are coefficient lists in ascending degree order,
 all entries reduced into [0, p).  The empty list is the zero polynomial.
 The public API wraps these lists in the immutable FieldPolynomial type;
-the list-based helpers are kept module-private for speed.
+the list-based helpers are kept module-private for speed.  A monic integer
+polynomial is its coefficient row (a_0, ..., a_{n-1}) with an implicit
+leading 1, as in zpoly; splitting_type_mod_p reduces that row itself.
 """
 
 import random
@@ -12,10 +14,10 @@ from itertools import product
 
 from .errors import ResourceLimitError
 
-# Moduli of the scalar routines here, which use Python integers, stay below
-# this bound.  The float64 kernels of batch stop at batch.MAX_KERNEL_PRIME =
-# 2^20, which keeps their reduced sums below 2^44 of the 2^53 that float64
-# holds exactly, and call these routines above it.
+# FieldPolynomial moduli stay below this bound; the scalar routines here
+# use Python integers.  The float64 kernels of batch stop at
+# batch.MAX_KERNEL_PRIME = 2^20, which keeps their reduced sums below 2^44
+# of the 2^53 that float64 holds exactly, and call these routines above it.
 MAX_MODULUS = 2**31
 
 ENUMERATION_BUDGET = 10**7
@@ -221,13 +223,6 @@ def _equal_degree(f, d, p, rng):
             return left + right
 
 
-def reduce_mod_p(f, p):
-    """Coefficientwise reduction of a monic IntPolynomial modulo p."""
-    coeffs = [c % p for c in f.coeffs]
-    coeffs.append(1)
-    return FieldPolynomial(p=p, coeffs=tuple(coeffs))
-
-
 def is_squarefree_mod_p(g):
     """True iff gcd(g, g') = 1 over GF(p)."""
     if not g.coeffs:
@@ -242,7 +237,7 @@ def splitting_type_mod_p(f, p):
     Uses distinct-degree factorization only: the degree multiplicities are
     read off the degree-d parts without any equal-degree splitting.
     """
-    return _reduced_type(list(reduce_mod_p(f, p).coeffs), p)
+    return _reduced_type([c % p for c in f] + [1], p)
 
 
 def _reduced_type(a, p):

@@ -20,7 +20,7 @@ import numpy as np
 from . import batch, family as family_mod, fppoly, splittypes
 from .errors import EmptyFamilyError, OutOfRangeError
 from .primes import prime_count, sieve_primes
-from .zpoly import IntPolynomial, dedekind_is_p_maximal
+from .zpoly import dedekind_is_p_maximal
 
 DEFAULT_K_MAX = 6
 
@@ -83,10 +83,10 @@ def prime_splitting_count(f, r, x, table):
 # Count profiles (cached per certified family)
 
 def _count_profile(cf, x, table):
-    """Per-polynomial pi_{f,r}(x) for every type r, plus non-squarefree counts.
+    """Per-polynomial pi_{f,r}(x) for every type r.
 
-    Returns (counts, nonsq) where counts maps each splitting type to a list
-    of per-polynomial counts.  Cached on the CertifiedFamily instance.
+    Returns a dict mapping each splitting type to a list of per-polynomial
+    counts.  Cached on the CertifiedFamily instance.
     """
     if x > table.limit:
         raise OutOfRangeError("x exceeds prime table limit")
@@ -107,9 +107,8 @@ def _count_profile(cf, x, table):
         for p in primes:
             matrix[rows, batch.types_mod_p(coeffs, p)] += 1
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
-    nonsq = matrix[:, len(types)].tolist()
-    cf._profiles[key] = (counts, nonsq)
-    return counts, nonsq
+    cf._profiles[key] = counts
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def family_chebotarev_mean(cf, r, x, table):
     """Empirical mean of pi_{f,r}(x) and its exact finite-p reference."""
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    counts, _ = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x, table)
     values = counts[tuple(r)]
     mean = math.fsum(values) / len(values)
     return mean, exact_chebotarev_reference(n, r, x, table)
@@ -167,7 +166,7 @@ def family_centered_moment(cf, r, x, k, table, center="asymptotic"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    counts, _ = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x, table)
     values = counts[tuple(r)]
     if center == "asymptotic":
         center = float(splittypes.delta(r)) * prime_count(x, table)
@@ -259,7 +258,7 @@ def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
         raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
     if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
-    counts, _ = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x, table)
     values = counts[tuple(r)]
     d = float(splittypes.delta(r))
     scale = math.sqrt((d - d * d) * pix)
@@ -309,11 +308,9 @@ def index_prime_average(cf, bound):
     _require_nonempty(cf)
     primes = sieve_primes(bound).primes
     total = 0
-    for i, d in enumerate(cf.disc):
+    for row, d in zip(cf.coeffs, cf.disc):
         for p in primes:
-            if d % (p * p) == 0 and not dedekind_is_p_maximal(
-                IntPolynomial(coeffs=tuple(cf.coeffs[i].tolist())), p
-            ):
+            if d % (p * p) == 0 and not dedekind_is_p_maximal(row.tolist(), p):
                 total += 1
     reference = math.fsum(1.0 / (p * p) for p in primes)
     return total / len(cf), reference
@@ -327,7 +324,7 @@ def split_lower_bound_fraction(cf, x, table):
         raise ValueError("pi(x) must be at least 30")
     n = cf.coeffs.shape[1]
     split_type = tuple([n] + [0] * (n - 1))
-    counts, _ = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x, table)
     floor_value = float(splittypes.delta(split_type)) * pix / 2.0
     values = counts[split_type]
     return sum(1 for c in values if c >= floor_value) / len(values)

@@ -1,46 +1,16 @@
 """Exact invariants of monic integer polynomials.
 
+A polynomial X^n + a_{n-1}X^{n-1} + ... + a_0 is its coefficient row
+(a_0, ..., a_{n-1}) of Python ints, with the leading 1 implicit: a row of
+a batch.pack array after .tolist().  Every routine here takes that row.
 Discriminants via fraction-free elimination of the Sylvester matrix,
 and the Dedekind p-maximality test.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 from . import fppoly
 from .errors import ReduciblePolynomialError
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Monic polynomial X^n + a_{n-1}X^{n-1} + ... + a_0 over the integers.
-
-    coeffs holds (a_0, ..., a_{n-1}); the leading 1 is implicit.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
-            raise ValueError("degree must be at least 1")
-
-    @property
-    def degree(self):
-        return len(self.coeffs)
-
-    @property
-    def height(self):
-        return max(abs(c) for c in self.coeffs)
-
-    def all_coeffs(self):
-        """(a_0, ..., a_{n-1}, 1) in ascending degree order."""
-        return self.coeffs + (1,)
-
-    def __call__(self, x):
-        value = 1
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
 
 
 def _bareiss_det(m):
@@ -90,18 +60,18 @@ def discriminant(f):
     use the classical closed forms; higher degrees go through the Sylvester
     matrix with Bareiss elimination.
     """
-    n = f.degree
+    n = len(f)
     if n == 1:
         return 1
     if n == 2:
-        a0, a1 = f.coeffs
+        a0, a1 = f
         return a1 * a1 - 4 * a0
     if n == 3:
-        c, b, a = f.coeffs
+        c, b, a = f
         return (
             18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
         )
-    coeffs = list(f.all_coeffs())
+    coeffs = list(f) + [1]
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(coeffs, deriv)
@@ -125,8 +95,9 @@ def dedekind_is_p_maximal(f, p):
     Raises ReduciblePolynomialError when the lift exposes a proper integer
     factorization of f.
     """
-    n = f.degree
-    fbar = [c % p for c in f.all_coeffs()]
+    n = len(f)
+    fz = list(f) + [1]
+    fbar = [c % p for c in fz]
     radical = [1]
     for part, _mult in fppoly._squarefree_decomposition(fbar, p):
         radical = fppoly._mul(radical, part, p)
@@ -136,7 +107,6 @@ def dedekind_is_p_maximal(f, p):
     g_lift = list(radical)
     h_lift = list(hbar)
     gh = _int_poly_mul(g_lift, h_lift)
-    fz = list(f.all_coeffs())
     diff = [x - y for x, y in zip(gh, fz + [0] * (len(gh) - len(fz)))]
     if any(c % p for c in diff):
         raise ArithmeticError("Dedekind lift not divisible by p; factorization bug")

@@ -21,7 +21,7 @@ from splitstat.splittypes import (
     parity,
     splits_in_alternating,
 )
-from splitstat.zpoly import IntPolynomial, dedekind_is_p_maximal, is_perfect_square
+from splitstat.zpoly import dedekind_is_p_maximal, is_perfect_square
 
 SEED = 42
 SAMPLE_SIZE = 10**4
@@ -210,7 +210,7 @@ def test_08_dedekind_vs_quadratic_field_rule(acceptance_log):
             m = _squarefree_core(d)
             field_disc = m if m % 4 == 1 else 4 * m
             index = math.isqrt(d // field_disc)
-            f = IntPolynomial(coeffs=(b, a))
+            f = (b, a)
             for p in (2, 3, 5):
                 ok = ok and dedekind_is_p_maximal(f, p) == (index % p != 0)
                 checked += 1

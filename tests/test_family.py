@@ -23,7 +23,7 @@ from splitstat.family import (
 from splitstat.fppoly import FieldPolynomial
 from splitstat.primes import sieve_primes
 from splitstat.splittypes import class_count, enumerate_types
-from splitstat.zpoly import IntPolynomial, discriminant, is_perfect_square
+from splitstat.zpoly import discriminant, is_perfect_square
 
 # The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
 TOP = 2**62 - 1
@@ -40,7 +40,7 @@ def _oracle_codes(rows, p):
     types = enumerate_types(len(rows[0]))
     out = []
     for row in rows:
-        r = fppoly.splitting_type_mod_p(IntPolynomial(coeffs=tuple(row)), p)
+        r = fppoly.splitting_type_mod_p(row, p)
         out.append(len(types) if r is None else types.index(r))
     return out
 
@@ -101,22 +101,23 @@ def test_certify_empty_family():
 def test_certify_examples():
     assert _certify((-1, -1, 0)).status == SN_CERTIFIED
     assert _certify((-1, -3, 0)).status == AN_CANDIDATE
+    # Reducible by an integer root: X^2 - 1, and (X + 3)(X^2 + 1)
     assert _certify((-1, 0)).status == REDUCIBLE
+    assert _certify((3, 1, 3)).status == REDUCIBLE
     # X^3 (disc 0) is reducible via the gcd argument
     assert _certify((0, 0, 0)).status == REDUCIBLE
 
 
 def test_certificate_witnesses_are_sound():
     cert = _certify((-1, -1, 0))
-    f = IntPolynomial(coeffs=(-1, -1, 0))
     for p, r in cert.witnesses:
-        assert fppoly.splitting_type_mod_p(f, p) == r
+        assert fppoly.splitting_type_mod_p((-1, -1, 0), p) == r
 
 
 def test_no_false_certificates_small_cubics():
     coeffs = generate(FamilySpec(n=3, height_bound=6))
     for row, cert in zip(coeffs.tolist(), certify_stream(coeffs, 25)):
-        d = discriminant(IntPolynomial(coeffs=tuple(row)))
+        d = discriminant(row)
         if cert.status == SN_CERTIFIED:
             assert not is_perfect_square(d)
         elif cert.status == AN_CANDIDATE:
@@ -249,11 +250,19 @@ def test_bulk_certification_matches_scalar_tight_budget():
 @pytest.mark.parametrize("n, height", [(2, 10), (3, 3)])
 def test_kernel_and_scalar_certification_agree(n, height):
     rows = [tuple(row) for row in generate(FamilySpec(n=n, height_bound=height)).tolist()]
+    # Rows at the kernels' height bound, whose discriminants and integer-root
+    # searches overflow int64; for n = 3 also (X - 2)(X^2 + 2^59).
+    rows += [tuple(s * TOP for s in signs) for signs in product((1, -1), repeat=n)]
+    if n == 3:
+        rows.append((-2**60, 2**59, -2))
     big = (2**62,) + (1,) * (n - 1)
+    assert batch.pack(rows).dtype == np.int64
     for budget in (1, 2, 5, 25):
         kernel = certify_stream(batch.pack(rows), budget)
         scalar = certify_stream(batch.pack(rows + [big]), budget)
         assert kernel == scalar[:-1], budget
+    if n == 3:
+        assert kernel[-1].status == REDUCIBLE
 
 
 def test_cubic_certificates_pinned():

@@ -9,10 +9,8 @@ from splitstat.fppoly import (
     enumerate_class_counts,
     full_factor_mod_p,
     is_squarefree_mod_p,
-    reduce_mod_p,
     splitting_type_mod_p,
 )
-from splitstat.zpoly import IntPolynomial
 
 
 def P(coeffs, p):
@@ -28,15 +26,6 @@ def test_field_polynomial_validation():
         FieldPolynomial(p=1, coeffs=(1,))
 
 
-def test_reduce_mod_p():
-    f = IntPolynomial(coeffs=(-1, -1, 0))  # X^3 - X - 1
-    assert reduce_mod_p(f, 2).coeffs == (1, 1, 0, 1)  # X^3 + X + 1
-    g = IntPolynomial(coeffs=(6, 4))  # X^2 + 4X + 6
-    assert reduce_mod_p(g, 2).coeffs == (0, 0, 1)  # X^2
-    h = IntPolynomial(coeffs=(100, 100, 0))  # X^3 + 100X + 100
-    assert reduce_mod_p(h, 5).coeffs == (0, 0, 0, 1)  # X^3
-
-
 def test_is_squarefree():
     assert is_squarefree_mod_p(P([1, 1, 1], 2))  # X^2+X+1
     assert not is_squarefree_mod_p(P([0, 0, 1], 2))  # X^2
@@ -45,11 +34,13 @@ def test_is_squarefree():
 
 
 def test_splitting_type_examples():
-    f = IntPolynomial(coeffs=(-1, -1, 0))
+    f = (-1, -1, 0)  # X^3 - X - 1 = X^3 + X + 1 mod 2, irreducible
     assert splitting_type_mod_p(f, 2) == (0, 0, 1)
     assert splitting_type_mod_p(f, 5) == (1, 1, 0)
-    g = IntPolynomial(coeffs=(6, 4))
+    g = (6, 4)  # X^2 + 4X + 6 = X^2 mod 2
     assert splitting_type_mod_p(g, 2) is None
+    h = (100, 100, 0)  # X^3 + 100X + 100 = X^3 mod 5
+    assert splitting_type_mod_p(h, 5) is None
 
 
 def test_splitting_type_degree_sum():
@@ -57,7 +48,7 @@ def test_splitting_type_degree_sum():
     for _ in range(200):
         n = rng.randrange(1, 6)
         p = rng.choice([2, 3, 5, 7, 101])
-        f = IntPolynomial(coeffs=tuple(rng.randrange(-50, 51) for _ in range(n)))
+        f = tuple(rng.randrange(-50, 51) for _ in range(n))
         r = splitting_type_mod_p(f, p)
         if r is not None:
             assert sum((i + 1) * m for i, m in enumerate(r)) == n

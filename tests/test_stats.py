@@ -25,22 +25,22 @@ from splitstat.stats import (
     split_lower_bound_fraction,
     splitting_indicator,
 )
-from splitstat.zpoly import IntPolynomial, discriminant
+from splitstat.zpoly import discriminant
 
 TABLE = sieve_primes(1000)
 
 
 def test_splitting_indicator():
-    f = IntPolynomial(coeffs=(-1, -1, 0))
+    f = (-1, -1, 0)
     assert splitting_indicator(f, (0, 0, 1), 2) == 1
     assert splitting_indicator(f, (3, 0, 0), 2) == 0
-    g = IntPolynomial(coeffs=(6, 4))
+    g = (6, 4)
     for r in enumerate_types(2):
         assert splitting_indicator(g, r, 2) == 0
 
 
 def test_prime_splitting_count():
-    f = IntPolynomial(coeffs=(1, 0))  # X^2 + 1
+    f = (1, 0)  # X^2 + 1
     assert prime_splitting_count(f, (2, 0), 1.5, TABLE) == 0
     assert prime_splitting_count(f, (2, 0), 13, TABLE) == 2  # p in {5, 13}
     assert prime_splitting_count(f, (0, 1), 13, TABLE) == 3  # p in {3, 7, 11}
@@ -55,7 +55,7 @@ def test_partition_identity():
     x = 200
     for _ in range(25):
         n = rng.choice([2, 3, 4])
-        f = IntPolynomial(coeffs=tuple(rng.randrange(-40, 41) for _ in range(n)))
+        f = tuple(rng.randrange(-40, 41) for _ in range(n))
         total = sum(
             prime_splitting_count(f, r, x, TABLE) for r in enumerate_types(n)
         )
@@ -80,7 +80,7 @@ def test_certify_family_counts_exclusions():
     ]
     assert cf.coeffs.shape == (len(cf), 3)
     assert [tuple(row) for row in cf.coeffs.tolist()] == kept
-    assert cf.disc == tuple(discriminant(IntPolynomial(coeffs=row)) for row in kept)
+    assert cf.disc == tuple(discriminant(row) for row in kept)
     none = certify_family(batch.pack([(-1, 0)]))
     assert none.coeffs.shape == (0, 2) and none.disc == () and none.excluded == 1
 
@@ -128,7 +128,7 @@ def test_centered_moment_k2_identity():
     x = 200
     m2, _ = family_centered_moment(cf, r, x, 2, TABLE)
     counts = [
-        prime_splitting_count(IntPolynomial(coeffs=tuple(row)), r, x, TABLE)
+        prime_splitting_count(row, r, x, TABLE)
         for row in cf.coeffs.tolist()
     ]
     mean = sum(counts) / len(counts)
@@ -234,7 +234,7 @@ def test_split_lower_bound_fraction_single():
     # pi(127)=31; X^2+1 splits at the 14 primes = 1 mod 4 up to 127,
     # well above the floor (1/2)(31)/2 = 7.75
     table = sieve_primes(127)
-    assert prime_splitting_count(IntPolynomial(coeffs=(1, 0)), (2, 0), 127, table) == 14
+    assert prime_splitting_count((1, 0), (2, 0), 127, table) == 14
     assert split_lower_bound_fraction(cf, 127, table) == 1.0
 
 
