@@ -26,6 +26,16 @@ def test_field_polynomial_validation():
         FieldPolynomial(p=1, coeffs=(1,))
 
 
+def test_reduce_mod_p():
+    # A monic integer row (a_0, ..., a_{n-1}) reduces with its implicit leading 1.
+    f = (-1, -1, 0)  # X^3 - X - 1
+    assert P(list(f) + [1], 2).coeffs == (1, 1, 0, 1)  # X^3 + X + 1
+    g = (6, 4)  # X^2 + 4X + 6
+    assert P(list(g) + [1], 2).coeffs == (0, 0, 1)  # X^2
+    h = (100, 100, 0)  # X^3 + 100X + 100
+    assert P(list(h) + [1], 5).coeffs == (0, 0, 0, 1)  # X^3
+
+
 def test_is_squarefree():
     assert is_squarefree_mod_p(P([1, 1, 1], 2))  # X^2+X+1
     assert not is_squarefree_mod_p(P([0, 0, 1], 2))  # X^2
