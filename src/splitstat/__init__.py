@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     EmptyFamilyError,
-    OutOfRangeError,
     ReduciblePolynomialError,
     RegimeError,
     ResourceLimitError,
     SplitstatError,
 )
 from .fppoly import FieldPolynomial  # noqa: F401
-from .primes import PrimeTable, sieve_primes  # noqa: F401
+from .primes import sieve_primes  # noqa: F401

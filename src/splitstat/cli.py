@@ -21,7 +21,7 @@ from . import __version__, splittypes, stats
 from .errors import SplitstatError
 from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, fiber_probability, generate
 from .fppoly import FieldPolynomial
-from .primes import sieve_primes
+from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,6 +54,24 @@ def _prime(text):
     if value < 2 or any(value % q == 0 for q in range(2, math.isqrt(value) + 1)):
         raise argparse.ArgumentTypeError("%d is not prime" % value)
     return value
+
+
+def _sieve_limit(kind):
+    """Argparse type of --x (kind float) and --bound (kind int).
+
+    Refuses a value outside [0, MAX_SIEVE_LIMIT] while parsing, before the
+    subcommand computes anything.
+    """
+    def parse(text):
+        value = kind(text)
+        if not 0 <= value <= MAX_SIEVE_LIMIT:
+            raise argparse.ArgumentTypeError(
+                "must lie in [0, %d], got %s" % (MAX_SIEVE_LIMIT, text)
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
 def _parse_target(text, n):
@@ -219,26 +237,24 @@ def _certified(spec):
 def _prime_sum_setup(args):
     """Set-up of chebotarev, moments and clt: a statistic over the primes up to --x.
 
-    Returns the type r, the certified family, the primes up to x and the
-    report config.
+    Returns the type r, the certified family and the report config.
     """
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
     cf = _certified(spec)
-    table = sieve_primes(int(args.x))
     config = _spec_config(spec)
     config.update({"r": args.r, "x": args.x})
-    return r, cf, table, config
+    return r, cf, config
 
 
 def run_chebotarev(args):
-    r, cf, table, config = _prime_sum_setup(args)
-    mean, reference = stats.family_chebotarev_mean(cf, r, args.x, table)
+    r, cf, config = _prime_sum_setup(args)
+    mean, reference = stats.family_chebotarev_mean(cf, r, args.x)
     results = {
         "empirical_mean": mean,
         "exact_reference": reference,
-        "pi_x": stats.prime_count(args.x, table),
+        "pi_x": len(sieve_primes(args.x)),
         "excluded": cf.excluded,
         "family_size": len(cf),
     }
@@ -248,11 +264,11 @@ def run_chebotarev(args):
 
 
 def run_moments(args):
-    r, cf, table, config = _prime_sum_setup(args)
+    r, cf, config = _prime_sum_setup(args)
     config["k_max"] = args.k_max
     results = []
     for k in range(1, args.k_max + 1):
-        moment, reference = stats.family_centered_moment(cf, r, args.x, k, table)
+        moment, reference = stats.family_centered_moment(cf, r, args.x, k)
         results.append({"k": k, "moment": moment, "reference": reference})
     _write_report(args, "moments", config, results,
                   [("family", len(cf)), ("excluded", cf.excluded)])
@@ -260,9 +276,9 @@ def run_moments(args):
 
 
 def run_clt(args):
-    r, cf, table, config = _prime_sum_setup(args)
+    r, cf, config = _prime_sum_setup(args)
     config["k_max"] = args.k_max
-    report = stats.clt_report(cf, r, args.x, table, k_max=args.k_max)
+    report = stats.clt_report(cf, r, args.x, k_max=args.k_max)
     summary = [("family", report.family_size), ("excluded", report.excluded),
                ("ks", "%.4f" % report.ks_distance)]
     _write_report(args, "clt", config, report.to_json_dict(), summary,
@@ -371,7 +387,7 @@ def build_parser(defaults=None):
     ]:
         sub = subs.add_parser(name)
         _add_family(sub)
-        sub.add_argument("--x", type=float, required=True)
+        sub.add_argument("--x", type=_sieve_limit(float), required=True)
         sub.add_argument("--r", required=True, help="splitting type, comma-separated")
         if name != "chebotarev":
             sub.add_argument("--k-max", type=_positive_int, default=stats.DEFAULT_K_MAX,
@@ -382,7 +398,7 @@ def build_parser(defaults=None):
     for name in ("ramified", "index"):
         sub = subs.add_parser(name)
         _add_family(sub)
-        sub.add_argument("--bound", type=int, required=True)
+        sub.add_argument("--bound", type=_sieve_limit(int), required=True)
         _add_common(sub)
         sub.set_defaults(func=run_average)
 

@@ -9,10 +9,6 @@ class ResourceLimitError(SplitstatError):
     """A configured memory or enumeration budget would be exceeded."""
 
 
-class OutOfRangeError(SplitstatError):
-    """An argument lies outside the range covered by a precomputed table."""
-
-
 class RegimeError(SplitstatError):
     """Parameters violate the small-modulus regime required by a statistic."""
 

@@ -37,7 +37,7 @@ EXHAUSTIVE_BUDGET = 3 * 10**6
 # The certifier scans the primes up to this limit, sieved once, spending
 # at most the budget's number of primes at which f is squarefree.
 CERTIFIER_TABLE_LIMIT = 1000
-CERTIFIER_PRIMES = sieve_primes(CERTIFIER_TABLE_LIMIT).primes
+CERTIFIER_PRIMES = sieve_primes(CERTIFIER_TABLE_LIMIT)
 CERTIFIER_PRIME_BUDGET = 25
 
 SN_CERTIFIED = "SnCertified"

@@ -135,7 +135,7 @@ def empirical_second_order(r, p_min, p_max):
     constant term exactly; fewer than n primes raise ValueError.
     """
     n = validate_type(r)
-    primes = [p for p in sieve_primes(p_max).primes if p >= p_min][-n:]
+    primes = [p for p in sieve_primes(p_max) if p >= p_min][-n:]
     if len(primes) < n:
         raise ValueError(
             "need %d primes in [%d, %d], found %d" % (n, p_min, p_max, len(primes))

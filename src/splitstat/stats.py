@@ -1,5 +1,7 @@
 """Family-level statistics: indicators, counting functions, moments, CLT.
 
+Every statistic over the primes up to x takes x alone, any real x >= 0,
+and sieves the primes <= floor(x) it needs; pi(x) is their number.
 Every aggregate runs over the certified subfamily only and reports how
 many polynomials were excluded.  The certified subfamily is its packed
 coefficient rows and their discriminants, both kept from certification,
@@ -11,15 +13,14 @@ available.
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import batch, family as family_mod, fppoly, splittypes
-from .errors import EmptyFamilyError, OutOfRangeError
-from .primes import prime_count, sieve_primes
+from .errors import EmptyFamilyError
+from .primes import sieve_primes
 from .zpoly import dedekind_is_p_maximal
 
 DEFAULT_K_MAX = 6
@@ -37,7 +38,7 @@ class CertifiedFamily:
     disc: tuple
     excluded: int
     description: str = ""
-    # Count profiles by (x, table limit), filled by _count_profile.
+    # Count profiles by floor(x), filled by _count_profile.
     _profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
@@ -64,37 +65,28 @@ def splitting_indicator(f, r, p):
     return 1 if fppoly.splitting_type_mod_p(f, p) == tuple(r) else 0
 
 
-def prime_splitting_count(f, r, x, table):
+def prime_splitting_count(f, r, x):
     """pi_{f,r}(x): number of primes p <= x at which f has type r."""
     splittypes.validate_type(r)
-    if x > table.limit:
-        raise OutOfRangeError("x exceeds prime table limit")
     r = tuple(r)
-    count = 0
-    for p in table.primes:
-        if p > x:
-            break
-        if fppoly.splitting_type_mod_p(f, p) == r:
-            count += 1
-    return count
+    return sum(1 for p in sieve_primes(x) if fppoly.splitting_type_mod_p(f, p) == r)
 
 
 # ---------------------------------------------------------------------------
 # Count profiles (cached per certified family)
 
-def _count_profile(cf, x, table):
+def _count_profile(cf, x):
     """Per-polynomial pi_{f,r}(x) for every type r.
 
     Returns a dict mapping each splitting type to a list of per-polynomial
-    counts.  Cached on the CertifiedFamily instance.
+    counts.  Cached on the CertifiedFamily instance under floor(x), so the
+    primes are sieved only on a miss.
     """
-    if x > table.limit:
-        raise OutOfRangeError("x exceeds prime table limit")
-    key = (float(x), table.limit)
+    key = math.floor(x)
     if key in cf._profiles:
         return cf._profiles[key]
 
-    primes = [p for p in table.primes if p <= x]
+    primes = sieve_primes(x)
     coeffs = cf.coeffs
     n = coeffs.shape[1]
     types = splittypes.enumerate_types(n)
@@ -132,33 +124,35 @@ def family_indicator_moments(cf, r, p):
     return mean, variance, reference
 
 
-def exact_chebotarev_reference(n, r, x, table):
+def exact_chebotarev_reference(n, r, x):
     """Sum over p <= x of class_count(n,r,p)/p^n, in ascending prime order."""
     total = 0.0
-    for p in table.primes:
-        if p > x:
-            break
+    for p in sieve_primes(x):
         total += splittypes.class_count(n, tuple(r), p) / p**n
     return total
 
 
-def family_chebotarev_mean(cf, r, x, table):
-    """Empirical mean of pi_{f,r}(x) and its exact finite-p reference."""
+def family_chebotarev_mean(cf, r, x):
+    """Empirical mean of pi_{f,r}(x) and its exact finite-p reference.
+
+    Both sums run over the primes <= floor(x).
+    """
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    counts = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x)
     values = counts[tuple(r)]
     mean = math.fsum(values) / len(values)
-    return mean, exact_chebotarev_reference(n, r, x, table)
+    return mean, exact_chebotarev_reference(n, r, x)
 
 
-def family_centered_moment(cf, r, x, k, table, center="asymptotic"):
+def family_centered_moment(cf, r, x, k, center="asymptotic"):
     """Empirical k-th moment of the centered count pi_{f,r}(x), with reference.
 
     center selects the subtracted term: "asymptotic" uses delta(r) pi(x);
     "exact" uses the finite-p mean sum of class_count/p^n, which removes a
     deterministic O(log log x) bias that dominates the odd moments.
-    Reference is C_{k,r} pi(x)^{k/2} for even k and 0 for odd k.
+    Reference is C_{k,r} pi(x)^{k/2} for even k and 0 for odd k, with
+    pi(x) = len(sieve_primes(x)).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -166,17 +160,16 @@ def family_centered_moment(cf, r, x, k, table, center="asymptotic"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    counts = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x)
     values = counts[tuple(r)]
+    pix = len(sieve_primes(x))
     if center == "asymptotic":
-        center = float(splittypes.delta(r)) * prime_count(x, table)
+        center = float(splittypes.delta(r)) * pix
     else:
-        center = exact_chebotarev_reference(n, tuple(r), x, table)
+        center = exact_chebotarev_reference(n, tuple(r), x)
     moment = math.fsum((c - center) ** k for c in values) / len(values)
     if k % 2 == 0:
-        reference = float(splittypes.moment_constant(k, r)) * prime_count(
-            x, table
-        ) ** (k / 2)
+        reference = float(splittypes.moment_constant(k, r)) * pix ** (k / 2)
     else:
         reference = 0.0
     return moment, reference
@@ -233,9 +226,6 @@ class StatReport:
             "clt_sample_size": len(self.clt_sample),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
-
     def sample_csv(self):
         """CSV of the CLT sample: one normalized value per row."""
         buf = io.StringIO()
@@ -246,19 +236,20 @@ class StatReport:
         return buf.getvalue()
 
 
-def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
+def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     """Normalized splitting counts for every certified f, with KS distance.
 
     v(f) = (pi_{f,r}(x) - delta pi(x)) / sqrt((delta - delta^2) pi(x)).
+    The counts and moments 1..k_max share one cached count profile at x.
     """
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
-    pix = prime_count(x, table)
+    pix = len(sieve_primes(x))
     if pix < 30:
         raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
     if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
-    counts = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x)
     values = counts[tuple(r)]
     d = float(splittypes.delta(r))
     scale = math.sqrt((d - d * d) * pix)
@@ -267,7 +258,7 @@ def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
     variance = math.fsum((c - mean) ** 2 for c in values) / len(values)
     moments = {}
     for k in range(1, k_max + 1):
-        moments[k] = family_centered_moment(cf, r, x, k, table)
+        moments[k] = family_centered_moment(cf, r, x, k)
     return StatReport(
         description=cf.description,
         n=n,
@@ -277,7 +268,7 @@ def clt_report(cf, r, x, table, k_max=DEFAULT_K_MAX):
         excluded=cf.excluded,
         empirical_mean=mean,
         empirical_variance=variance,
-        reference_mean=exact_chebotarev_reference(n, r, x, table),
+        reference_mean=exact_chebotarev_reference(n, r, x),
         reference_variance=(d - d * d) * pix,
         moments=moments,
         clt_sample=sample,
@@ -290,7 +281,7 @@ def ramified_average(cf, bound):
     if bound < 2:
         raise ValueError("bound must be at least 2")
     _require_nonempty(cf)
-    primes = sieve_primes(bound).primes
+    primes = sieve_primes(bound)
     total = sum(1 for d in cf.disc for p in primes if d % p == 0)
     reference = math.fsum(1.0 / p for p in primes)
     return total / len(cf), reference
@@ -306,7 +297,7 @@ def index_prime_average(cf, bound):
     if bound < 2:
         raise ValueError("bound must be at least 2")
     _require_nonempty(cf)
-    primes = sieve_primes(bound).primes
+    primes = sieve_primes(bound)
     total = 0
     for row, d in zip(cf.coeffs, cf.disc):
         for p in primes:
@@ -316,15 +307,15 @@ def index_prime_average(cf, bound):
     return total / len(cf), reference
 
 
-def split_lower_bound_fraction(cf, x, table):
+def split_lower_bound_fraction(cf, x):
     """Fraction of certified f with at least delta*pi(x)/2 totally split primes."""
     _require_nonempty(cf)
-    pix = prime_count(x, table)
+    pix = len(sieve_primes(x))
     if pix < 30:
         raise ValueError("pi(x) must be at least 30")
     n = cf.coeffs.shape[1]
     split_type = tuple([n] + [0] * (n - 1))
-    counts = _count_profile(cf, x, table)
+    counts = _count_profile(cf, x)
     floor_value = float(splittypes.delta(split_type)) * pix / 2.0
     values = counts[split_type]
     return sum(1 for c in values if c >= floor_value) / len(values)

@@ -10,7 +10,7 @@ import pytest
 from splitstat import stats
 from splitstat.family import FamilySpec, fiber_probability, generate
 from splitstat.fppoly import FieldPolynomial, enumerate_class_counts
-from splitstat.primes import prime_count, sieve_primes
+from splitstat.primes import sieve_primes
 from splitstat.splittypes import (
     class_count,
     delta,
@@ -37,12 +37,7 @@ def _report(log, number, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def table_1e5():
-    return sieve_primes(10**5)
-
-
-@pytest.fixture(scope="module")
-def sampled_cubics(table_1e5):
+def sampled_cubics():
     spec = FamilySpec(
         n=3, height_bound=HEIGHT, mode="sampled", sample_size=SAMPLE_SIZE, seed=SEED
     )
@@ -118,13 +113,13 @@ def test_04_congruence_fibers(acceptance_log):
     )
 
 
-def test_05_average_splitting_counts(acceptance_log, sampled_cubics, table_1e5):
+def test_05_average_splitting_counts(acceptance_log, sampled_cubics):
     x = 10**4
-    tolerance = 0.01 * prime_count(x, table_1e5)
+    tolerance = 0.01 * len(sieve_primes(x))
     details = []
     ok = True
     for r in enumerate_types(3):
-        mean, reference = stats.family_chebotarev_mean(sampled_cubics, r, x, table_1e5)
+        mean, reference = stats.family_chebotarev_mean(sampled_cubics, r, x)
         gap = abs(mean - reference)
         ok = ok and gap <= tolerance
         details.append("r=%s gap=%.2f" % (r, gap))
@@ -137,20 +132,20 @@ def test_05_average_splitting_counts(acceptance_log, sampled_cubics, table_1e5):
     )
 
 
-def test_06_centered_moments(acceptance_log, sampled_cubics, table_1e5):
+def test_06_centered_moments(acceptance_log, sampled_cubics):
     x = 10**4
     r = (3, 0, 0)
-    pix = prime_count(x, table_1e5)
+    pix = len(sieve_primes(x))
     # exact-reference centering: the asymptotic center delta*pi(x) carries a
     # deterministic O(log log x) offset that swamps the odd moments
     m2, ref2 = stats.family_centered_moment(
-        sampled_cubics, r, x, 2, table_1e5, center="exact"
+        sampled_cubics, r, x, 2, center="exact"
     )
     m4, ref4 = stats.family_centered_moment(
-        sampled_cubics, r, x, 4, table_1e5, center="exact"
+        sampled_cubics, r, x, 4, center="exact"
     )
     m3, _ = stats.family_centered_moment(
-        sampled_cubics, r, x, 3, table_1e5, center="exact"
+        sampled_cubics, r, x, 3, center="exact"
     )
     norm3 = abs(m3) / (float(moment_constant(2, r)) ** 1.5 * pix**1.5)
     ok2 = abs(m2 - ref2) <= 0.10 * ref2
@@ -166,12 +161,12 @@ def test_06_centered_moments(acceptance_log, sampled_cubics, table_1e5):
     )
 
 
-def test_07_normal_limit_ks(acceptance_log, sampled_cubics, table_1e5):
+def test_07_normal_limit_ks(acceptance_log, sampled_cubics):
     x = 10**5
     details = []
     ok = True
     for r in ((3, 0, 0), (0, 0, 1)):
-        report = stats.clt_report(sampled_cubics, r, x, table_1e5)
+        report = stats.clt_report(sampled_cubics, r, x)
         ok = ok and report.ks_distance <= 0.05
         details.append("r=%s KS=%.4f" % (r, report.ks_distance))
     _report(
@@ -304,8 +299,8 @@ def test_11_alternating_class_splitting(acceptance_log):
         acceptance_log, 11, "alternating-group class splitting vs brute force", ok, "%d classes" % checked)
 
 
-def test_12_split_prime_floor(acceptance_log, sampled_cubics, table_1e5):
-    fraction = stats.split_lower_bound_fraction(sampled_cubics, 10**5, table_1e5)
+def test_12_split_prime_floor(acceptance_log, sampled_cubics):
+    fraction = stats.split_lower_bound_fraction(sampled_cubics, 10**5)
     _report(
         acceptance_log,
         12,

@@ -208,6 +208,10 @@ X_R = ["--n", "3", "--N", "3", "--x", "300", "--r", "0,0,1"]
     ["counts", "--n", "2", "--p", "4"],
     ["counts", "--n", "2", "--p", "1"],
     ["counts", "--n", "2", "--p", "91"],
+    # above MAX_SIEVE_LIMIT: refused while parsing, not after certifying the box
+    ["chebotarev", "--n", "3", "--N", "50", "--x", "3e9", "--r", "3,0,0"],
+    ["chebotarev", "--n", "3", "--N", "3", "--x", "-1", "--r", "3,0,0"],
+    ["ramified", "--n", "3", "--N", "3", "--bound", str(10**8 + 1)],
 ])
 def test_bad_flag_refused_before_computing(tmp_path, monkeypatch, args):
     _refuse_computing(monkeypatch)

@@ -27,7 +27,7 @@ from splitstat.zpoly import discriminant, is_perfect_square
 
 # The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
 TOP = 2**62 - 1
-DOMAIN_PRIMES = sieve_primes(2**20).primes
+DOMAIN_PRIMES = sieve_primes(2**20)
 KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
 
 
@@ -195,7 +195,7 @@ def test_types_mod_p_kernel_property(n, data):
     assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
 
 
-@pytest.mark.parametrize("p", sieve_primes(53).primes)
+@pytest.mark.parametrize("p", sieve_primes(53))
 def test_cubic_kernel_census(p):
     # Every residue triple once, as the representatives nearest 0.
     grid = np.indices((p, p, p), dtype=np.int64).reshape(3, -1).T - p // 2

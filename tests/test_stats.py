@@ -1,14 +1,14 @@
-import json
 import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from splitstat import batch, stats
-from splitstat.errors import EmptyFamilyError, OutOfRangeError
+from splitstat.errors import EmptyFamilyError
 from splitstat.family import SN_CERTIFIED, FamilySpec, certify_stream, generate
-from splitstat.primes import prime_count, sieve_primes
+from splitstat.primes import sieve_primes
 from splitstat.splittypes import delta, enumerate_types, gaussian_moment
 from splitstat.stats import (
     certify_family,
@@ -27,8 +27,6 @@ from splitstat.stats import (
 )
 from splitstat.zpoly import discriminant
 
-TABLE = sieve_primes(1000)
-
 
 def test_splitting_indicator():
     f = (-1, -1, 0)
@@ -41,11 +39,11 @@ def test_splitting_indicator():
 
 def test_prime_splitting_count():
     f = (1, 0)  # X^2 + 1
-    assert prime_splitting_count(f, (2, 0), 1.5, TABLE) == 0
-    assert prime_splitting_count(f, (2, 0), 13, TABLE) == 2  # p in {5, 13}
-    assert prime_splitting_count(f, (0, 1), 13, TABLE) == 3  # p in {3, 7, 11}
-    with pytest.raises(OutOfRangeError):
-        prime_splitting_count(f, (2, 0), 2000, TABLE)
+    assert prime_splitting_count(f, (2, 0), 1.5) == 0
+    assert prime_splitting_count(f, (2, 0), 13) == 2  # p in {5, 13}
+    assert prime_splitting_count(f, (0, 1), 13) == 3  # p in {3, 7, 11}
+    with pytest.raises(ValueError):
+        prime_splitting_count(f, (2, 0), -1)
 
 
 def test_partition_identity():
@@ -56,13 +54,9 @@ def test_partition_identity():
     for _ in range(25):
         n = rng.choice([2, 3, 4])
         f = tuple(rng.randrange(-40, 41) for _ in range(n))
-        total = sum(
-            prime_splitting_count(f, r, x, TABLE) for r in enumerate_types(n)
-        )
-        nonsq = sum(
-            1 for p in TABLE.primes if p <= x and splitting_type_mod_p(f, p) is None
-        )
-        assert total + nonsq == prime_count(x, TABLE)
+        total = sum(prime_splitting_count(f, r, x) for r in enumerate_types(n))
+        nonsq = sum(1 for p in sieve_primes(x) if splitting_type_mod_p(f, p) is None)
+        assert total + nonsq == len(sieve_primes(x))
 
 
 def test_certify_family_counts_exclusions():
@@ -88,7 +82,7 @@ def test_certify_family_counts_exclusions():
 def test_empty_family_error():
     cf = certify_family(batch.pack([(-1, 0)]))  # reducible
     with pytest.raises(EmptyFamilyError):
-        family_chebotarev_mean(cf, (2, 0), 100, TABLE)
+        family_chebotarev_mean(cf, (2, 0), 100)
 
 
 def test_family_indicator_moments():
@@ -108,17 +102,17 @@ def test_indicator_mean_matches_single_prime_chebotarev():
     for r in enumerate_types(3):
         mean, _, _ = family_indicator_moments(cf, r, 5)
         # x = 5 counts primes {2,3,5}; subtract the p=2 and p=3 contributions
-        m5, _ = family_chebotarev_mean(cf, r, 5.5, TABLE)
-        m3, _ = family_chebotarev_mean(cf, r, 4.9, TABLE)
+        m5, _ = family_chebotarev_mean(cf, r, 5.5)
+        m3, _ = family_chebotarev_mean(cf, r, 4.9)
         assert mean == pytest.approx(m5 - m3)
 
 
 def test_chebotarev_single_polynomial():
     cf = certify_family(batch.pack([(1, 0)]))
-    mean, reference = family_chebotarev_mean(cf, (2, 0), 13, TABLE)
+    mean, reference = family_chebotarev_mean(cf, (2, 0), 13)
     assert mean == 2
-    assert reference == pytest.approx(exact_chebotarev_reference(2, (2, 0), 13, TABLE))
-    mean, reference = family_chebotarev_mean(cf, (2, 0), 1.5, TABLE)
+    assert reference == pytest.approx(exact_chebotarev_reference(2, (2, 0), 13))
+    mean, reference = family_chebotarev_mean(cf, (2, 0), 1.5)
     assert mean == 0 and reference == 0
 
 
@@ -126,34 +120,31 @@ def test_centered_moment_k2_identity():
     cf = certify_family(generate(FamilySpec(n=3, height_bound=4)))
     r = (3, 0, 0)
     x = 200
-    m2, _ = family_centered_moment(cf, r, x, 2, TABLE)
-    counts = [
-        prime_splitting_count(row, r, x, TABLE)
-        for row in cf.coeffs.tolist()
-    ]
+    m2, _ = family_centered_moment(cf, r, x, 2)
+    counts = [prime_splitting_count(row, r, x) for row in cf.coeffs.tolist()]
     mean = sum(counts) / len(counts)
     variance = sum((c - mean) ** 2 for c in counts) / len(counts)
-    center = float(delta(r)) * prime_count(x, TABLE)
+    center = float(delta(r)) * len(sieve_primes(x))
     assert m2 == pytest.approx(variance + (mean - center) ** 2, abs=1e-9)
 
 
 def test_centered_moment_center_options():
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     r = (0, 0, 1)
-    m_a, _ = family_centered_moment(cf, r, 100, 1, TABLE)
-    m_e, _ = family_centered_moment(cf, r, 100, 1, TABLE, center="exact")
-    shift = float(delta(r)) * prime_count(100, TABLE) - exact_chebotarev_reference(
-        3, r, 100, TABLE
+    m_a, _ = family_centered_moment(cf, r, 100, 1)
+    m_e, _ = family_centered_moment(cf, r, 100, 1, center="exact")
+    shift = float(delta(r)) * len(sieve_primes(100)) - exact_chebotarev_reference(
+        3, r, 100
     )
     assert m_e - m_a == pytest.approx(shift)
     with pytest.raises(ValueError):
-        family_centered_moment(cf, r, 100, 1, TABLE, center="median")
+        family_centered_moment(cf, r, 100, 1, center="median")
 
 
 def test_centered_moment_k_bounds():
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
-        family_centered_moment(cf, (3, 0, 0), 100, 0, TABLE)
+        family_centered_moment(cf, (3, 0, 0), 100, 0)
 
 
 def test_normal_cdf():
@@ -186,11 +177,10 @@ def test_ks_distance_gaussian_pipeline():
 def test_clt_report_structure_and_determinism():
     spec = FamilySpec(n=3, height_bound=10**9, mode="sampled", sample_size=300, seed=4)
     cf = certify_family(generate(spec))
-    table = sieve_primes(2000)
-    rep1 = clt_report(cf, (0, 0, 1), 2000, table)
-    rep2 = clt_report(cf, (0, 0, 1), 2000, table)
-    assert rep1.to_json() == rep2.to_json()
-    doc = json.loads(rep1.to_json())
+    rep1 = clt_report(cf, (0, 0, 1), 2000)
+    rep2 = clt_report(cf, (0, 0, 1), 2000)
+    assert rep1.to_json_dict() == rep2.to_json_dict()
+    doc = rep1.to_json_dict()
     assert doc["family_size"] == len(cf)
     assert 0.0 <= doc["ks_distance"] <= 1.0
     assert rep1.sample_csv().startswith("index,normalized_count\n")
@@ -199,16 +189,35 @@ def test_clt_report_structure_and_determinism():
     shuffled = stats.CertifiedFamily(
         coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], excluded=cf.excluded
     )
-    rep3 = clt_report(shuffled, (0, 0, 1), 2000, table)
+    rep3 = clt_report(shuffled, (0, 0, 1), 2000)
     assert rep3.ks_distance == pytest.approx(rep1.ks_distance)
+
+
+def test_count_profile_cached_per_floor_x(monkeypatch):
+    spec = FamilySpec(n=3, height_bound=10**9, mode="sampled", sample_size=300, seed=4)
+    cf = certify_family(generate(spec))
+    assert cf.coeffs.dtype == np.int64
+    calls = []
+    count_matrix = batch.cubic_count_matrix
+
+    def counted(coeffs, primes):
+        calls.append(len(primes))
+        return count_matrix(coeffs, primes)
+
+    monkeypatch.setattr(batch, "cubic_count_matrix", counted)
+    r = (0, 0, 1)
+    clt_report(cf, r, 300, k_max=6)
+    assert calls == [len(sieve_primes(300))]
+    family_centered_moment(cf, r, 300.5, 2)  # same floor(x): no new matrix
+    assert len(calls) == 1
 
 
 def test_clt_report_preconditions():
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
-        clt_report(cf, (0, 0, 1), 50, TABLE)  # pi(x) < 30
+        clt_report(cf, (0, 0, 1), 50)  # pi(x) < 30
     with pytest.raises(ValueError):
-        clt_report(cf, (0, 0, 1), 500, TABLE)  # family too small
+        clt_report(cf, (0, 0, 1), 500)  # family too small
 
 
 def test_ramified_average_examples():
@@ -233,12 +242,11 @@ def test_split_lower_bound_fraction_single():
     cf = certify_family(batch.pack([(1, 0)]))
     # pi(127)=31; X^2+1 splits at the 14 primes = 1 mod 4 up to 127,
     # well above the floor (1/2)(31)/2 = 7.75
-    table = sieve_primes(127)
-    assert prime_splitting_count((1, 0), (2, 0), 127, table) == 14
-    assert split_lower_bound_fraction(cf, 127, table) == 1.0
+    assert prime_splitting_count((1, 0), (2, 0), 127) == 14
+    assert split_lower_bound_fraction(cf, 127) == 1.0
 
 
 def test_split_lower_bound_fraction_precondition():
     cf = certify_family(batch.pack([(1, 0)]))
     with pytest.raises(ValueError):
-        split_lower_bound_fraction(cf, 20, sieve_primes(20))
+        split_lower_bound_fraction(cf, 20)
