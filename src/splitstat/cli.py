@@ -202,6 +202,9 @@ def run_counts(args):
 def run_fibers(args):
     spec = _family_spec(args)
     targets = [_parse_target(t, args.n) for t in args.target]
+    power = math.prod(p**args.n for p, _g in targets)
+    if power >= 2 * spec.height_bound:
+        raise ConfigError("field target: prod p_i^n = %d is not below 2N" % power)
     empirical, reference = fiber_probability(spec, targets)
     config = _spec_config(spec)
     config["targets"] = ";".join(args.target)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from splitstat import stats
+from splitstat import family, stats
 from splitstat.cli import main
 
 
@@ -141,6 +141,21 @@ def test_fibers_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["results"]["reference"] == pytest.approx(1 / 9)
+
+
+def test_fibers_outside_regime_exit_code(tmp_path, monkeypatch, capsys):
+    # prod p_i^n = 27 * 125 >= 2N = 40: refused before the family is generated.
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before refusing the targets")
+
+    monkeypatch.setattr(family, "generate", generate)
+    code = main(
+        ["fibers", "--n", "3", "--N", "20", "--target", "3:1,0,2", "--target", "5:0,1,1",
+         "--out", str(tmp_path / "fib.json")]
+    )
+    assert code == 2
+    assert "configuration error: field target" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ansplit_subcommand(tmp_path):

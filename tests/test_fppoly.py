@@ -64,6 +64,73 @@ def test_splitting_type_degree_sum():
             assert sum((i + 1) * m for i, m in enumerate(r)) == n
 
 
+# Primes straddling batch.MAX_KERNEL_PRIME = 2^20 and reaching 2^31 - 1.
+PINNED_PRIMES = (2, 3, 1048573, 1048583, 2147483629, 2147483647)
+
+
+def _pinned_cases():
+    """For n = 4..8 and each pinned prime: two rows of height up to 10^20,
+    then a lift of (X + a)^2 g, which is never squarefree mod p."""
+    rng = random.Random(2024)
+    for n in range(4, 9):
+        for p in PINNED_PRIMES:
+            for _ in range(2):
+                yield tuple(rng.randrange(-10**20, 10**20 + 1) for _ in range(n)), p
+            root = [rng.randrange(p), 1]
+            rest = [rng.randrange(p) for _ in range(n - 2)] + [1]
+            square = _mul(_mul(root, root, p), rest, p)
+            lift = [rng.randrange(-10**20 // p, 10**20 // p + 1) for _ in range(n)]
+            yield tuple(c + p * k for c, k in zip(square, lift)), p
+
+
+# Types from an independent distinct-degree factorization, which raised
+# X^(p^d) to the p-th power modulo the shrinking factor; one line per (n, p).
+PINNED_TYPES = [
+    # n = 4
+    None, None, None,
+    None, (2, 1, 0, 0), None,
+    (2, 1, 0, 0), (4, 0, 0, 0), None,
+    (0, 0, 0, 1), (0, 2, 0, 0), None,
+    (0, 0, 0, 1), (0, 0, 0, 1), None,
+    (0, 0, 0, 1), (0, 2, 0, 0), None,
+    # n = 5
+    None, (0, 0, 0, 0, 1), None,
+    (0, 0, 0, 0, 1), (1, 0, 0, 1, 0), None,
+    (0, 0, 0, 0, 1), (0, 1, 1, 0, 0), None,
+    (1, 0, 0, 1, 0), (1, 2, 0, 0, 0), None,
+    (2, 0, 1, 0, 0), (1, 2, 0, 0, 0), None,
+    (0, 0, 0, 0, 1), (0, 1, 1, 0, 0), None,
+    # n = 6
+    None, None, None,
+    None, (0, 0, 0, 0, 0, 1), None,
+    (1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0), None,
+    (0, 0, 0, 0, 0, 1), (0, 0, 2, 0, 0, 0), None,
+    (1, 0, 0, 0, 1, 0), (2, 0, 0, 1, 0, 0), None,
+    (1, 0, 0, 0, 1, 0), (2, 0, 0, 1, 0, 0), None,
+    # n = 7
+    (1, 1, 0, 1, 0, 0, 0), (2, 0, 0, 0, 1, 0, 0), None,
+    None, (0, 0, 0, 0, 0, 0, 1), None,
+    (2, 0, 0, 0, 1, 0, 0), (1, 0, 2, 0, 0, 0, 0), None,
+    (0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1, 0), None,
+    (1, 0, 0, 0, 0, 1, 0), (5, 1, 0, 0, 0, 0, 0), None,
+    (0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0, 0), None,
+    # n = 8
+    None, None, None,
+    (1, 0, 0, 0, 0, 0, 1, 0), None, None,
+    (0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1, 0), None,
+    (1, 0, 0, 0, 0, 0, 1, 0), (4, 0, 0, 1, 0, 0, 0, 0), None,
+    (1, 0, 1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 1, 0), None,
+    (1, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 0, 1), None,
+]
+
+
+def test_splitting_type_pinned_at_large_primes():
+    cases = list(_pinned_cases())
+    assert len(cases) == len(PINNED_TYPES)
+    for (f, p), r in zip(cases, PINNED_TYPES):
+        assert splitting_type_mod_p(f, p) == r, (f, p)
+
+
 def test_full_factor_examples():
     assert [(g.coeffs, m) for g, m in full_factor_mod_p(P([-1, 0, 1], 5), 0)] == [
         ((1, 1), 1),

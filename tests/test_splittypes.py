@@ -84,7 +84,10 @@ def test_class_count_examples():
 
 
 def test_class_count_matches_enumeration():
-    for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]:
+    # n = 4, 5 reach the distinct-degree step d = 2, n = 6 d = 3 and n = 8 d = 4.
+    grid = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2),
+            (3, 5), (2, 6), (3, 6), (2, 8), (7, 4), (13, 3)]
+    for p, n in grid:
         census = enumerate_class_counts(p, n)
         for r in enumerate_types(n):
             assert class_count(n, r, p) == census.get(r, 0), (p, n, r)
