@@ -15,8 +15,8 @@ from .errors import ResourceLimitError
 # 2-CPU Xeon).  A segmented sieve saved only the flags (279 MB at 10^8),
 # since the ~5.8M prime ints dominate; the primes up to 2*10^9 alone would
 # take several GB.  Statistics that far out are out of reach anyway: primes
-# above batch.MAX_KERNEL_PRIME go to the scalar oracle, which takes ~140 us
-# per quartic near 2^20 and ~300 us near 2^31.
+# above batch.MAX_KERNEL_PRIME go to the scalar oracle, which takes ~110 us
+# per quartic near 2^20 and ~240 us near 2^31.
 MAX_SIEVE_LIMIT = 10**8
 
 
