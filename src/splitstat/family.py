@@ -31,7 +31,7 @@ from .zpoly import discriminant, is_perfect_square
 # the interpreter's ~35 MB: 1731^2 (0.51 GB), 143^3 (0.75 GB), 41^4
 # (0.90 GB), 19^5 (0.83 GB), 5^9 (0.95 GB) and 3^13 (1.10 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
-# 17^4 quartic box takes 41 s, so the 41^4 box would take ~23 minutes.
+# 17^4 quartic box takes 30 s, so the 41^4 box would take ~17 minutes.
 EXHAUSTIVE_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending
