@@ -135,9 +135,10 @@ def _check_outputs(args):
             raise ConfigError("output %s exists; pass --force to overwrite" % path)
 
 
-def _write_report(args, experiment, config, results, summary, extra=()):
+def _write_report(args, experiment, config, results, summary, extra=(), statuses=None):
     """Write the report to --out, and each (path, text) of extra with it.
 
+    The meta holds statuses, a certified family's status counts, if given.
     The CSV table is read off results: a dict gives its sorted key,value
     rows; a list of dicts gives the first dict's keys as the header and
     one row of values per dict.  Every text is complete before anything is
@@ -147,13 +148,17 @@ def _write_report(args, experiment, config, results, summary, extra=()):
     summary and out=--out on one line.
     """
     meta = {"experiment": experiment, "version": __version__}
+    if statuses is not None:
+        meta["statuses"] = statuses
     if args.format == "json":
         document = {"meta": meta, "config": config, "results": results}
         text = json.dumps(document, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        for key in sorted(meta):
-            buf.write("# %s=%s\n" % (key, meta[key]))
+        for key, value in sorted(meta.items()):
+            if not isinstance(value, str):
+                value = json.dumps(value, sort_keys=True)
+            buf.write("# %s=%s\n" % (key, value))
         for key in sorted(config):
             buf.write("# %s=%s\n" % (key, config[key]))
         writer = csv.writer(buf, lineterminator="\n")
@@ -205,7 +210,7 @@ def run_fibers(args):
     power = math.prod(p**args.n for p, _g in targets)
     if power >= 2 * spec.height_bound:
         raise ConfigError("field target: prod p_i^n = %d is not below 2N" % power)
-    empirical, reference = fiber_probability(spec, targets)
+    empirical, reference, statuses = fiber_probability(spec, targets)
     config = _spec_config(spec)
     config["targets"] = ";".join(args.target)
     results = {
@@ -214,7 +219,8 @@ def run_fibers(args):
         "deviation": empirical - reference,
     }
     _write_report(args, "fibers", config, results,
-                  [("family", spec.size), ("empirical", "%.6g" % empirical)])
+                  [("family", spec.size), ("empirical", "%.6g" % empirical)],
+                  statuses=statuses)
     return EXIT_OK
 
 
@@ -262,7 +268,7 @@ def run_chebotarev(args):
         "family_size": len(cf),
     }
     summary = [("family", len(cf)), ("excluded", cf.excluded), ("mean", "%.6g" % mean)]
-    _write_report(args, "chebotarev", config, results, summary)
+    _write_report(args, "chebotarev", config, results, summary, statuses=cf.statuses)
     return EXIT_OK
 
 
@@ -274,7 +280,7 @@ def run_moments(args):
         moment, reference = stats.family_centered_moment(cf, r, args.x, k)
         results.append({"k": k, "moment": moment, "reference": reference})
     _write_report(args, "moments", config, results,
-                  [("family", len(cf)), ("excluded", cf.excluded)])
+                  [("family", len(cf)), ("excluded", cf.excluded)], statuses=cf.statuses)
     return EXIT_OK
 
 
@@ -285,7 +291,8 @@ def run_clt(args):
     summary = [("family", report.family_size), ("excluded", report.excluded),
                ("ks", "%.4f" % report.ks_distance)]
     _write_report(args, "clt", config, report.to_json_dict(), summary,
-                  extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())])
+                  extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())],
+                  statuses=cf.statuses)
     return EXIT_OK
 
 
@@ -304,7 +311,7 @@ def run_average(args):
         "family_size": len(cf),
     }
     summary = [("family", len(cf)), ("excluded", cf.excluded), ("avg", "%.4f" % average)]
-    _write_report(args, args.command, config, results, summary)
+    _write_report(args, args.command, config, results, summary, statuses=cf.statuses)
     return EXIT_OK
 
 

@@ -3,15 +3,15 @@
 A family of monic degree-n polynomials is one (m, n) coefficient array in
 batch.pack format, from generation to the statistics: either the full
 box [-N, N]^n in lexicographic order or reproducible uniform samples.
-Certification is sound but not complete: a polynomial is declared S_n
-only when reduction witnesses prove it, and everything the witness scan
-cannot settle is reported as excluded.
+Certification gives every row a status code and its discriminant, as two
+arrays.  It is sound but not complete: a polynomial is declared S_n only
+when reduction witnesses prove it, and every other row is excluded.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import compress
+from math import isqrt
 
 import numpy as np
 
@@ -22,16 +22,16 @@ from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import discriminant, is_perfect_square
 
 # Largest exhaustive box, in polynomials; an exhaustive run holds all of
-# them at once.  Peak RSS grows by about 169, 258, 318 and 337 bytes per
+# them at once.  Peak RSS grows by about 68, 113, 246 and 314 bytes per
 # polynomial at n = 2, 3, 4, 6 (slope of peak RSS of the ramified
 # subcommand between boxes of 90,601/811,801, 68,921/531,441,
 # 14,641/83,521 and 729/15,625 polynomials; CPython 3.11, numpy 2.4).
 # Taking n = 6's slope for n = 5 and allowing 50 more per degree above 6,
 # the largest admitted box of every degree needs at most 1.1 GB on top of
-# the interpreter's ~35 MB: 1731^2 (0.51 GB), 143^3 (0.75 GB), 41^4
-# (0.90 GB), 19^5 (0.83 GB), 5^9 (0.95 GB) and 3^13 (1.10 GB); 3^14 is
+# the interpreter's ~35 MB: 1731^2 (0.20 GB), 143^3 (0.33 GB), 41^4
+# (0.70 GB), 19^5 (0.78 GB), 5^9 (0.91 GB) and 3^13 (1.06 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
-# 17^4 quartic box takes 30 s, so the 41^4 box would take ~17 minutes.
+# 17^4 quartic box takes 55 s (2-CPU Xeon), so 41^4 would take ~30 minutes.
 EXHAUSTIVE_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending
@@ -40,10 +40,10 @@ CERTIFIER_TABLE_LIMIT = 1000
 CERTIFIER_PRIMES = sieve_primes(CERTIFIER_TABLE_LIMIT)
 CERTIFIER_PRIME_BUDGET = 25
 
-SN_CERTIFIED = "SnCertified"
-AN_CANDIDATE = "AnCandidate"
-REDUCIBLE = "Reducible"
-UNDETERMINED = "Undetermined"
+# Certification statuses; certify gives each row the index of its status.
+STATUSES = (SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED) = (
+    "SnCertified", "AnCandidate", "Reducible", "Undetermined")
+_SN, _AN, _REDUCIBLE, _UNDETERMINED = range(len(STATUSES))
 
 # Integer-root search for reducibility proofs trial-divides the constant
 # term only up to this bound; larger constant terms stay Undetermined.
@@ -107,13 +107,6 @@ def generate(spec):
     return np.stack(np.meshgrid(*[side] * n, indexing="ij"), axis=-1).reshape(-1, n)
 
 
-@dataclass(frozen=True, slots=True)
-class GaloisCertificate:
-    status: str
-    witnesses: tuple
-    discriminant: int
-
-
 def _is_transposition_type(r):
     """Exactly one degree-2 factor and every other factor degree odd."""
     if len(r) < 2 or r[1] != 1:
@@ -121,46 +114,35 @@ def _is_transposition_type(r):
     return all(m == 0 for i, m in enumerate(r, start=1) if i % 2 == 0 and i != 2)
 
 
-def _integer_root(f):
-    """An integer root of f, or None; searches divisors of the constant term.
+def _has_integer_root(f):
+    """Whether f has an integer root; searches divisors of the constant term.
 
     Divisors are recovered by trial division up to ROOT_DIVISOR_BOUND, so a
-    huge constant term with only large divisors can miss roots; callers fall
-    back to Undetermined in that case.
+    huge constant term with only large divisors can miss roots; such rows
+    stay Undetermined.
     """
-    a0 = f[0]
-    if a0 == 0:
-        return 0
-    target = abs(a0)
-    small = []
-    d = 1
-    while d * d <= target and d <= ROOT_DIVISOR_BOUND:
+    target = abs(f[0])
+    if target == 0:
+        return True
+    for d in range(1, min(isqrt(target), ROOT_DIVISOR_BOUND) + 1):
         if target % d == 0:
-            small.append(d)
-            small.append(target // d)
-        d += 1
-    for t in small:
-        for root in (t, -t):
-            value = 1
-            for c in reversed(f):
-                value = value * root + c
-            if value == 0:
-                return root
-    return None
+            for root in (d, -d, target // d, -target // d):
+                if sum(c * root**i for i, c in enumerate(f)) + root ** len(f) == 0:
+                    return True
+    return False
 
 
 def _witness_kinds(n):
     """Boolean tables over the degree-n codes, one per kind of witness.
 
-    Codes index enumerate_types(n); the last code (not squarefree)
-    witnesses nothing.  The kinds are an n-cycle (irreducible reduction)
-    and a transposition-generating type, plus an (n-1)-cycle when n is
-    composite.
+    Codes index enumerate_types(n), the types of squarefree reductions.
+    The kinds are an n-cycle (irreducible reduction) and a
+    transposition-generating type, plus an (n-1)-cycle when n is composite.
     """
     types = enumerate_types(n)
 
     def table(is_kind):
-        return np.array([is_kind(r) for r in types] + [False])
+        return np.array([is_kind(r) for r in types])
 
     kinds = [table(lambda r: r[n - 1] == 1), table(_is_transposition_type)]
     if any(n % q == 0 for q in range(2, n)):
@@ -168,84 +150,91 @@ def _witness_kinds(n):
     return kinds
 
 
-def certify_stream(coeffs, budget):
+def _discriminants(coeffs):
+    """disc(f) of every row of an (m, n) packed family, in row order.
+
+    For n <= 3 the closed forms run over the coefficient columns, in int64
+    when every |c| <= 2^15: then each term of the cubic's is at most 2^62
+    in absolute value and their sum stays below 2^63.  Otherwise, and for
+    n >= 4, row by row as Python ints (object dtype).
+    """
+    m, n = coeffs.shape
+    if n <= 3 and coeffs.dtype == np.int64 and np.abs(coeffs).max(initial=0) <= 2**15:
+        disc = discriminant(list(coeffs.T))
+        return np.full(m, disc) if n == 1 else disc
+    return np.array([discriminant(row) for row in coeffs.tolist()], dtype=object)
+
+
+def certify(coeffs, budget):
     """Cycle-type certification of G_f = S_n for an (m, n) packed family.
 
-    Scans CERTIFIER_PRIMES in order, spending at most `budget` primes
-    at which f is squarefree.  The reduction type at such a prime is a
-    witness when it shows a kind of cycle not yet seen for f: an n-cycle,
-    a transposition, or (for composite n) an (n-1)-cycle.  The n-cycle
-    makes G_f transitive; a transitive group with a transposition is S_n
-    when n is prime, and with an (n-1)-cycle as well for any n.  Without
-    the full set: square discriminant and an n-cycle give AnCandidate,
-    zero discriminant or an integer root gives Reducible, and everything
-    else is Undetermined.  Certificates come back in input order.
+    Returns (status, disc) in row order: status indexes STATUSES (int8)
+    and disc holds the discriminants.  Scans CERTIFIER_PRIMES in order,
+    spending at most `budget` primes at which f is squarefree, which for
+    monic f are the primes not dividing disc(f).  The reduction type at
+    such a prime is a witness when it shows a kind of cycle not yet seen
+    for f: an n-cycle, a transposition, or (for composite n) an
+    (n-1)-cycle.  The n-cycle makes G_f transitive; a transitive group
+    with a transposition is S_n when n is prime, and with an (n-1)-cycle
+    as well for any n.  Without the full set: square discriminant and an
+    n-cycle give AnCandidate, zero discriminant or an integer root gives
+    Reducible, and everything else is Undetermined.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    m, n = coeffs.shape
-    types = enumerate_types(n)
-    kinds = _witness_kinds(n)
-    witness_codes = np.flatnonzero(np.logical_or.reduce(kinds)).tolist()
-    disc = [discriminant(row.tolist()) for row in coeffs]
+    m = len(coeffs)
+    kinds = _witness_kinds(coeffs.shape[1])
+    disc = _discriminants(coeffs)
     # A zero discriminant means gcd(f, f') is a proper factor over Q.
-    done = np.array([d == 0 for d in disc], dtype=bool)
+    done = disc == 0
     seen = [np.zeros(m, dtype=bool) for _ in kinds]
     used = np.zeros(m, dtype=np.int64)
-    witnesses = [()] * m
     for p in CERTIFIER_PRIMES:
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
+        active = active[disc[active] % p != 0]
         codes = batch.types_mod_p(coeffs[active], p)
-        used[active] += codes != len(types)
-        new = np.zeros(active.size, dtype=bool)
+        used[active] += 1
         complete = np.ones(active.size, dtype=bool)
         for kind, flag in zip(kinds, seen):
-            hit = kind[codes] & ~flag[active]
-            flag[active[hit]] = True
-            new |= hit
+            flag[active[kind[codes]]] = True
             complete &= flag[active]
-        for code in witness_codes:
-            witness = ((p, types[code]),)  # one tuple shared by its rows
-            for i in active[new & (codes == code)].tolist():
-                witnesses[i] += witness
         done[active] = complete | (used[active] >= budget)
 
-    certified = np.logical_and.reduce(seen).tolist()
-    irreducible = seen[0].tolist()
-    certs = []
-    for row, d, found, full, irr in zip(coeffs, disc, witnesses, certified, irreducible):
-        if d == 0 or (not irr and _integer_root(row.tolist()) is not None):
-            status = REDUCIBLE
-        elif full:
-            status = SN_CERTIFIED
-        elif irr and is_perfect_square(d):
-            status = AN_CANDIDATE
-        else:
-            status = UNDETERMINED
-        certs.append(GaloisCertificate(status=status, witnesses=found, discriminant=d))
-    return certs
+    status = np.full(m, _UNDETERMINED, dtype=np.int8)
+    status[np.logical_and.reduce(seen)] = _SN
+    irreducible = seen[0]
+    square = np.flatnonzero(irreducible & (status != _SN))
+    status[square[[is_perfect_square(d) for d in disc[square].tolist()]]] = _AN
+    # Only a row without an n-cycle witness can have an integer root.
+    rootless = np.flatnonzero(~irreducible & (disc != 0))
+    rooted = [_has_integer_root(f) for f in coeffs[rootless].tolist()]
+    status[rootless[rooted]] = _REDUCIBLE
+    status[disc == 0] = _REDUCIBLE
+    return status, disc
 
 
 def certified_rows(coeffs, budget):
     """Certify a packed family; its S_n-certified rows, their discriminants, the rest.
 
-    Returns (rows, disc, excluded): the certified rows of coeffs (shape
+    Returns (rows, disc, statuses): the certified rows of coeffs (shape
     (0, n) when none is certified), their discriminants in the same order,
-    and the excluded count.
+    and the number of rows of each status, keyed by STATUSES in order.
     """
-    certs = certify_stream(coeffs, budget)
-    keep = np.array([c.status == SN_CERTIFIED for c in certs], dtype=bool)
-    disc = tuple(c.discriminant for c in compress(certs, keep))
-    return coeffs[keep], disc, len(certs) - len(disc)
+    status, disc = certify(coeffs, budget)
+    keep = status == _SN
+    counts = np.bincount(status, minlength=len(STATUSES)).tolist()
+    return coeffs[keep], disc[keep], dict(zip(STATUSES, counts))
 
 
 def fiber_probability(spec, targets):
     """Empirical probability that a certified f hits all congruence fibers.
 
     targets is a list of (p, FieldPolynomial) pairs with distinct primes;
-    returns (empirical, reference) where reference = 1 / prod(p_i^n).
+    returns (empirical, reference, statuses) where reference =
+    1 / prod(p_i^n) and statuses counts the family's certification
+    statuses as certified_rows does.
     Enforces prod(p_i^n) < 2N, the regime in which the fibers are near
     uniform.
     """
@@ -264,10 +253,10 @@ def fiber_probability(spec, targets):
             "prod p_i^n = %d is not below 2N = %d" % (modulus_power, 2 * big_n)
         )
 
-    coeffs, _disc, _excluded = certified_rows(generate(spec), spec.certifier_prime_budget)
+    coeffs, _disc, statuses = certified_rows(generate(spec), spec.certifier_prime_budget)
     if len(coeffs) == 0:
         raise RegimeError("no certified polynomials in family")
     hit = np.ones(len(coeffs), dtype=bool)
     for p, g in targets:
         hit &= (coeffs % p == np.array(g.coeffs[:-1])).all(axis=1)
-    return int(np.count_nonzero(hit)) / len(coeffs), 1.0 / modulus_power
+    return int(np.count_nonzero(hit)) / len(coeffs), 1.0 / modulus_power, statuses

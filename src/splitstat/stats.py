@@ -4,9 +4,9 @@ Every statistic over the primes up to x takes x alone, any real x >= 0,
 and sieves the primes <= floor(x) it needs; pi(x) is their number.
 Every aggregate runs over the certified subfamily only and reports how
 many polynomials were excluded.  The certified subfamily is its packed
-coefficient rows and their discriminants, both kept from certification,
-so no statistic re-packs a row or recomputes a discriminant.  Exact
-per-prime references come from the splitting-type combinatorics;
+coefficient rows and the array of their discriminants, both kept from
+certification: no statistic re-packs a row or recomputes a discriminant.
+Exact per-prime references come from the splitting-type combinatorics;
 asymptotic constants are never substituted where an exact count is
 available.
 """
@@ -28,15 +28,17 @@ DEFAULT_K_MAX = 6
 
 @dataclass(frozen=True, eq=False)
 class CertifiedFamily:
-    """The certified subfamily of a packed family, plus exclusion count.
+    """The certified subfamily of a packed family, plus its status counts.
 
     coeffs is the (k, n) array of the certified rows in batch.pack format
-    and disc their discriminants, in the same order.
+    and disc the array of their discriminants, in the same order.
+    statuses counts the whole family's rows by certification status,
+    keyed by family.STATUSES in order.
     """
 
     coeffs: np.ndarray
-    disc: tuple
-    excluded: int
+    disc: np.ndarray
+    statuses: dict
     description: str = ""
     # Count profiles by floor(x), filled by _count_profile.
     _profiles: dict = field(default_factory=dict, init=False, repr=False)
@@ -44,11 +46,14 @@ class CertifiedFamily:
     def __len__(self):
         return len(self.coeffs)
 
+    @property
+    def excluded(self):
+        return sum(self.statuses.values()) - len(self)
+
 
 def certify_family(coeffs, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
     """Certify a packed family and keep only its S_n-certified rows."""
-    rows, disc, excluded = family_mod.certified_rows(coeffs, budget)
-    return CertifiedFamily(rows, disc, excluded, description)
+    return CertifiedFamily(*family_mod.certified_rows(coeffs, budget), description)
 
 
 def _require_nonempty(cf):
@@ -282,7 +287,7 @@ def ramified_average(cf, bound):
         raise ValueError("bound must be at least 2")
     _require_nonempty(cf)
     primes = sieve_primes(bound)
-    total = sum(1 for d in cf.disc for p in primes if d % p == 0)
+    total = sum(np.count_nonzero(cf.disc % p == 0) for p in primes)
     reference = math.fsum(1.0 / p for p in primes)
     return total / len(cf), reference
 
@@ -299,10 +304,9 @@ def index_prime_average(cf, bound):
     _require_nonempty(cf)
     primes = sieve_primes(bound)
     total = 0
-    for row, d in zip(cf.coeffs, cf.disc):
-        for p in primes:
-            if d % (p * p) == 0 and not dedekind_is_p_maximal(row.tolist(), p):
-                total += 1
+    for p in primes:
+        for row in cf.coeffs[cf.disc % (p * p) == 0].tolist():
+            total += not dedekind_is_p_maximal(row, p)
     reference = math.fsum(1.0 / (p * p) for p in primes)
     return total / len(cf), reference
 

@@ -1,5 +1,8 @@
 import pytest
 
+from splitstat import stats
+from splitstat.family import FamilySpec, generate
+
 _acceptance_lines = []
 
 
@@ -14,3 +17,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def cubic_box():
+    """The N=50 cubic box of criterion 09 (1,030,301 cubics), certified once."""
+    return stats.certify_family(generate(FamilySpec(n=3, height_bound=50)), budget=25)

@@ -99,9 +99,9 @@ def test_03_second_order_coefficient(acceptance_log):
 def test_04_congruence_fibers(acceptance_log):
     spec = FamilySpec(n=2, height_bound=200)
     g3 = FieldPolynomial.from_list([1, 0, 1], 3)
-    one, ref_one = fiber_probability(spec, [(3, g3)])
+    one, ref_one, _ = fiber_probability(spec, [(3, g3)])
     g5 = FieldPolynomial.from_list([2, 0, 1], 5)
-    two, ref_two = fiber_probability(spec, [(3, g3), (5, g5)])
+    two, ref_two, _ = fiber_probability(spec, [(3, g3), (5, g5)])
     ok = abs(one - ref_one) <= 3 / 200 and abs(two - ref_two) <= 10 / 200
     _report(
         acceptance_log,
@@ -218,14 +218,8 @@ def test_08_dedekind_vs_quadratic_field_rule(acceptance_log):
     )
 
 
-@pytest.fixture(scope="module")
-def exhaustive_cubics():
-    spec = FamilySpec(n=3, height_bound=50)
-    return stats.certify_family(generate(spec), budget=25)
-
-
-def test_09_ramified_prime_average(acceptance_log, exhaustive_cubics):
-    average, reference = stats.ramified_average(exhaustive_cubics, 7)
+def test_09_ramified_prime_average(acceptance_log, cubic_box):
+    average, reference = stats.ramified_average(cubic_box, 7)
     ok = abs(average - reference) <= 0.15 * reference
     _report(
         acceptance_log,

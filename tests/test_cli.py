@@ -141,6 +141,9 @@ def test_fibers_subcommand(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["results"]["reference"] == pytest.approx(1 / 9)
+    statuses = doc["meta"]["statuses"]
+    assert list(statuses) == sorted(family.STATUSES)
+    assert sum(statuses.values()) == 121**2 and statuses["SnCertified"] > 0
 
 
 def test_fibers_outside_regime_exit_code(tmp_path, monkeypatch, capsys):
@@ -319,3 +322,29 @@ def test_regime_warning_nonfatal(tmp_path, capsys):
     )
     assert code == 0
     assert "regime" in capsys.readouterr().err
+
+
+# The N=3 cubic box at budget 25, as test_cubic_certificates_pinned pins it.
+BOX_STATUSES = {"SnCertified": 216, "AnCandidate": 10, "Reducible": 117, "Undetermined": 0}
+
+
+@pytest.mark.parametrize("args", [
+    ["chebotarev", "--x", "100", "--r", "0,0,1"],
+    ["moments", "--x", "100", "--r", "0,0,1", "--k-max", "2"],
+    ["clt", "--x", "300", "--r", "0,0,1"],
+    ["ramified", "--bound", "7"],
+    ["index", "--bound", "7"],
+])
+def test_reports_carry_status_histogram(tmp_path, args):
+    out = tmp_path / "r.json"
+    box = ["--n", "3", "--N", "3", "--budget", "25", "--out", str(out)]
+    assert main(args + box) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["statuses"] == BOX_STATUSES
+    results = doc["results"]
+    if isinstance(results, dict):
+        assert sum(BOX_STATUSES.values()) == results["family_size"] + results["excluded"]
+    csv_out = tmp_path / "r.csv"
+    assert main(args + box[:-1] + [str(csv_out), "--format", "csv"]) == 0
+    meta = [l for l in csv_out.read_text().splitlines() if l.startswith("# statuses=")]
+    assert [json.loads(l.split("=", 1)[1]) for l in meta] == [BOX_STATUSES]

@@ -10,13 +10,16 @@ from splitstat import batch, fppoly
 from splitstat.errors import RegimeError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
+    CERTIFIER_PRIMES,
     EXHAUSTIVE_BUDGET,
     REDUCIBLE,
     SN_CERTIFIED,
+    STATUSES,
     UNDETERMINED,
     FamilySpec,
+    _discriminants,
     certified_rows,
-    certify_stream,
+    certify,
     fiber_probability,
     generate,
 )
@@ -32,7 +35,47 @@ KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
 
 
 def _certify(row, budget=25):
-    return certify_stream(batch.pack([row]), budget)[0]
+    """The status of one row, certified alone."""
+    status, _disc = certify(batch.pack([row]), budget)
+    return STATUSES[status[0]]
+
+
+def _status_counts(status):
+    """Rows per status, in STATUSES order."""
+    return tuple(np.bincount(status, minlength=len(STATUSES)).tolist())
+
+
+def _oracle_cycle_kinds(row, budget):
+    """The cycle kinds the oracle's reductions show within the budget.
+
+    Scans CERTIFIER_PRIMES, spending `budget` primes at which the row is
+    squarefree, as the certifier does: "n" for an n-cycle, "2" for a type
+    with one 2-cycle and every other cycle odd (a transposition-generating
+    type), "n-1" for a fixed point and an (n-1)-cycle.
+    """
+    n = len(row)
+    kinds = set()
+    spent = 0
+    for p in CERTIFIER_PRIMES:
+        if spent == budget:
+            break
+        r = fppoly.splitting_type_mod_p(row, p)
+        if r is None:
+            continue
+        spent += 1
+        if r[n - 1] == 1:
+            kinds.add("n")
+        if n >= 2 and r[1] == 1 and all(r[i - 1] == 0 for i in range(4, n + 1, 2)):
+            kinds.add("2")
+        if n >= 3 and r[0] == 1 and r[n - 2] == 1:
+            kinds.add("n-1")
+    return kinds
+
+
+def _required_kinds(n):
+    """The kinds that prove S_n: an (n-1)-cycle as well when n is composite."""
+    composite = any(n % q == 0 for q in range(2, n))
+    return {"n", "2", "n-1"} if composite else {"n", "2"}
 
 
 def _oracle_codes(rows, p):
@@ -93,43 +136,75 @@ def test_generate_sampled_deterministic():
 
 def test_certify_empty_family():
     empty = np.zeros((0, 3), dtype=np.int64)
-    assert certify_stream(empty, 25) == []
-    rows, disc, excluded = certified_rows(empty, 25)
-    assert rows.shape == (0, 3) and disc == () and excluded == 0
+    status, disc = certify(empty, 25)
+    assert status.shape == (0,) and disc.shape == (0,)
+    rows, disc, statuses = certified_rows(empty, 25)
+    assert rows.shape == (0, 3) and disc.size == 0
+    assert statuses == dict.fromkeys(STATUSES, 0)
+
+
+def test_certify_linear_family():
+    # X + a: disc 1 (a square) and an n-cycle at every prime, but never a
+    # transposition, so every row is AnCandidate.
+    coeffs = generate(FamilySpec(n=1, height_bound=3))
+    status, disc = certify(coeffs, 25)
+    assert [STATUSES[s] for s in status.tolist()] == [AN_CANDIDATE] * 7
+    assert disc.tolist() == [1] * 7
 
 
 def test_certify_examples():
-    assert _certify((-1, -1, 0)).status == SN_CERTIFIED
-    assert _certify((-1, -3, 0)).status == AN_CANDIDATE
+    assert _certify((-1, -1, 0)) == SN_CERTIFIED
+    assert _certify((-1, -3, 0)) == AN_CANDIDATE
     # Reducible by an integer root: X^2 - 1, and (X + 3)(X^2 + 1)
-    assert _certify((-1, 0)).status == REDUCIBLE
-    assert _certify((3, 1, 3)).status == REDUCIBLE
+    assert _certify((-1, 0)) == REDUCIBLE
+    assert _certify((3, 1, 3)) == REDUCIBLE
     # X^3 (disc 0) is reducible via the gcd argument
-    assert _certify((0, 0, 0)).status == REDUCIBLE
+    assert _certify((0, 0, 0)) == REDUCIBLE
 
 
 def test_certificate_witnesses_are_sound():
-    cert = _certify((-1, -1, 0))
-    for p, r in cert.witnesses:
-        assert fppoly.splitting_type_mod_p((-1, -1, 0), p) == r
+    # Every S_n-certified row shows every required cycle kind at the
+    # oracle's reductions within the budget.
+    assert _oracle_cycle_kinds((-1, -1, 0), 25) >= {"n", "2"}
+    for n, height in [(2, 4), (3, 3)]:
+        coeffs = generate(FamilySpec(n=n, height_bound=height))
+        for budget in (1, 2, 5, 25):
+            status, _disc = certify(coeffs, budget)
+            for row, code in zip(coeffs.tolist(), status.tolist()):
+                if STATUSES[code] == SN_CERTIFIED:
+                    assert _oracle_cycle_kinds(row, budget) >= _required_kinds(n), (row, budget)
 
 
 def test_no_false_certificates_small_cubics():
     coeffs = generate(FamilySpec(n=3, height_bound=6))
-    for row, cert in zip(coeffs.tolist(), certify_stream(coeffs, 25)):
-        d = discriminant(row)
-        if cert.status == SN_CERTIFIED:
+    status, disc = certify(coeffs, 25)
+    for row, code, d in zip(coeffs.tolist(), status.tolist(), disc.tolist()):
+        assert d == discriminant(row)
+        if STATUSES[code] == SN_CERTIFIED:
             assert not is_perfect_square(d)
-        elif cert.status == AN_CANDIDATE:
+        elif STATUSES[code] == AN_CANDIDATE:
             assert is_perfect_square(d)
 
 
-def test_certified_fraction_floor():
-    spec = FamilySpec(n=3, height_bound=50)
-    coeffs = generate(spec)
-    certs = certify_stream(coeffs, 25)
-    frac = sum(1 for c in certs if c.status == SN_CERTIFIED) / len(coeffs)
+def test_certified_fraction_floor(cubic_box):
+    frac = len(cubic_box) / (len(cubic_box) + cubic_box.excluded)
+    assert len(cubic_box) + cubic_box.excluded == 101**3
     assert frac >= 0.95
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_column_discriminants_match_rows(n):
+    # int64 closed forms up to |c| = 2^15; one coefficient beyond, or rows
+    # at the kernels' height bound, switch the family to Python ints.
+    edge = 2**15
+    for top, dtype in [(edge, np.int64), (edge + 1, object), (TOP, object)]:
+        values = (top, -top, top - 1, 1 - top, 0, 1, -1)
+        rows = list(product(values, repeat=n))
+        coeffs = batch.pack(rows)
+        disc = _discriminants(coeffs)
+        if n > 1:
+            assert disc.dtype == dtype, top
+        assert disc.tolist() == [discriminant(list(row)) for row in rows], top
 
 
 def _lift(c, p, sign):
@@ -225,15 +300,25 @@ def test_cubic_kernel_half_modulus_residues(p):
 
 
 def _scalar_certify(row, budget):
-    """Certify one row alone, through the object-dtype (scalar) path."""
+    """Certify one row alone, through the object-dtype (scalar) path.
+
+    Returns its (status code, discriminant).
+    """
     big = (2**62,) + (1,) * (len(row) - 1)
-    return certify_stream(batch.pack([tuple(row), big]), budget)[0]
+    status, disc = certify(batch.pack([tuple(row), big]), budget)
+    return status[0], disc[0]
+
+
+def _certify_pairs(coeffs, budget):
+    """(status code, discriminant) of every row, certified together."""
+    status, disc = certify(coeffs, budget)
+    return list(zip(status.tolist(), disc.tolist()))
 
 
 def test_bulk_certification_matches_scalar():
     spec = FamilySpec(n=3, height_bound=4)
     coeffs = generate(spec)
-    bulk = certify_stream(coeffs, 25)
+    bulk = _certify_pairs(coeffs, 25)
     scalar = [_scalar_certify(row, 25) for row in coeffs.tolist()]
     assert bulk == scalar
 
@@ -242,7 +327,7 @@ def test_bulk_certification_matches_scalar_tight_budget():
     spec = FamilySpec(n=3, height_bound=3)
     coeffs = generate(spec)
     for budget in (1, 2, 5):
-        assert certify_stream(coeffs, budget) == [
+        assert _certify_pairs(coeffs, budget) == [
             _scalar_certify(row, budget) for row in coeffs.tolist()
         ]
 
@@ -258,11 +343,11 @@ def test_kernel_and_scalar_certification_agree(n, height):
     big = (2**62,) + (1,) * (n - 1)
     assert batch.pack(rows).dtype == np.int64
     for budget in (1, 2, 5, 25):
-        kernel = certify_stream(batch.pack(rows), budget)
-        scalar = certify_stream(batch.pack(rows + [big]), budget)
+        kernel = _certify_pairs(batch.pack(rows), budget)
+        scalar = _certify_pairs(batch.pack(rows + [big]), budget)
         assert kernel == scalar[:-1], budget
     if n == 3:
-        assert kernel[-1].status == REDUCIBLE
+        assert STATUSES[kernel[-1][0]] == REDUCIBLE
 
 
 def test_cubic_certificates_pinned():
@@ -273,24 +358,25 @@ def test_cubic_certificates_pinned():
         5: (214, 10, 117, 2),
         25: (216, 10, 117, 0),
     }
+    assert STATUSES == (SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)
     for budget, counts in expected.items():
-        statuses = [c.status for c in certify_stream(coeffs, budget)]
-        assert tuple(statuses.count(s) for s in (
-            SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)) == counts, budget
+        status, _disc = certify(coeffs, budget)
+        assert _status_counts(status) == counts, budget
 
 
 def test_composite_degree_needs_long_cycle():
     # Galois group D4: transitive, with a 4-cycle and a transposition.
     for a0 in (-2, 2, -3, 3):
-        assert _certify((a0, 0, 0, 0)).status != SN_CERTIFIED
-    cert = _certify((-1, -1, 0, 0))  # X^4 - X - 1, S_4
-    assert cert.status == SN_CERTIFIED
-    kinds = {r for _p, r in cert.witnesses}
-    assert (0, 0, 0, 1) in kinds and (1, 0, 1, 0) in kinds
+        assert _certify((a0, 0, 0, 0)) != SN_CERTIFIED
+    assert _certify((-1, -1, 0, 0)) == SN_CERTIFIED  # X^4 - X - 1, S_4
+    assert _oracle_cycle_kinds((-1, -1, 0, 0), 25) == {"n", "2", "n-1"}
     coeffs = generate(FamilySpec(n=4, height_bound=3))
-    statuses = [c.status for c in certify_stream(coeffs, 25)]
-    assert (statuses.count(SN_CERTIFIED), statuses.count(REDUCIBLE),
-            statuses.count(UNDETERMINED)) == (1382, 731, 288)
+    status, _disc = certify(coeffs, 25)
+    sn, _an, reducible, undetermined = _status_counts(status)
+    assert (sn, reducible, undetermined) == (1382, 731, 288)
+    for row, code in zip(coeffs.tolist(), status.tolist()):
+        if STATUSES[code] == SN_CERTIFIED:
+            assert _oracle_cycle_kinds(row, 25) >= _required_kinds(4), row
 
 
 def test_batch_kernel_matches_scalar():
@@ -307,7 +393,8 @@ def test_batch_kernel_matches_scalar():
 def test_fiber_probability_single_target():
     spec = FamilySpec(n=2, height_bound=200)
     g = FieldPolynomial.from_list([1, 0, 1], 3)  # X^2 + 1 mod 3
-    empirical, reference = fiber_probability(spec, [(3, g)])
+    empirical, reference, statuses = fiber_probability(spec, [(3, g)])
+    assert sum(statuses.values()) == spec.size
     assert reference == pytest.approx(1 / 9)
     assert abs(empirical - 1 / 9) <= 3 / 200
 
@@ -316,7 +403,7 @@ def test_fiber_probability_two_targets():
     spec = FamilySpec(n=2, height_bound=200)
     g3 = FieldPolynomial.from_list([1, 0, 1], 3)
     g5 = FieldPolynomial.from_list([2, 0, 1], 5)
-    empirical, reference = fiber_probability(spec, [(3, g3), (5, g5)])
+    empirical, reference, _statuses = fiber_probability(spec, [(3, g3), (5, g5)])
     assert reference == pytest.approx(1 / 225)
     assert abs(empirical - 1 / 225) <= 10 / 200
 
@@ -341,5 +428,4 @@ def test_fiber_probability_rejects_bad_targets():
 def test_undetermined_is_possible():
     # X^4 + 1 is irreducible over Q but reducible mod every prime:
     # no irreducible witness exists, and no integer root either.
-    cert = _certify((1, 0, 0, 0))
-    assert cert.status == UNDETERMINED
+    assert _certify((1, 0, 0, 0)) == UNDETERMINED

@@ -7,7 +7,7 @@ import pytest
 
 from splitstat import batch, stats
 from splitstat.errors import EmptyFamilyError
-from splitstat.family import SN_CERTIFIED, FamilySpec, certify_stream, generate
+from splitstat.family import SN_CERTIFIED, STATUSES, FamilySpec, certify, generate
 from splitstat.primes import sieve_primes
 from splitstat.splittypes import delta, enumerate_types, gaussian_moment
 from splitstat.stats import (
@@ -67,16 +67,19 @@ def test_certify_family_counts_exclusions():
     assert len(cf) > 0
     # The family keeps the certified rows, in stream order, and their
     # discriminants from certification.
+    status, _disc = certify(coeffs, 25)
     kept = [
         tuple(row)
-        for row, c in zip(coeffs.tolist(), certify_stream(coeffs, 25))
-        if c.status == SN_CERTIFIED
+        for row, code in zip(coeffs.tolist(), status.tolist())
+        if STATUSES[code] == SN_CERTIFIED
     ]
     assert cf.coeffs.shape == (len(cf), 3)
     assert [tuple(row) for row in cf.coeffs.tolist()] == kept
-    assert cf.disc == tuple(discriminant(row) for row in kept)
+    assert cf.disc.tolist() == [discriminant(row) for row in kept]
+    assert sum(cf.statuses.values()) == len(coeffs)
+    assert cf.statuses[SN_CERTIFIED] == len(cf)
     none = certify_family(batch.pack([(-1, 0)]))
-    assert none.coeffs.shape == (0, 2) and none.disc == () and none.excluded == 1
+    assert none.coeffs.shape == (0, 2) and none.disc.size == 0 and none.excluded == 1
 
 
 def test_empty_family_error():
@@ -85,11 +88,11 @@ def test_empty_family_error():
         family_chebotarev_mean(cf, (2, 0), 100)
 
 
-def test_family_indicator_moments():
+def test_family_indicator_moments(cubic_box):
     single = certify_family(batch.pack([(-1, -1, 0)]))
     mean, variance, reference = family_indicator_moments(single, (0, 0, 1), 2)
     assert mean == 1 and variance == 0
-    cf = certify_family(generate(FamilySpec(n=3, height_bound=50)))
+    cf = cubic_box
     mean, variance, reference = family_indicator_moments(cf, (1, 1, 0), 5)
     assert reference == pytest.approx(50 / 125)
     assert abs(mean - 0.4) <= 0.02
@@ -187,7 +190,7 @@ def test_clt_report_structure_and_determinism():
     assert len(rep1.clt_sample) == len(cf)
     # order invariance of the aggregate
     shuffled = stats.CertifiedFamily(
-        coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], excluded=cf.excluded
+        coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], statuses=cf.statuses
     )
     rep3 = clt_report(shuffled, (0, 0, 1), 2000)
     assert rep3.ks_distance == pytest.approx(rep1.ks_distance)
