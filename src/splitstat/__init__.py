@@ -10,5 +10,4 @@ from .errors import (  # noqa: F401
     ResourceLimitError,
     SplitstatError,
 )
-from .fppoly import FieldPolynomial  # noqa: F401
 from .primes import sieve_primes  # noqa: F401

@@ -20,7 +20,6 @@ import sys
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
 from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, fiber_probability, generate
-from .fppoly import FieldPolynomial
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
@@ -83,7 +82,9 @@ def _parse_target(text, n):
         raise ConfigError("field target: expected p:a_0,...,a_{n-1}, got %r" % text)
     if len(coeffs) != n:
         raise ConfigError("field target: need %d coefficients" % n)
-    return p, FieldPolynomial.from_list(coeffs + [1], p)
+    if p < 2:
+        raise ConfigError("field target: modulus %d is below 2" % p)
+    return p, tuple(c % p for c in coeffs)
 
 
 def _family_spec(args):
@@ -105,13 +106,14 @@ def _family_spec(args):
 
 
 def _regime_warning(x, big_n):
-    if big_n < 16:
+    # In logarithms, since math.log takes an N of any size and float(N) does not.
+    if big_n < 16 or x <= 0:
         return
-    threshold = float(big_n) ** (1.0 / math.log(math.log(float(big_n))))
-    if x > threshold:
+    log_threshold = math.log(big_n) / math.log(math.log(big_n))
+    if math.log(x) > log_threshold:
         sys.stderr.write(
             "warning: x=%g exceeds N^(1/loglog N)=%.1f; outside the stated regime\n"
-            % (x, threshold)
+            % (x, math.exp(log_threshold))
         )
 
 
@@ -207,7 +209,7 @@ def run_counts(args):
 def run_fibers(args):
     spec = _family_spec(args)
     targets = [_parse_target(t, args.n) for t in args.target]
-    power = math.prod(p**args.n for p, _g in targets)
+    power = math.prod(p**args.n for p, _row in targets)
     if power >= 2 * spec.height_bound:
         raise ConfigError("field target: prod p_i^n = %d is not below 2N" % power)
     empirical, reference, statuses = fiber_probability(spec, targets)

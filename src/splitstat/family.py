@@ -11,7 +11,7 @@ when reduction witnesses prove it, and every other row is excluded.
 import hashlib
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -231,23 +231,24 @@ def certified_rows(coeffs, budget):
 def fiber_probability(spec, targets):
     """Empirical probability that a certified f hits all congruence fibers.
 
-    targets is a list of (p, FieldPolynomial) pairs with distinct primes;
-    returns (empirical, reference, statuses) where reference =
-    1 / prod(p_i^n) and statuses counts the family's certification
-    statuses as certified_rows does.
-    Enforces prod(p_i^n) < 2N, the regime in which the fibers are near
-    uniform.
+    targets is a list of (p, residues) pairs: f = (a_0, ..., a_{n-1}) hits
+    the fiber when a_i = residues[i] mod p for every i, with the residues
+    in [0, p).  The moduli must be at least 2 and pairwise coprime, so the
+    fibers meet as the Chinese remainder theorem says.  Returns
+    (empirical, reference, statuses) where reference = 1 / prod(p_i^n) and
+    statuses counts the family's certification statuses as certified_rows
+    does.  Enforces prod(p_i^n) < 2N, the regime in which the fibers are
+    near uniform.
     """
     n, big_n = spec.n, spec.height_bound
-    primes = [p for p, _g in targets]
-    if len(set(primes)) != len(primes):
-        raise ValueError("target primes must be distinct")
-    for p, g in targets:
-        if g.p != p or g.degree != n or not g.is_monic:
-            raise ValueError("each target must be monic of degree n over its prime")
-    modulus_power = 1
-    for p in primes:
-        modulus_power *= p**n
+    moduli = [p for p, _row in targets]
+    for i, p in enumerate(moduli):
+        if p < 2 or any(gcd(p, q) > 1 for q in moduli[:i]):
+            raise ValueError("target moduli must be at least 2 and pairwise coprime")
+    for p, row in targets:
+        if len(row) != n or not all(0 <= c < p for c in row):
+            raise ValueError("each target must be n residues in [0, p)")
+    modulus_power = prod(p**n for p in moduli)
     if modulus_power >= 2 * big_n:
         raise RegimeError(
             "prod p_i^n = %d is not below 2N = %d" % (modulus_power, 2 * big_n)
@@ -257,6 +258,6 @@ def fiber_probability(spec, targets):
     if len(coeffs) == 0:
         raise RegimeError("no certified polynomials in family")
     hit = np.ones(len(coeffs), dtype=bool)
-    for p, g in targets:
-        hit &= (coeffs % p == np.array(g.coeffs[:-1])).all(axis=1)
+    for p, row in targets:
+        hit &= (coeffs % p == np.array(row)).all(axis=1)
     return int(np.count_nonzero(hit)) / len(coeffs), 1.0 / modulus_power, statuses

@@ -1,71 +1,26 @@
-"""Arithmetic and factorization of monic polynomials over prime fields.
+"""Arithmetic over prime fields, and the splitting type of f mod p.
 
-Polynomials over GF(p) are coefficient lists in ascending degree order,
-all entries reduced into [0, p).  The empty list is the zero polynomial.
-The public API wraps these lists in the immutable FieldPolynomial type;
-the list-based helpers are kept module-private for speed.  A monic integer
-polynomial is its coefficient row (a_0, ..., a_{n-1}) with an implicit
-leading 1, as in zpoly; splitting_type_mod_p reduces that row itself.
+A polynomial over GF(p) is one list of coefficients in ascending degree
+order, all entries reduced into [0, p); the empty list is the zero
+polynomial.  A monic integer polynomial is its coefficient row
+(a_0, ..., a_{n-1}) with an implicit leading 1, as in zpoly;
+splitting_type_mod_p reduces that row itself.  The routines work on
+Python integers, so they take any prime, including those above the
+float64 kernels of batch.
 """
 
-import random
-from dataclasses import dataclass
 from itertools import product, zip_longest
 from operator import mul
 
 from .errors import ResourceLimitError
 
-# FieldPolynomial moduli stay below this bound; the scalar routines here
-# use Python integers.  The float64 kernels of batch stop at
-# batch.MAX_KERNEL_PRIME = 2^20, which keeps their reduced sums below 2^44
-# of the 2^53 that float64 holds exactly, and call these routines above it.
-MAX_MODULUS = 2**31
-
 ENUMERATION_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class FieldPolynomial:
-    """Polynomial over GF(p); coefficients ascending, trailing zeros trimmed."""
-
-    p: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.p < 2 or self.p >= MAX_MODULUS:
-            raise ValueError("modulus out of supported range")
-        if self.coeffs and self.coeffs[-1] % self.p == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced into [0, p)")
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @classmethod
-    def from_list(cls, coeffs, p):
-        return cls(p=p, coeffs=tuple(_trim([c % p for c in coeffs])))
 
 
 def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def _sub(a, b, p):
@@ -124,18 +79,6 @@ def _gcd(a, b, p):
 
 def _deriv(a, p):
     return _trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _pow_mod(base, e, mod, p):
-    """base^e modulo the polynomial mod, over GF(p)."""
-    result = [1]
-    base = _mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _mod(_mul(result, base, p), mod, p)
-        base = _mod(_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
 
 
 def _pth_root(a, p):
@@ -231,38 +174,6 @@ def _distinct_degree(f, p):
     return out
 
 
-def _equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus splitting of f, a product of irreducibles of degree d."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        t = [rng.randrange(p) for _ in range(n)]
-        t.append(1)  # monic of degree n, always nonconstant
-        if p == 2:
-            trace = list(t)
-            sq = list(t)
-            for _ in range(d - 1):
-                sq = _mod(_mul(sq, sq, p), f, p)
-                trace = _add(trace, sq, p)
-            g = _gcd(f, trace, p)
-        else:
-            e = (p**d - 1) // 2
-            g = _gcd(f, _sub(_pow_mod(t, e, f, p), [1], p), p)
-        if 1 <= len(g) - 1 < n:
-            left = _equal_degree(g, d, p, rng)
-            right = _equal_degree(_divmod(f, g, p)[0], d, p, rng)
-            return left + right
-
-
-def is_squarefree_mod_p(g):
-    """True iff gcd(g, g') = 1 over GF(p)."""
-    if not g.coeffs:
-        raise ValueError("zero polynomial")
-    a = list(g.coeffs)
-    return len(_gcd(a, _deriv(a, g.p), g.p)) == 1
-
-
 def splitting_type_mod_p(f, p):
     """Splitting type of f mod p, or None when the reduction is not squarefree.
 
@@ -282,27 +193,6 @@ def _reduced_type(a, p):
     for part, d in _distinct_degree(a, p):
         r[d - 1] = (len(part) - 1) // d
     return tuple(r)
-
-
-def full_factor_mod_p(g, rng_seed):
-    """Complete factorization of a monic nonzero g into irreducibles.
-
-    Returns a list of (FieldPolynomial, multiplicity) pairs in canonical
-    order (degree, then coefficient tuple); deterministic for a fixed seed.
-    """
-    if not g.coeffs:
-        raise ValueError("zero polynomial")
-    if not g.is_monic:
-        raise ValueError("polynomial must be monic")
-    p = g.p
-    rng = random.Random(rng_seed)
-    factors = []
-    for sqf, mult in _squarefree_decomposition(list(g.coeffs), p):
-        for part, d in _distinct_degree(sqf, p):
-            for irr in _equal_degree(part, d, p, rng):
-                factors.append((FieldPolynomial(p=p, coeffs=tuple(irr)), mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return factors
 
 
 def enumerate_class_counts(p, n, budget=ENUMERATION_BUDGET):

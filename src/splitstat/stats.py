@@ -99,10 +99,11 @@ def _count_profile(cf, x):
             and primes[-1] < batch.MAX_KERNEL_PRIME):
         matrix = batch.cubic_count_matrix(coeffs, primes)
     else:
+        # Rows with p | disc(f) are not squarefree mod p; their column is never read.
         matrix = np.zeros((len(coeffs), len(types) + 1), dtype=np.int64)
-        rows = np.arange(len(coeffs))
         for p in primes:
-            matrix[rows, batch.types_mod_p(coeffs, p)] += 1
+            rows = np.flatnonzero(cf.disc % p != 0)
+            matrix[rows, batch.types_mod_p(coeffs[rows], p)] += 1
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
     cf._profiles[key] = counts
     return counts

@@ -9,7 +9,7 @@ import pytest
 
 from splitstat import stats
 from splitstat.family import FamilySpec, fiber_probability, generate
-from splitstat.fppoly import FieldPolynomial, enumerate_class_counts
+from splitstat.fppoly import enumerate_class_counts
 from splitstat.primes import sieve_primes
 from splitstat.splittypes import (
     class_count,
@@ -98,10 +98,8 @@ def test_03_second_order_coefficient(acceptance_log):
 
 def test_04_congruence_fibers(acceptance_log):
     spec = FamilySpec(n=2, height_bound=200)
-    g3 = FieldPolynomial.from_list([1, 0, 1], 3)
-    one, ref_one, _ = fiber_probability(spec, [(3, g3)])
-    g5 = FieldPolynomial.from_list([2, 0, 1], 5)
-    two, ref_two, _ = fiber_probability(spec, [(3, g3), (5, g5)])
+    one, ref_one, _ = fiber_probability(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
+    two, ref_two, _ = fiber_probability(spec, [(3, (1, 0)), (5, (2, 0))])  # and X^2 + 2 mod 5
     ok = abs(one - ref_one) <= 3 / 200 and abs(two - ref_two) <= 10 / 200
     _report(
         acceptance_log,

@@ -161,6 +161,23 @@ def test_fibers_outside_regime_exit_code(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("targets", [
+    ["0:1,1"],  # a modulus below 2
+    ["4:1,1", "2:1,1"],  # gcd 2: the reference 1/prod p_i^n would be wrong
+])
+def test_fibers_bad_moduli_exit_code(tmp_path, monkeypatch, capsys, targets):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before refusing the targets")
+
+    monkeypatch.setattr(family, "generate", generate)
+    argv = ["fibers", "--n", "2", "--N", "100", "--out", str(tmp_path / "fib.json")]
+    for target in targets:
+        argv += ["--target", target]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ansplit_subcommand(tmp_path):
     out = tmp_path / "ansplit.json"
     assert main(["ansplit", "--n", "4", "--out", str(out)]) == 0
@@ -322,6 +339,20 @@ def test_regime_warning_nonfatal(tmp_path, capsys):
     )
     assert code == 0
     assert "regime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["chebotarev", "--n", "2", "--x", "100", "--r", "2,0"],
+    ["ramified", "--n", "3", "--bound", "7"],
+    ["index", "--n", "3", "--bound", "7"],
+])
+def test_heights_beyond_floats(tmp_path, args):
+    # N = 10^400 overflows a float; the regime check works in logarithms.
+    out = tmp_path / "big.json"
+    big = ["--N", str(10**400), "--mode", "sampled", "--sample-size", "200",
+           "--out", str(out)]
+    assert main(args + big) == 0
+    assert json.loads(out.read_text())["config"]["N"] == str(10**400)
 
 
 # The N=3 cubic box at budget 25, as test_cubic_certificates_pinned pins it.

@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from splitstat import batch, fppoly
+from splitstat import batch, family, fppoly
 from splitstat.errors import RegimeError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
@@ -23,7 +23,6 @@ from splitstat.family import (
     fiber_probability,
     generate,
 )
-from splitstat.fppoly import FieldPolynomial
 from splitstat.primes import sieve_primes
 from splitstat.splittypes import class_count, enumerate_types
 from splitstat.zpoly import discriminant, is_perfect_square
@@ -392,8 +391,7 @@ def test_batch_kernel_matches_scalar():
 
 def test_fiber_probability_single_target():
     spec = FamilySpec(n=2, height_bound=200)
-    g = FieldPolynomial.from_list([1, 0, 1], 3)  # X^2 + 1 mod 3
-    empirical, reference, statuses = fiber_probability(spec, [(3, g)])
+    empirical, reference, statuses = fiber_probability(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
     assert sum(statuses.values()) == spec.size
     assert reference == pytest.approx(1 / 9)
     assert abs(empirical - 1 / 9) <= 3 / 200
@@ -401,28 +399,41 @@ def test_fiber_probability_single_target():
 
 def test_fiber_probability_two_targets():
     spec = FamilySpec(n=2, height_bound=200)
-    g3 = FieldPolynomial.from_list([1, 0, 1], 3)
-    g5 = FieldPolynomial.from_list([2, 0, 1], 5)
-    empirical, reference, _statuses = fiber_probability(spec, [(3, g3), (5, g5)])
+    empirical, reference, _statuses = fiber_probability(spec, [(3, (1, 0)), (5, (2, 0))])
     assert reference == pytest.approx(1 / 225)
     assert abs(empirical - 1 / 225) <= 10 / 200
 
 
 def test_fiber_probability_regime_error():
     spec = FamilySpec(n=2, height_bound=4)
-    g = FieldPolynomial.from_list([1, 0, 1], 3)
     with pytest.raises(RegimeError):
-        fiber_probability(spec, [(3, g)])
+        fiber_probability(spec, [(3, (1, 0))])
 
 
-def test_fiber_probability_rejects_bad_targets():
+def test_fiber_probability_rejects_bad_targets(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before refusing the targets")
+
+    monkeypatch.setattr(family, "generate", generate)
     spec = FamilySpec(n=2, height_bound=200)
-    g = FieldPolynomial.from_list([1, 0, 1], 3)
-    with pytest.raises(ValueError):
-        fiber_probability(spec, [(3, g), (3, g)])
-    wrong_degree = FieldPolynomial.from_list([1, 1], 3)
-    with pytest.raises(ValueError):
-        fiber_probability(spec, [(3, wrong_degree)])
+    for targets in [
+        [(3, (1, 0)), (3, (1, 0))],  # the same prime twice
+        [(4, (1, 1)), (2, (1, 1))],  # gcd 2: the fibers are not independent
+        [(0, (1, 1))],
+        [(1, (0, 0))],
+        [(3, (1, 1, 0))],  # wrong length
+        [(3, (1, 3))],  # residue not reduced
+    ]:
+        with pytest.raises(ValueError):
+            fiber_probability(spec, targets)
+
+
+def test_fiber_probability_coprime_composite_moduli():
+    # 4 and 9 are coprime, so the reference 1/(4*9)^2 still holds.
+    spec = FamilySpec(n=2, height_bound=800)
+    empirical, reference, _statuses = fiber_probability(spec, [(4, (1, 1)), (9, (2, 0))])
+    assert reference == 1 / 36**2
+    assert abs(empirical - reference) <= 10 / 800
 
 
 def test_undetermined_is_possible():

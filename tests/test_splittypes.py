@@ -1,11 +1,11 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import mpmath
 import pytest
 
-from splitstat.fppoly import enumerate_class_counts
+from splitstat.fppoly import _divmod, enumerate_class_counts
 from splitstat.splittypes import (
     class_count,
     class_size,
@@ -55,16 +55,13 @@ def test_class_size():
 
 
 def _brute_irreducible_count(p, k):
-    from splitstat.fppoly import FieldPolynomial, full_factor_mod_p
-    from itertools import product
-
-    count = 0
-    for tail in product(range(p), repeat=k):
-        g = FieldPolynomial(p=p, coeffs=tuple(tail) + (1,))
-        factors = full_factor_mod_p(g, 0)
-        if len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == k:
-            count += 1
-    return count
+    """Monic degree-k polynomials mod p with no monic divisor of degree 1..k/2."""
+    divisors = [list(tail) + [1] for d in range(1, k // 2 + 1)
+                for tail in product(range(p), repeat=d)]
+    return sum(
+        all(_divmod(list(tail) + [1], g, p)[1] for g in divisors)
+        for tail in product(range(p), repeat=k)
+    )
 
 
 def test_irreducible_count():

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from splitstat import batch, stats
+from splitstat import batch, fppoly, stats
 from splitstat.errors import EmptyFamilyError
 from splitstat.family import SN_CERTIFIED, STATUSES, FamilySpec, certify, generate
 from splitstat.primes import sieve_primes
@@ -213,6 +213,29 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
     assert calls == [len(sieve_primes(300))]
     family_centered_moment(cf, r, 300.5, 2)  # same floor(x): no new matrix
     assert len(calls) == 1
+
+
+def test_count_profile_skips_ramified_rows(monkeypatch):
+    # Degree 4 takes the generic path: the oracle never sees a row with p | disc(f).
+    cf = certify_family(generate(FamilySpec(n=4, height_bound=2)))
+    x = 50
+    primes = sieve_primes(x)
+    assert any(d % p == 0 for d in cf.disc for p in primes)
+    calls = []
+    oracle = fppoly.splitting_type_mod_p
+
+    def wrapped(f, p):
+        calls.append((f, p))
+        return oracle(f, p)
+
+    monkeypatch.setattr(fppoly, "splitting_type_mod_p", wrapped)
+    counts = stats._count_profile(cf, x)
+    assert calls and all(discriminant(f) % p != 0 for f, p in calls)
+    monkeypatch.undo()
+    for i in range(0, len(cf), 25):
+        f = tuple(cf.coeffs[i].tolist())
+        for r, column in counts.items():
+            assert column[i] == prime_splitting_count(f, r, x)
 
 
 def test_clt_report_preconditions():

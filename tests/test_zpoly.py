@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from splitstat.errors import ReduciblePolynomialError
-from splitstat.fppoly import FieldPolynomial, is_squarefree_mod_p
+from splitstat.fppoly import splitting_type_mod_p
 from splitstat.zpoly import (
     dedekind_is_p_maximal,
     discriminant,
@@ -80,8 +80,7 @@ def test_discriminant_zero_iff_nonsquarefree_mod_p():
         f = tuple(rng.randrange(-20, 21) for _ in range(n))
         d = discriminant(f)
         for p in primes:
-            fbar = FieldPolynomial.from_list(list(f) + [1], p)
-            assert (d % p == 0) == (not is_squarefree_mod_p(fbar))
+            assert (d % p == 0) == (splitting_type_mod_p(f, p) is None)
 
 
 def test_hadamard_style_bound():
