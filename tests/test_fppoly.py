@@ -4,11 +4,37 @@ import pytest
 
 from splitstat.errors import ResourceLimitError
 from splitstat.fppoly import (
+    _deriv,
+    _gcd,
     _mul,
+    _reduced_type,
     _squarefree_decomposition,
     enumerate_class_counts,
     splitting_type_mod_p,
 )
+
+
+def test_reduce_mod_p():
+    # A monic integer row (a_0, ..., a_{n-1}) reduces with its implicit leading 1.
+    f = (-1, -1, 0)  # X^3 - X - 1
+    assert splitting_type_mod_p(f, 2) == _reduced_type([1, 1, 0, 1], 2)  # X^3 + X + 1
+    g = (6, 4)  # X^2 + 4X + 6
+    assert splitting_type_mod_p(g, 2) == _reduced_type([0, 0, 1], 2)  # X^2
+    h = (100, 100, 0)  # X^3 + 100X + 100
+    assert splitting_type_mod_p(h, 5) == _reduced_type([0, 0, 0, 1], 5)  # X^3
+    p = 2**31 - 1  # p = 1 mod 3: X^3 + 1 has three roots
+    assert splitting_type_mod_p((1 - p, p, -p), p) == _reduced_type([1, 0, 0, 1], p) == (3, 0, 0)
+
+
+def test_is_squarefree():
+    # The type is None exactly when gcd(f, f') mod p is not 1.
+    cases = [((1, 1), 2, True), ((0, 0), 2, False), ((0, -1, 0), 3, True)]
+    for f, p, squarefree in cases:
+        a = [c % p for c in f] + [1]
+        assert (len(_gcd(a, _deriv(a, p), p)) == 1) is squarefree
+        assert (splitting_type_mod_p(f, p) is not None) is squarefree
+    assert splitting_type_mod_p((1, 1), 2) == (0, 1)  # X^2 + X + 1, irreducible
+    assert splitting_type_mod_p((0, -1, 0), 3) == (3, 0, 0)  # X(X - 1)(X + 1)
 
 
 def test_splitting_type_examples():
@@ -19,9 +45,6 @@ def test_splitting_type_examples():
     assert splitting_type_mod_p(g, 2) is None
     h = (100, 100, 0)  # X^3 + 100X + 100 = X^3 mod 5
     assert splitting_type_mod_p(h, 5) is None
-    assert splitting_type_mod_p((1, 1), 2) == (0, 1)  # X^2 + X + 1, irreducible
-    assert splitting_type_mod_p((0, 0), 2) is None  # X^2
-    assert splitting_type_mod_p((0, -1, 0), 3) == (3, 0, 0)  # X(X - 1)(X + 1)
 
 
 def test_splitting_type_degree_sum():
