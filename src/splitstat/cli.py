@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
-from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, fiber_probability, generate
+from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, generate
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
@@ -41,13 +41,6 @@ def _parse_type(text, n):
     return r
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
 def _prime(text):
     value = int(text)
     if value < 2 or any(value % q == 0 for q in range(2, math.isqrt(value) + 1)):
@@ -55,17 +48,17 @@ def _prime(text):
     return value
 
 
-def _sieve_limit(kind):
-    """Argparse type of --x (kind float) and --bound (kind int).
+def _in_range(kind, low, high=math.inf):
+    """Argparse type of a value of type kind in [low, high].
 
-    Refuses a value outside [0, MAX_SIEVE_LIMIT] while parsing, before the
-    subcommand computes anything.
+    Refuses a value outside the range while parsing, before the subcommand
+    computes anything.
     """
     def parse(text):
         value = kind(text)
-        if not 0 <= value <= MAX_SIEVE_LIMIT:
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(
-                "must lie in [0, %d], got %s" % (MAX_SIEVE_LIMIT, text)
+                "must lie in [%s, %s], got %s" % (low, high, text)
             )
         return value
 
@@ -73,18 +66,14 @@ def _sieve_limit(kind):
     return parse
 
 
-def _parse_target(text, n):
+def _parse_target(text):
+    """(p, residues) of p:a_0,...,a_{n-1}; stats.fiber_reference checks the pair."""
     try:
         head, tail = text.split(":", 1)
         p = int(head)
-        coeffs = [int(tok) for tok in tail.split(",")]
-    except ValueError:
-        raise ConfigError("field target: expected p:a_0,...,a_{n-1}, got %r" % text)
-    if len(coeffs) != n:
-        raise ConfigError("field target: need %d coefficients" % n)
-    if p < 2:
-        raise ConfigError("field target: modulus %d is below 2" % p)
-    return p, tuple(c % p for c in coeffs)
+        return p, tuple(int(tok) % p for tok in tail.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError("field target: expected p:a_0,...,a_{n-1}, p != 0, got %r" % text)
 
 
 def _family_spec(args):
@@ -208,11 +197,13 @@ def run_counts(args):
 
 def run_fibers(args):
     spec = _family_spec(args)
-    targets = [_parse_target(t, args.n) for t in args.target]
-    power = math.prod(p**args.n for p, _row in targets)
-    if power >= 2 * spec.height_bound:
-        raise ConfigError("field target: prod p_i^n = %d is not below 2N" % power)
-    empirical, reference, statuses = fiber_probability(spec, targets)
+    targets = [_parse_target(t) for t in args.target]
+    try:
+        reference = stats.fiber_reference(spec, targets)
+    except ValueError as exc:
+        raise ConfigError("field target: %s" % exc)
+    cf = _certified(spec)
+    empirical = stats.fiber_probability(cf, targets)
     config = _spec_config(spec)
     config["targets"] = ";".join(args.target)
     results = {
@@ -222,7 +213,7 @@ def run_fibers(args):
     }
     _write_report(args, "fibers", config, results,
                   [("family", spec.size), ("empirical", "%.6g" % empirical)],
-                  statuses=statuses)
+                  statuses=cf.statuses)
     return EXIT_OK
 
 
@@ -289,11 +280,11 @@ def run_moments(args):
 def run_clt(args):
     r, cf, config = _prime_sum_setup(args)
     config["k_max"] = args.k_max
-    report = stats.clt_report(cf, r, args.x, k_max=args.k_max)
-    summary = [("family", report.family_size), ("excluded", report.excluded),
-               ("ks", "%.4f" % report.ks_distance)]
-    _write_report(args, "clt", config, report.to_json_dict(), summary,
-                  extra=[(args.out + SAMPLE_SUFFIX, report.sample_csv())],
+    results, sample = stats.clt_report(cf, r, args.x, k_max=args.k_max)
+    summary = [("family", len(cf)), ("excluded", cf.excluded),
+               ("ks", "%.4f" % results["ks_distance"])]
+    _write_report(args, "clt", config, results, summary,
+                  extra=[(args.out + SAMPLE_SUFFIX, stats.sample_csv(sample))],
                   statuses=cf.statuses)
     return EXIT_OK
 
@@ -361,7 +352,7 @@ def _add_family(sub):
     sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sub.add_argument("--sample-size", type=int, default=0)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=CERTIFIER_PRIME_BUDGET,
+    sub.add_argument("--budget", type=_in_range(int, 1), default=CERTIFIER_PRIME_BUDGET,
                      help="certifier prime budget")
 
 
@@ -399,10 +390,11 @@ def build_parser(defaults=None):
     ]:
         sub = subs.add_parser(name)
         _add_family(sub)
-        sub.add_argument("--x", type=_sieve_limit(float), required=True)
+        sub.add_argument("--x", type=_in_range(float, 0, MAX_SIEVE_LIMIT), required=True)
         sub.add_argument("--r", required=True, help="splitting type, comma-separated")
         if name != "chebotarev":
-            sub.add_argument("--k-max", type=_positive_int, default=stats.DEFAULT_K_MAX,
+            sub.add_argument("--k-max", type=_in_range(int, 1, stats.MAX_MOMENT),
+                             default=stats.DEFAULT_K_MAX,
                              help="highest moment")
         _add_common(sub)
         sub.set_defaults(func=runner)
@@ -410,7 +402,7 @@ def build_parser(defaults=None):
     for name in ("ramified", "index"):
         sub = subs.add_parser(name)
         _add_family(sub)
-        sub.add_argument("--bound", type=_sieve_limit(int), required=True)
+        sub.add_argument("--bound", type=_in_range(int, 0, MAX_SIEVE_LIMIT), required=True)
         _add_common(sub)
         sub.set_defaults(func=run_average)
 

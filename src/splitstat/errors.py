@@ -9,10 +9,6 @@ class ResourceLimitError(SplitstatError):
     """A configured memory or enumeration budget would be exceeded."""
 
 
-class RegimeError(SplitstatError):
-    """Parameters violate the small-modulus regime required by a statistic."""
-
-
 class EmptyFamilyError(SplitstatError):
     """A family-level statistic was requested for an empty (sub)family."""
 

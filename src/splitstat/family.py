@@ -3,27 +3,30 @@
 A family of monic degree-n polynomials is one (m, n) coefficient array in
 batch.pack format, from generation to the statistics: either the full
 box [-N, N]^n in lexicographic order or reproducible uniform samples.
+Either is held whole, so FAMILY_BUDGET bounds the rows of both.
 Certification gives every row a status code and its discriminant, as two
 arrays.  It is sound but not complete: a polynomial is declared S_n only
 when reduction witnesses prove it, and every other row is excluded.
+stats.certify_family keeps the certified rows, and every statistic,
+congruence fibers included, is computed from them in stats.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import isqrt
 
 import numpy as np
 
 from . import batch
-from .errors import RegimeError, ResourceLimitError
+from .errors import ResourceLimitError
 from .primes import sieve_primes
 from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import discriminant, is_perfect_square
 
-# Largest exhaustive box, in polynomials; an exhaustive run holds all of
-# them at once.  Peak RSS grows by about 68, 113, 246 and 314 bytes per
-# polynomial at n = 2, 3, 4, 6 (slope of peak RSS of the ramified
+# Largest family, in polynomials; a run holds all of them at once.  Boxes:
+# peak RSS grows by about 68, 113, 246 and 314 bytes per polynomial at
+# n = 2, 3, 4, 6 (slope of peak RSS of the ramified
 # subcommand between boxes of 90,601/811,801, 68,921/531,441,
 # 14,641/83,521 and 729/15,625 polynomials; CPython 3.11, numpy 2.4).
 # Taking n = 6's slope for n = 5 and allowing 50 more per degree above 6,
@@ -32,7 +35,13 @@ from .zpoly import discriminant, is_perfect_square
 # (0.70 GB), 19^5 (0.78 GB), 5^9 (0.91 GB) and 3^13 (1.06 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
 # 17^4 quartic box takes 55 s (2-CPU Xeon), so 41^4 would take ~30 minutes.
-EXHAUSTIVE_BUDGET = 3 * 10**6
+# Samples: generate plus stats.certify_family grow peak RSS by about 274
+# bytes per cubic at N = 10^12, and at N = 2^64 (object rows) by 336, 445,
+# 788 and 1,214 bytes per row at n = 3, 4, 8, 13, about 63 + 91n (slopes
+# between 10^5/4*10^5, 5,000/25,000, 2,000/10,000 and 2,000/24,000 draws).
+# So a sample of degree n > 3 is held to FAMILY_BUDGET * 3/n draws, which
+# need at most 1.01 GB at every degree.
+FAMILY_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending
 # at most the budget's number of primes at which f is squarefree.
@@ -66,14 +75,13 @@ class FamilySpec:
             raise ValueError("height bound must be nonnegative")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
-        if self.mode == "sampled" and self.sample_size < 1:
+        sampled = self.mode == "sampled"
+        if sampled and self.sample_size < 1:
             raise ValueError("sampled mode requires sample_size >= 1")
-        if self.mode == "exhaustive":
-            if (2 * self.height_bound + 1) ** self.n > EXHAUSTIVE_BUDGET:
-                raise ResourceLimitError(
-                    "exhaustive family of size (2N+1)^n exceeds budget %d"
-                    % EXHAUSTIVE_BUDGET
-                )
+        budget = FAMILY_BUDGET * 3 // max(self.n, 3) if sampled else FAMILY_BUDGET
+        if self.size > budget:
+            raise ResourceLimitError("%s family of %d polynomials exceeds budget %d"
+                                     % (self.mode, self.size, budget))
 
     @property
     def size(self):
@@ -213,51 +221,3 @@ def certify(coeffs, budget):
     status[rootless[rooted]] = _REDUCIBLE
     status[disc == 0] = _REDUCIBLE
     return status, disc
-
-
-def certified_rows(coeffs, budget):
-    """Certify a packed family; its S_n-certified rows, their discriminants, the rest.
-
-    Returns (rows, disc, statuses): the certified rows of coeffs (shape
-    (0, n) when none is certified), their discriminants in the same order,
-    and the number of rows of each status, keyed by STATUSES in order.
-    """
-    status, disc = certify(coeffs, budget)
-    keep = status == _SN
-    counts = np.bincount(status, minlength=len(STATUSES)).tolist()
-    return coeffs[keep], disc[keep], dict(zip(STATUSES, counts))
-
-
-def fiber_probability(spec, targets):
-    """Empirical probability that a certified f hits all congruence fibers.
-
-    targets is a list of (p, residues) pairs: f = (a_0, ..., a_{n-1}) hits
-    the fiber when a_i = residues[i] mod p for every i, with the residues
-    in [0, p).  The moduli must be at least 2 and pairwise coprime, so the
-    fibers meet as the Chinese remainder theorem says.  Returns
-    (empirical, reference, statuses) where reference = 1 / prod(p_i^n) and
-    statuses counts the family's certification statuses as certified_rows
-    does.  Enforces prod(p_i^n) < 2N, the regime in which the fibers are
-    near uniform.
-    """
-    n, big_n = spec.n, spec.height_bound
-    moduli = [p for p, _row in targets]
-    for i, p in enumerate(moduli):
-        if p < 2 or any(gcd(p, q) > 1 for q in moduli[:i]):
-            raise ValueError("target moduli must be at least 2 and pairwise coprime")
-    for p, row in targets:
-        if len(row) != n or not all(0 <= c < p for c in row):
-            raise ValueError("each target must be n residues in [0, p)")
-    modulus_power = prod(p**n for p in moduli)
-    if modulus_power >= 2 * big_n:
-        raise RegimeError(
-            "prod p_i^n = %d is not below 2N = %d" % (modulus_power, 2 * big_n)
-        )
-
-    coeffs, _disc, statuses = certified_rows(generate(spec), spec.certifier_prime_budget)
-    if len(coeffs) == 0:
-        raise RegimeError("no certified polynomials in family")
-    hit = np.ones(len(coeffs), dtype=bool)
-    for p, row in targets:
-        hit &= (coeffs % p == np.array(row)).all(axis=1)
-    return int(np.count_nonzero(hit)) / len(coeffs), 1.0 / modulus_power, statuses

@@ -1,14 +1,15 @@
-"""Family-level statistics: indicators, counting functions, moments, CLT.
+"""Family-level statistics: counts, moments, CLT, prime averages, fibers.
 
 Every statistic over the primes up to x takes x alone, any real x >= 0,
 and sieves the primes <= floor(x) it needs; pi(x) is their number.
-Every aggregate runs over the certified subfamily only and reports how
-many polynomials were excluded.  The certified subfamily is its packed
-coefficient rows and the array of their discriminants, both kept from
-certification: no statistic re-packs a row or recomputes a discriminant.
-Exact per-prime references come from the splitting-type combinatorics;
-asymptotic constants are never substituted where an exact count is
-available.
+Every aggregate is a function of one CertifiedFamily, made by
+certify_family, and reports how many polynomials were excluded; it
+returns plain numbers, lists and dicts, which the CLI writes as they are.
+The certified subfamily is its packed coefficient rows and the array of
+their discriminants, both kept from certification: no statistic re-packs
+a row or recomputes a discriminant.  Exact per-prime references come from
+the splitting-type combinatorics; asymptotic constants are never
+substituted where an exact count is available.
 """
 
 import csv
@@ -24,6 +25,13 @@ from .primes import sieve_primes
 from .zpoly import dedekind_is_p_maximal
 
 DEFAULT_K_MAX = 6
+
+# Highest centered moment.  |pi_{f,r}(x) - center| <= pi(10^8) = 5,761,455
+# (primes.MAX_SIEVE_LIMIT) and a family has at most family.FAMILY_BUDGET =
+# 3 * 10^6 rows, so the fsum of the k-th powers stays below
+# 3 * 10^6 * (5.77 * 10^6)^k < 1.8 * 10^308, the float range, for k <= 44.
+# The reference (k-1)!! (delta - delta^2)^(k/2) pi(x)^(k/2) is smaller still.
+MAX_MOMENT = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +61,11 @@ class CertifiedFamily:
 
 def certify_family(coeffs, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
     """Certify a packed family and keep only its S_n-certified rows."""
-    return CertifiedFamily(*family_mod.certified_rows(coeffs, budget), description)
+    status, disc = family_mod.certify(coeffs, budget)
+    keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
+    counts = np.bincount(status, minlength=len(family_mod.STATUSES)).tolist()
+    statuses = dict(zip(family_mod.STATUSES, counts))
+    return CertifiedFamily(coeffs[keep], disc[keep], statuses, description)
 
 
 def _require_nonempty(cf):
@@ -160,8 +172,8 @@ def family_centered_moment(cf, r, x, k, center="asymptotic"):
     Reference is C_{k,r} pi(x)^{k/2} for even k and 0 for odd k, with
     pi(x) = len(sieve_primes(x)).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= MAX_MOMENT:
+        raise ValueError("k must lie in [1, %d]" % MAX_MOMENT)
     if center not in ("asymptotic", "exact"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
     _require_nonempty(cf)
@@ -197,49 +209,13 @@ def ks_distance(sample):
     return worst
 
 
-@dataclass(frozen=True)
-class StatReport:
-    """Aggregated family statistics for one splitting type."""
-
-    description: str
-    n: int
-    r: tuple
-    x: float
-    family_size: int
-    excluded: int
-    empirical_mean: float
-    empirical_variance: float
-    reference_mean: float
-    reference_variance: float
-    moments: dict = field(hash=False)
-    clt_sample: tuple = ()
-    ks_distance: float = 0.0
-
-    def to_json_dict(self):
-        return {
-            "description": self.description,
-            "n": self.n,
-            "r": list(self.r),
-            "x": self.x,
-            "family_size": self.family_size,
-            "excluded": self.excluded,
-            "empirical_mean": self.empirical_mean,
-            "empirical_variance": self.empirical_variance,
-            "reference_mean": self.reference_mean,
-            "reference_variance": self.reference_variance,
-            "moments": {str(k): list(v) for k, v in sorted(self.moments.items())},
-            "ks_distance": self.ks_distance,
-            "clt_sample_size": len(self.clt_sample),
-        }
-
-    def sample_csv(self):
-        """CSV of the CLT sample: one normalized value per row."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "normalized_count"])
-        for i, v in enumerate(self.clt_sample):
-            writer.writerow([i, repr(v)])
-        return buf.getvalue()
+def sample_csv(sample):
+    """CSV of a CLT sample: one normalized value per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "normalized_count"])
+    writer.writerows((i, repr(v)) for i, v in enumerate(sample))
+    return buf.getvalue()
 
 
 def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
@@ -247,6 +223,8 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
 
     v(f) = (pi_{f,r}(x) - delta pi(x)) / sqrt((delta - delta^2) pi(x)).
     The counts and moments 1..k_max share one cached count profile at x.
+    Returns (results, sample): the report's results, a dict, and the
+    tuple of the v(f) in row order.
     """
     _require_nonempty(cf)
     n = splittypes.validate_type(r)
@@ -262,24 +240,24 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     sample = tuple((c - d * pix) / scale for c in values)
     mean = math.fsum(values) / len(values)
     variance = math.fsum((c - mean) ** 2 for c in values) / len(values)
-    moments = {}
-    for k in range(1, k_max + 1):
-        moments[k] = family_centered_moment(cf, r, x, k)
-    return StatReport(
-        description=cf.description,
-        n=n,
-        r=tuple(r),
-        x=float(x),
-        family_size=len(cf),
-        excluded=cf.excluded,
-        empirical_mean=mean,
-        empirical_variance=variance,
-        reference_mean=exact_chebotarev_reference(n, r, x),
-        reference_variance=(d - d * d) * pix,
-        moments=moments,
-        clt_sample=sample,
-        ks_distance=ks_distance(sample),
-    )
+    moments = {str(k): list(family_centered_moment(cf, r, x, k))
+               for k in range(1, k_max + 1)}
+    results = {
+        "description": cf.description,
+        "n": n,
+        "r": list(r),
+        "x": float(x),
+        "family_size": len(cf),
+        "excluded": cf.excluded,
+        "empirical_mean": mean,
+        "empirical_variance": variance,
+        "reference_mean": exact_chebotarev_reference(n, r, x),
+        "reference_variance": (d - d * d) * pix,
+        "moments": moments,
+        "ks_distance": ks_distance(sample),
+        "clt_sample_size": len(sample),
+    }
+    return results, sample
 
 
 def ramified_average(cf, bound):
@@ -310,6 +288,43 @@ def index_prime_average(cf, bound):
             total += not dedekind_is_p_maximal(row, p)
     reference = math.fsum(1.0 / (p * p) for p in primes)
     return total / len(cf), reference
+
+
+def fiber_reference(spec, targets):
+    """1 / prod p_i^n, the uniform probability of the fibers of targets.
+
+    targets is a list of (p, residues) pairs: f = (a_0, ..., a_{n-1}) hits
+    the fiber when a_i = residues[i] mod p for every i.  Holds every rule
+    of a fibers run and raises ValueError on a broken one: the moduli are
+    at least 2 and pairwise coprime, so the fibers meet as the Chinese
+    remainder theorem says; each target is n residues in [0, p); and
+    prod p_i^n < 2N, the regime in which the fibers of the box
+    [-N, N]^n are near uniform.
+    """
+    moduli = [p for p, _row in targets]
+    for i, p in enumerate(moduli):
+        if p < 2 or any(math.gcd(p, q) > 1 for q in moduli[:i]):
+            raise ValueError("moduli must be at least 2 and pairwise coprime")
+    for p, row in targets:
+        if len(row) != spec.n or not all(0 <= c < p for c in row):
+            raise ValueError("each needs n residues in [0, p)")
+    power = math.prod(p**spec.n for p in moduli)
+    if power >= 2 * spec.height_bound:
+        raise ValueError(
+            "prod p_i^n = %d is not below 2N = %d" % (power, 2 * spec.height_bound))
+    return 1.0 / power
+
+
+def fiber_probability(cf, targets):
+    """Share of the certified family in every fiber of targets.
+
+    targets as fiber_reference takes them; it checks them.
+    """
+    _require_nonempty(cf)
+    hit = np.ones(len(cf), dtype=bool)
+    for p, row in targets:
+        hit &= (cf.coeffs % p == np.array(row)).all(axis=1)
+    return int(np.count_nonzero(hit)) / len(cf)
 
 
 def split_lower_bound_fraction(cf, x):

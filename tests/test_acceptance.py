@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from splitstat import stats
-from splitstat.family import FamilySpec, fiber_probability, generate
+from splitstat.family import FamilySpec, generate
 from splitstat.fppoly import enumerate_class_counts
 from splitstat.primes import sieve_primes
 from splitstat.splittypes import (
@@ -98,8 +98,11 @@ def test_03_second_order_coefficient(acceptance_log):
 
 def test_04_congruence_fibers(acceptance_log):
     spec = FamilySpec(n=2, height_bound=200)
-    one, ref_one, _ = fiber_probability(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
-    two, ref_two, _ = fiber_probability(spec, [(3, (1, 0)), (5, (2, 0))])  # and X^2 + 2 mod 5
+    single = [(3, (1, 0))]  # X^2 + 1 mod 3
+    double = [(3, (1, 0)), (5, (2, 0))]  # and X^2 + 2 mod 5
+    ref_one, ref_two = stats.fiber_reference(spec, single), stats.fiber_reference(spec, double)
+    box = stats.certify_family(generate(spec), budget=25)
+    one, two = stats.fiber_probability(box, single), stats.fiber_probability(box, double)
     ok = abs(one - ref_one) <= 3 / 200 and abs(two - ref_two) <= 10 / 200
     _report(
         acceptance_log,
@@ -164,9 +167,9 @@ def test_07_normal_limit_ks(acceptance_log, sampled_cubics):
     details = []
     ok = True
     for r in ((3, 0, 0), (0, 0, 1)):
-        report = stats.clt_report(sampled_cubics, r, x)
-        ok = ok and report.ks_distance <= 0.05
-        details.append("r=%s KS=%.4f" % (r, report.ks_distance))
+        ks = stats.clt_report(sampled_cubics, r, x)[0]["ks_distance"]
+        ok = ok and ks <= 0.05
+        details.append("r=%s KS=%.4f" % (r, ks))
     _report(
         acceptance_log,
         7,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from splitstat import family, stats
+from splitstat import cli, family, stats
 from splitstat.cli import main
 
 
@@ -120,6 +120,21 @@ def test_runtime_error_exit_code(tmp_path):
     assert code == 2  # spec validation reports it as a configuration problem
 
 
+def test_sampled_family_over_budget_exit_code(tmp_path, monkeypatch, capsys):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated a family over the budget")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    code = main(
+        ["chebotarev", "--n", "3", "--N", str(10**12), "--mode", "sampled",
+         "--sample-size", str(family.FAMILY_BUDGET + 1), "--x", "100", "--r", "0,0,1",
+         "--out", str(tmp_path / "r.json")]
+    )
+    assert code == 2
+    assert "exceeds budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_big_n_decimal_string(tmp_path):
     out = tmp_path / "huge.json"
     code = main(
@@ -151,7 +166,7 @@ def test_fibers_outside_regime_exit_code(tmp_path, monkeypatch, capsys):
     def generate(*args, **kwargs):
         raise AssertionError("generated before refusing the targets")
 
-    monkeypatch.setattr(family, "generate", generate)
+    monkeypatch.setattr(cli, "generate", generate)
     code = main(
         ["fibers", "--n", "3", "--N", "20", "--target", "3:1,0,2", "--target", "5:0,1,1",
          "--out", str(tmp_path / "fib.json")]
@@ -169,7 +184,7 @@ def test_fibers_bad_moduli_exit_code(tmp_path, monkeypatch, capsys, targets):
     def generate(*args, **kwargs):
         raise AssertionError("generated before refusing the targets")
 
-    monkeypatch.setattr(family, "generate", generate)
+    monkeypatch.setattr(cli, "generate", generate)
     argv = ["fibers", "--n", "2", "--N", "100", "--out", str(tmp_path / "fib.json")]
     for target in targets:
         argv += ["--target", target]
@@ -247,6 +262,11 @@ X_R = ["--n", "3", "--N", "3", "--x", "300", "--r", "0,0,1"]
     ["chebotarev", "--n", "3", "--N", "50", "--x", "3e9", "--r", "3,0,0"],
     ["chebotarev", "--n", "3", "--N", "3", "--x", "-1", "--r", "3,0,0"],
     ["ramified", "--n", "3", "--N", "3", "--bound", str(10**8 + 1)],
+    # above stats.MAX_MOMENT, where the k-th powers could overflow a float
+    ["moments", *X_R, "--k-max", "41"],
+    ["clt", *X_R, "--k-max", "41"],
+    # a certifier budget below 1: refused while parsing, not after generating
+    ["ramified", "--n", "3", "--N", "3", "--bound", "7", "--budget", "0"],
 ])
 def test_bad_flag_refused_before_computing(tmp_path, monkeypatch, args):
     _refuse_computing(monkeypatch)
@@ -280,7 +300,7 @@ def test_clt_failure_leaves_no_partial_output(tmp_path, monkeypatch):
         raise RuntimeError("injected failure")
 
     with monkeypatch.context() as patch:
-        patch.setattr(stats.StatReport, "sample_csv", fail)
+        patch.setattr(stats, "sample_csv", fail)
         with pytest.raises(RuntimeError):
             main(args)
     assert list(tmp_path.iterdir()) == []

@@ -6,21 +6,19 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from splitstat import batch, family, fppoly
-from splitstat.errors import RegimeError, ResourceLimitError
+from splitstat import batch, fppoly, stats
+from splitstat.errors import EmptyFamilyError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
     CERTIFIER_PRIMES,
-    EXHAUSTIVE_BUDGET,
+    FAMILY_BUDGET,
     REDUCIBLE,
     SN_CERTIFIED,
     STATUSES,
     UNDETERMINED,
     FamilySpec,
     _discriminants,
-    certified_rows,
     certify,
-    fiber_probability,
     generate,
 )
 from splitstat.primes import sieve_primes
@@ -97,12 +95,24 @@ def test_family_spec_validation():
     # At the exhaustive budget (3 * 10^6 polynomials): the largest box of
     # each degree is admitted and the next one refused.
     for n, height in [(2, 865), (3, 71), (4, 20), (13, 1)]:
-        assert FamilySpec(n=n, height_bound=height).size <= EXHAUSTIVE_BUDGET
+        assert FamilySpec(n=n, height_bound=height).size <= FAMILY_BUDGET
         with pytest.raises(ResourceLimitError):
             FamilySpec(n=n, height_bound=height + 1)
     with pytest.raises(ResourceLimitError):
         FamilySpec(n=14, height_bound=1)
     assert FamilySpec(n=3, height_bound=50).size == 101**3  # criterion 09's box
+
+
+def test_sampled_family_budget():
+    # A sampled family is held whole too: the budget bounds it as it does a box.
+    # Above degree 3 a draw costs more, and the budget shrinks as 3/n.
+    def sampled(n, size):
+        return FamilySpec(n=n, height_bound=2**64, mode="sampled", sample_size=size)
+
+    for n, most in [(1, FAMILY_BUDGET), (3, FAMILY_BUDGET), (4, 2_250_000), (13, 692_307)]:
+        assert sampled(n, most).size == most
+        with pytest.raises(ResourceLimitError):
+            sampled(n, most + 1)
 
 
 def test_generate_exhaustive():
@@ -137,9 +147,9 @@ def test_certify_empty_family():
     empty = np.zeros((0, 3), dtype=np.int64)
     status, disc = certify(empty, 25)
     assert status.shape == (0,) and disc.shape == (0,)
-    rows, disc, statuses = certified_rows(empty, 25)
-    assert rows.shape == (0, 3) and disc.size == 0
-    assert statuses == dict.fromkeys(STATUSES, 0)
+    cf = stats.certify_family(empty, 25)
+    assert cf.coeffs.shape == (0, 3) and cf.disc.size == 0
+    assert cf.statuses == dict.fromkeys(STATUSES, 0)
 
 
 def test_certify_linear_family():
@@ -389,9 +399,16 @@ def test_batch_kernel_matches_scalar():
     assert (matrix == expected).all()
 
 
+def _fibers(spec, targets):
+    """(empirical, reference, statuses) of the fibers of targets over spec's family."""
+    reference = stats.fiber_reference(spec, targets)
+    cf = stats.certify_family(generate(spec))
+    return stats.fiber_probability(cf, targets), reference, cf.statuses
+
+
 def test_fiber_probability_single_target():
     spec = FamilySpec(n=2, height_bound=200)
-    empirical, reference, statuses = fiber_probability(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
+    empirical, reference, statuses = _fibers(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
     assert sum(statuses.values()) == spec.size
     assert reference == pytest.approx(1 / 9)
     assert abs(empirical - 1 / 9) <= 3 / 200
@@ -399,22 +416,19 @@ def test_fiber_probability_single_target():
 
 def test_fiber_probability_two_targets():
     spec = FamilySpec(n=2, height_bound=200)
-    empirical, reference, _statuses = fiber_probability(spec, [(3, (1, 0)), (5, (2, 0))])
+    empirical, reference, _statuses = _fibers(spec, [(3, (1, 0)), (5, (2, 0))])
     assert reference == pytest.approx(1 / 225)
     assert abs(empirical - 1 / 225) <= 10 / 200
 
 
 def test_fiber_probability_regime_error():
-    spec = FamilySpec(n=2, height_bound=4)
-    with pytest.raises(RegimeError):
-        fiber_probability(spec, [(3, (1, 0))])
+    # 3^2 = 9 >= 2N = 8: outside the regime of near-uniform fibers.
+    with pytest.raises(ValueError):
+        stats.fiber_reference(FamilySpec(n=2, height_bound=4), [(3, (1, 0))])
+    assert stats.fiber_reference(FamilySpec(n=2, height_bound=5), [(3, (1, 0))]) == 1 / 9
 
 
-def test_fiber_probability_rejects_bad_targets(monkeypatch):
-    def generate(*args, **kwargs):
-        raise AssertionError("generated before refusing the targets")
-
-    monkeypatch.setattr(family, "generate", generate)
+def test_fiber_probability_rejects_bad_targets():
     spec = FamilySpec(n=2, height_bound=200)
     for targets in [
         [(3, (1, 0)), (3, (1, 0))],  # the same prime twice
@@ -425,13 +439,19 @@ def test_fiber_probability_rejects_bad_targets(monkeypatch):
         [(3, (1, 3))],  # residue not reduced
     ]:
         with pytest.raises(ValueError):
-            fiber_probability(spec, targets)
+            stats.fiber_reference(spec, targets)
+
+
+def test_fiber_probability_empty_family():
+    cf = stats.certify_family(batch.pack([(-1, 0)]))  # X^2 - 1 is reducible
+    with pytest.raises(EmptyFamilyError, match="no certified polynomials in family"):
+        stats.fiber_probability(cf, [(3, (1, 0))])
 
 
 def test_fiber_probability_coprime_composite_moduli():
     # 4 and 9 are coprime, so the reference 1/(4*9)^2 still holds.
     spec = FamilySpec(n=2, height_bound=800)
-    empirical, reference, _statuses = fiber_probability(spec, [(4, (1, 1)), (9, (2, 0))])
+    empirical, reference, _statuses = _fibers(spec, [(4, (1, 1)), (9, (2, 0))])
     assert reference == 1 / 36**2
     assert abs(empirical - reference) <= 10 / 800
 

@@ -148,6 +148,9 @@ def test_centered_moment_k_bounds():
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
         family_centered_moment(cf, (3, 0, 0), 100, 0)
+    assert all(map(math.isfinite, family_centered_moment(cf, (3, 0, 0), 100, stats.MAX_MOMENT)))
+    with pytest.raises(ValueError):
+        family_centered_moment(cf, (3, 0, 0), 100, stats.MAX_MOMENT + 1)
 
 
 def test_normal_cdf():
@@ -180,20 +183,18 @@ def test_ks_distance_gaussian_pipeline():
 def test_clt_report_structure_and_determinism():
     spec = FamilySpec(n=3, height_bound=10**9, mode="sampled", sample_size=300, seed=4)
     cf = certify_family(generate(spec))
-    rep1 = clt_report(cf, (0, 0, 1), 2000)
-    rep2 = clt_report(cf, (0, 0, 1), 2000)
-    assert rep1.to_json_dict() == rep2.to_json_dict()
-    doc = rep1.to_json_dict()
-    assert doc["family_size"] == len(cf)
+    doc, sample = clt_report(cf, (0, 0, 1), 2000)
+    assert clt_report(cf, (0, 0, 1), 2000) == (doc, sample)
+    assert doc["family_size"] == len(cf) == doc["clt_sample_size"]
     assert 0.0 <= doc["ks_distance"] <= 1.0
-    assert rep1.sample_csv().startswith("index,normalized_count\n")
-    assert len(rep1.clt_sample) == len(cf)
+    assert stats.sample_csv(sample).startswith("index,normalized_count\n")
+    assert len(sample) == len(cf)
     # order invariance of the aggregate
     shuffled = stats.CertifiedFamily(
         coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], statuses=cf.statuses
     )
-    rep3 = clt_report(shuffled, (0, 0, 1), 2000)
-    assert rep3.ks_distance == pytest.approx(rep1.ks_distance)
+    shuffled_doc, _sample = clt_report(shuffled, (0, 0, 1), 2000)
+    assert shuffled_doc["ks_distance"] == pytest.approx(doc["ks_distance"])
 
 
 def test_count_profile_cached_per_floor_x(monkeypatch):
