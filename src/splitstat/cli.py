@@ -27,17 +27,13 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _parse_type(text, n):
     try:
         r = tuple(int(tok) for tok in text.split(","))
         if splittypes.validate_type(r) != n:
             raise ValueError("it has %d entries, not n = %d" % (len(r), n))
     except ValueError as exc:
-        raise ConfigError("field r: %r is not a splitting type: %s" % (text, exc))
+        raise ValueError("field r: %r is not a splitting type: %s" % (text, exc))
     return r
 
 
@@ -73,14 +69,14 @@ def _parse_target(text):
         p = int(head)
         return p, tuple(int(tok) % p for tok in tail.split(","))
     except (ValueError, ZeroDivisionError):
-        raise ConfigError("field target: expected p:a_0,...,a_{n-1}, p != 0, got %r" % text)
+        raise ValueError("field target: expected p:a_0,...,a_{n-1}, p != 0, got %r" % text)
 
 
 def _family_spec(args):
     try:
         big_n = int(args.N)
     except (TypeError, ValueError):
-        raise ConfigError("field N: expected a decimal integer string")
+        raise ValueError("field N: expected a decimal integer string")
     try:
         return FamilySpec(
             n=args.n,
@@ -91,7 +87,7 @@ def _family_spec(args):
             certifier_prime_budget=args.budget,
         )
     except (ValueError, SplitstatError) as exc:
-        raise ConfigError("family configuration: %s" % exc)
+        raise ValueError("family configuration: %s" % exc)
 
 
 def _regime_warning(x, big_n):
@@ -117,13 +113,13 @@ def _check_outputs(args):
     spends no time and leaves no output.
     """
     if args.out is None:
-        raise ConfigError("field out: an output path is required")
+        raise ValueError("field out: an output path is required")
     paths = [args.out]
     if args.command == "clt":
         paths.append(args.out + SAMPLE_SUFFIX)
     for path in paths:
         if os.path.exists(path) and not args.force:
-            raise ConfigError("output %s exists; pass --force to overwrite" % path)
+            raise ValueError("output %s exists; pass --force to overwrite" % path)
 
 
 def _write_report(args, experiment, config, results, summary, extra=(), statuses=None):
@@ -201,7 +197,7 @@ def run_fibers(args):
     try:
         reference = stats.fiber_reference(spec, targets)
     except ValueError as exc:
-        raise ConfigError("field target: %s" % exc)
+        raise ValueError("field target: %s" % exc)
     cf = _certified(spec)
     empirical = stats.fiber_probability(cf, targets)
     config = _spec_config(spec)
@@ -333,7 +329,7 @@ def _load_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError("%s:%d: expected key = value" % (path, lineno))
+                raise ValueError("%s:%d: expected key = value" % (path, lineno))
             key, value = (part.strip() for part in line.split("=", 1))
             values[key.replace("-", "_")] = value
     return values
@@ -367,8 +363,8 @@ def build_parser(defaults=None):
     sub = subs.add_parser("counts", help="exact class counts per splitting type")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=_prime, required=True)
-    sub.add_argument("--pmin", type=int, default=101)
-    sub.add_argument("--pmax", type=int, default=199)
+    sub.add_argument("--pmin", type=_in_range(int, 0, MAX_SIEVE_LIMIT), default=101)
+    sub.add_argument("--pmax", type=_in_range(int, 0, MAX_SIEVE_LIMIT), default=199)
     _add_common(sub)
     sub.set_defaults(func=run_counts)
 
@@ -420,10 +416,10 @@ def _config_defaults(args):
     defaults = {}
     for key, value in _load_config_file(args.config).items():
         if not hasattr(args, key) or key in ("config", "func", "command"):
-            raise ConfigError("config file: unknown key %r" % key)
+            raise ValueError("config file: unknown key %r" % key)
         if isinstance(getattr(args, key), list):
             # argparse would append command-line values to a list default.
-            raise ConfigError("config file: give repeatable %r on the command line" % key)
+            raise ValueError("config file: give repeatable %r on the command line" % key)
         if isinstance(getattr(args, key), bool):
             value = value.lower() in ("1", "true", "yes")
         # argparse converts string defaults with the option's type.
@@ -440,7 +436,7 @@ def main(argv=None):
             args = build_parser(_config_defaults(args)).parse_args(argv)
         _check_outputs(args)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write("configuration error: %s\n" % exc)
         return EXIT_CONFIG
     except SplitstatError as exc:

@@ -78,6 +78,8 @@ class FamilySpec:
         sampled = self.mode == "sampled"
         if sampled and self.sample_size < 1:
             raise ValueError("sampled mode requires sample_size >= 1")
+        if not sampled and (self.sample_size or self.seed):
+            raise ValueError("exhaustive mode takes no sample_size or seed")
         budget = FAMILY_BUDGET * 3 // max(self.n, 3) if sampled else FAMILY_BUDGET
         if self.size > budget:
             raise ResourceLimitError("%s family of %d polynomials exceeds budget %d"

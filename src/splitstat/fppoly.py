@@ -86,35 +86,22 @@ def _pth_root(a, p):
     return _trim([a[i] for i in range(0, len(a), p)])
 
 
-def _squarefree_decomposition(f, p):
-    """Yield (monic squarefree factor, multiplicity) pairs with product f.
+def _radical(f, p):
+    """Product of the distinct monic irreducible factors of the monic f.
 
-    f must be monic and nonzero.  Characteristic-p wrinkles (vanishing
-    derivative) are handled by p-th root extraction.
+    With c = gcd(f, f'), w = f/c holds the factors whose multiplicity p does
+    not divide.  Stripping them from c leaves a p-th power, whose radical is
+    that of its p-th root.
     """
-    out = []
-    df = _deriv(f, p)
-    if not df:
-        if len(f) == 1:
-            return out
-        for g, m in _squarefree_decomposition(_pth_root(f, p), p):
-            out.append((g, m * p))
-        return out
-    c = _gcd(f, df, p)
+    c = _gcd(f, _deriv(f, p), p)
     w = _divmod(f, c, p)[0]
-    i = 1
-    while len(w) > 1:
-        y = _gcd(w, c, p)
-        z = _divmod(w, y, p)[0]
-        if len(z) > 1:
-            out.append((z, i))
-        i += 1
-        w = y
+    y = _gcd(c, w, p)
+    while len(y) > 1:
         c = _divmod(c, y, p)[0]
-    if len(c) > 1:
-        # leftover c is itself a p-th power; its recursion supplies the *p
-        out.extend(_squarefree_decomposition(c, p))
-    return out
+        y = _gcd(c, y, p)
+    if len(c) == 1:
+        return w
+    return _mul(w, _radical(_pth_root(c, p), p), p)
 
 
 def _frobenius(f, p):

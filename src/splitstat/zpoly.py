@@ -3,8 +3,8 @@
 A polynomial X^n + a_{n-1}X^{n-1} + ... + a_0 is its coefficient row
 (a_0, ..., a_{n-1}) of Python ints, with the leading 1 implicit: a row of
 a batch.pack array after .tolist().  Every routine here takes that row.
-Discriminants via fraction-free elimination of the Sylvester matrix,
-and the Dedekind p-maximality test.
+Discriminants as the determinant of the n x n matrix of multiplication
+by f' modulo f, and the Dedekind p-maximality test.
 """
 
 from math import isqrt
@@ -35,34 +35,16 @@ def _bareiss_det(m):
     return sign * m[n - 1][n - 1]
 
 
-def resultant(a, b):
-    """Res(a, b) for integer coefficient lists in ascending degree order."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < 0 or db < 0:
-        raise ValueError("resultant of zero polynomial")
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    size = da + db
-    rows = []
-    for i in range(db):
-        rows.append([0] * i + list(reversed(a)) + [0] * (db - 1 - i))
-    for i in range(da):
-        rows.append([0] * i + list(reversed(b)) + [0] * (da - 1 - i))
-    return _bareiss_det(rows)
-
-
 def discriminant(f):
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f'), exact.
 
-    Degree 1 is defined as 1 (empty-product convention).  Degrees 2 and 3
-    use the classical closed forms; higher degrees go through the Sylvester
-    matrix with Bareiss elimination.
+    Degrees 2 and 3 use the classical closed forms.  Otherwise, f being
+    monic, Res(f, f') is the determinant of multiplication by f' on
+    Z[X]/(f) in the basis 1, X, ..., X^(n-1).  Its column j is X^j f' mod f,
+    each the previous one times X minus its top coefficient times f, and
+    Bareiss elimination takes the n x n determinant; degree 1 gives 1.
     """
     n = len(f)
-    if n == 1:
-        return 1
     if n == 2:
         a0, a1 = f
         return a1 * a1 - 4 * a0
@@ -71,10 +53,14 @@ def discriminant(f):
         return (
             18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
         )
-    coeffs = list(f) + [1]
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    col = [i * c for i, c in enumerate(f)][1:] + [n]
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [-top * f[0]] + [c - top * a for c, a in zip(col, f[1:])]
+        cols.append(col)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(coeffs, deriv)
+    return sign * _bareiss_det(cols)
 
 
 def _int_poly_mul(a, b):
@@ -89,36 +75,28 @@ def _int_poly_mul(a, b):
 def dedekind_is_p_maximal(f, p):
     """Dedekind criterion: True iff p does not divide the index of Z[alpha].
 
-    Takes the radical g of f mod p as the product of its squarefree parts
-    and the cofactor h = f/g mod p, lifts both with coefficients in [0, p),
-    forms M = (g*h - f)/p and tests gcd(M, g, h) = 1 mod p.
+    Takes the radical g of f mod p and the cofactor h = f/g mod p, lifts
+    both with coefficients in [0, p), forms M = (g*h - f)/p and tests
+    gcd(M, g, h) = 1 mod p.
     Raises ReduciblePolynomialError when the lift exposes a proper integer
     factorization of f.
     """
     n = len(f)
     fz = list(f) + [1]
     fbar = [c % p for c in fz]
-    radical = [1]
-    for part, _mult in fppoly._squarefree_decomposition(fbar, p):
-        radical = fppoly._mul(radical, part, p)
-    hbar = fppoly._divmod(fbar, radical, p)[0]
-
-    # Lifts with representatives in [0, p); both monic by construction.
-    g_lift = list(radical)
-    h_lift = list(hbar)
-    gh = _int_poly_mul(g_lift, h_lift)
-    diff = [x - y for x, y in zip(gh, fz + [0] * (len(gh) - len(fz)))]
+    g = fppoly._radical(fbar, p)
+    h = fppoly._divmod(fbar, g, p)[0]
+    # g*h and f are both monic of degree n.
+    diff = [x - y for x, y in zip(_int_poly_mul(g, h), fz)]
     if any(c % p for c in diff):
         raise ArithmeticError("Dedekind lift not divisible by p; factorization bug")
     m = [c // p for c in diff]
-    if all(c == 0 for c in m) and 0 < len(g_lift) - 1 < n:
+    if all(c == 0 for c in m) and 0 < len(g) - 1 < n:
         raise ReduciblePolynomialError(
             "f factors over the integers as the lifted g*h"
         )
     mbar = [c % p for c in m]
-    g1 = fppoly._gcd(mbar, radical, p)
-    g2 = fppoly._gcd(g1, hbar, p)
-    return len(g2) == 1
+    return len(fppoly._gcd(fppoly._gcd(mbar, g, p), h, p)) == 1
 
 
 def is_perfect_square(n):

@@ -238,6 +238,9 @@ def test_refusal_before_computing(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["clt", "--n", "3", "--N", "3", "--x", "50", "--r", "0,0,1"],  # pi(x) < 30
     ["ramified", "--n", "3", "--N", "3", "--bound", "1"],
+    # an exhaustive box uses neither, so its report would record them falsely
+    ["ramified", "--n", "2", "--N", "3", "--bound", "7", "--sample-size", "50"],
+    ["ramified", "--n", "2", "--N", "3", "--bound", "7", "--seed", "9"],
 ])
 def test_statistic_value_error_exit_code(tmp_path, capsys, args):
     out = tmp_path / "v.json"
@@ -262,6 +265,7 @@ X_R = ["--n", "3", "--N", "3", "--x", "300", "--r", "0,0,1"]
     ["chebotarev", "--n", "3", "--N", "50", "--x", "3e9", "--r", "3,0,0"],
     ["chebotarev", "--n", "3", "--N", "3", "--x", "-1", "--r", "3,0,0"],
     ["ramified", "--n", "3", "--N", "3", "--bound", str(10**8 + 1)],
+    ["counts", "--n", "2", "--p", "3", "--pmax", str(10**8 + 1)],
     # above stats.MAX_MOMENT, where the k-th powers could overflow a float
     ["moments", *X_R, "--k-max", "41"],
     ["clt", *X_R, "--k-max", "41"],

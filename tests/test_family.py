@@ -90,6 +90,9 @@ def test_family_spec_validation():
         FamilySpec(n=0, height_bound=1)
     with pytest.raises(ValueError):
         FamilySpec(n=2, height_bound=5, mode="sampled")
+    for extra in ({"sample_size": 50}, {"seed": 9}):
+        with pytest.raises(ValueError, match="exhaustive"):
+            FamilySpec(n=2, height_bound=3, **extra)
     with pytest.raises(ResourceLimitError):
         FamilySpec(n=5, height_bound=10**4)
     # At the exhaustive budget (3 * 10^6 polynomials): the largest box of

@@ -5,10 +5,11 @@ import pytest
 from splitstat.errors import ResourceLimitError
 from splitstat.fppoly import (
     _deriv,
+    _divmod,
     _gcd,
     _mul,
+    _radical,
     _reduced_type,
-    _squarefree_decomposition,
     enumerate_class_counts,
     splitting_type_mod_p,
 )
@@ -125,19 +126,20 @@ def test_splitting_type_pinned_at_large_primes():
         assert splitting_type_mod_p(f, p) == r, (f, p)
 
 
-def test_squarefree_decomposition_reconstructs_product():
-    # Dedekind's criterion reads its factors; p = 2, 3 reach the p-th root step.
+def test_radical_property():
+    # Dedekind's criterion reads it; p = 2, 3 reach the p-th root step.
     rng = random.Random(42)
     for p in (2, 3, 5, 7, 101):
         for _ in range(400):
             n = rng.randrange(1, 7)
             f = [rng.randrange(p) for _ in range(n)] + [1]
-            prod = [1]
-            for g, m in _squarefree_decomposition(f, p):
-                assert g[-1] == 1 and splitting_type_mod_p(g[:-1], p) is not None
-                for _ in range(m):
-                    prod = _mul(prod, g, p)
-            assert prod == f
+            g = _radical(f, p)
+            assert g[-1] == 1 and splitting_type_mod_p(g[:-1], p) is not None
+            assert _divmod(f, g, p)[1] == []
+            power = [1]
+            for _ in range(n):
+                power = _mul(power, g, p)
+            assert _divmod(power, f, p)[1] == []
 
 
 def test_enumerate_class_counts_examples():
