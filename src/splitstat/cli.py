@@ -38,8 +38,12 @@ def _parse_type(text, n):
 
 
 def _prime(text):
-    value = int(text)
-    if value < 2 or any(value % q == 0 for q in range(2, math.isqrt(value) + 1)):
+    """Argparse type of a prime in [2, MAX_SIEVE_LIMIT].
+
+    The range is checked first, so trial division takes at most 10^4 steps.
+    """
+    value = _in_range(int, 2, MAX_SIEVE_LIMIT)(text)
+    if any(value % q == 0 for q in range(2, math.isqrt(value) + 1)):
         raise argparse.ArgumentTypeError("%d is not prime" % value)
     return value
 

@@ -34,7 +34,9 @@ from .zpoly import discriminant, is_perfect_square
 # the interpreter's ~35 MB: 1731^2 (0.20 GB), 143^3 (0.33 GB), 41^4
 # (0.70 GB), 19^5 (0.78 GB), 5^9 (0.91 GB) and 3^13 (1.06 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
-# 17^4 quartic box takes 55 s (2-CPU Xeon), so 41^4 would take ~30 minutes.
+# 17^4 and 25^4 quartic boxes takes 4.2 s and 14.9 s (2-CPU Xeon), ~35 us
+# per row between them, half of it the discriminants, so 41^4 would take
+# ~100 s.
 # Samples: generate plus stats.certify_family grow peak RSS by about 274
 # bytes per cubic at N = 10^12, and at N = 2^64 (object rows) by 336, 445,
 # 788 and 1,214 bytes per row at n = 3, 4, 8, 13, about 63 + 91n (slopes

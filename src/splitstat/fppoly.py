@@ -167,7 +167,10 @@ def splitting_type_mod_p(f, p):
     Uses distinct-degree factorization only: the degree multiplicities are
     read off the degree-d parts without any equal-degree splitting.  A
     quartic call takes ~55 us at p <= 1000, ~110 us near 2^20 and ~240 us
-    near 2^31 (CPython 3.11, 2-CPU Xeon).
+    near 2^31 (CPython 3.11, 2-CPU Xeon).  batch.types_mod_p calls it once
+    per distinct residue row outside its kernels: for coefficients of
+    |c| >= 2^62, for p >= 2^20, for degree 1 and degrees above 8, and
+    from degree 4 on at the primes p <= n.
     """
     return _reduced_type([c % p for c in f] + [1], p)
 

@@ -14,9 +14,10 @@ from .errors import ResourceLimitError
 # 367 MB peak RSS, at 3*10^7 1.6 s and 116 MB, at 10^6 45 ms (CPython 3.11,
 # 2-CPU Xeon).  A segmented sieve saved only the flags (279 MB at 10^8),
 # since the ~5.8M prime ints dominate; the primes up to 2*10^9 alone would
-# take several GB.  Statistics that far out are out of reach anyway: primes
-# above batch.MAX_KERNEL_PRIME go to the scalar oracle, which takes ~110 us
-# per quartic near 2^20 and ~240 us near 2^31.
+# take several GB.  Statistics that far out are out of reach anyway: at
+# primes above batch.MAX_KERNEL_PRIME every degree goes to the scalar
+# oracle, which takes ~110 us per quartic near 2^20 and ~240 us near 2^31.
+# Below it the kernels take degrees 2 to 8, except at p <= n from degree 4 on.
 MAX_SIEVE_LIMIT = 10**8
 
 

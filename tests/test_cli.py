@@ -271,6 +271,8 @@ X_R = ["--n", "3", "--N", "3", "--x", "300", "--r", "0,0,1"]
     ["clt", *X_R, "--k-max", "41"],
     # a certifier budget below 1: refused while parsing, not after generating
     ["ramified", "--n", "3", "--N", "3", "--bound", "7", "--budget", "0"],
+    # a prime above MAX_SIEVE_LIMIT: refused before trial division up to its root
+    ["counts", "--n", "2", "--p", str(10**8 + 7)],
 ])
 def test_bad_flag_refused_before_computing(tmp_path, monkeypatch, args):
     _refuse_computing(monkeypatch)

@@ -226,6 +226,28 @@ def _lift(c, p, sign):
     return c - p * ((TOP + c) // p)
 
 
+def _monic_product(*factors):
+    """The row (a_0, ..., a_{n-1}) of a product of monic factors, each one
+    given as its own row."""
+    f = [1]
+    for g in factors:
+        g = list(g) + [1]
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        f = out
+    return tuple(f[:-1])
+
+
+def _square_row(n, a, b, e, residue):
+    """g^2 h, not squarefree mod p, as a row: g = X - a when e = 1 and
+    X^2 + b X - a when e = 2, and h monic of degree n - 2e, with h = X - b
+    at n = 3 and further coefficients from residue()."""
+    low = [-a, -b] + [residue() for _ in range(n - 2 - e)]
+    return _monic_product(low[:e], low[:e], low[e:n - e])
+
+
 def _kernel_rows(n, p, rng):
     """Rows at the height bound, random rows, and non-squarefree rows mod p."""
     rows = [(TOP,) * n, (-TOP,) * n, (0,) * n]
@@ -233,13 +255,13 @@ def _kernel_rows(n, p, rng):
                    for _ in range(n)) for _ in range(25)]
     for _ in range(6):
         a, b = rng.randrange(p), rng.randrange(p)
-        # (X - a)^2, and (X - a)^2 (X - b), as (a_0, ..., a_{n-1})
-        square = (a * a, -2 * a) if n == 2 else (-a * a * b, a * a + 2 * a * b, -2 * a - b)
+        e = 1 if n < 4 else rng.choice([1, 2])
+        square = _square_row(n, a, b, e, lambda: rng.randrange(p))
         rows.append(tuple(_lift(c, p, rng.choice([1, -1])) for c in square))
     return rows
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
 def test_types_mod_p_matches_oracle(n):
     rng = random.Random(100 + n)
     big = (2**62,) + (1,) * (n - 1)  # one row outside the kernel bounds
@@ -259,20 +281,26 @@ def test_types_mod_p_matches_oracle(n):
 
 @st.composite
 def _kernel_family(draw, n):
-    """A prime of the kernel domain and rows within it, some not squarefree mod p."""
-    p = draw(st.one_of(st.sampled_from([2, 3]), st.sampled_from(DOMAIN_PRIMES)))
+    """A prime of the kernel domain and rows within it, some not squarefree mod p.
+
+    The primes up to max(n, 3) are drawn as often as the domain's: from
+    n = 4 on, the primes p <= n take the oracle.
+    """
+    p = draw(st.one_of(st.sampled_from(sieve_primes(max(n, 3))), st.sampled_from(DOMAIN_PRIMES)))
     coeff = st.one_of(st.integers(-3, 3), st.integers(-TOP, TOP))
     rows = draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=20))
     lift = st.integers(-(TOP // p), (TOP - p + 1) // p)
+    residue = st.integers(0, p - 1)
     for _ in range(draw(st.integers(0, 3))):
-        # (X - a)^2, and (X - a)^2 (X - b), lifted within the bound
-        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
-        square = (a * a, -2 * a) if n == 2 else (-a * a * b, a * a + 2 * a * b, -2 * a - b)
+        # g^2 h with g of degree 1 or (from n = 4 on) 2, lifted within the bound
+        a, b = draw(residue), draw(residue)
+        e = 1 if n < 4 else draw(st.integers(1, 2))
+        square = _square_row(n, a, b, e, lambda: draw(residue))
         rows.append(tuple(c % p + p * draw(lift) for c in square))
     return p, rows
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_types_mod_p_kernel_property(n, data):
@@ -292,6 +320,64 @@ def test_cubic_kernel_census(p):
     assert counts == expected + [p**3 - sum(expected)]
     if p <= 13:
         assert codes.tolist() == _oracle_codes(grid.tolist(), p)
+
+
+@pytest.mark.parametrize("n, p", [(4, 5), (4, 7), (4, 11), (5, 7)])
+def test_trace_kernel_census(n, p):
+    # Every residue row once, as the representatives nearest 0.
+    grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T - p // 2
+    codes = batch.types_mod_p(grid, p)
+    types = enumerate_types(n)
+    counts = np.bincount(codes, minlength=len(types) + 1).tolist()
+    expected = [class_count(n, r, p) for r in types]
+    assert counts == expected + [p**n - sum(expected)]
+    if p**n <= 7**4:
+        assert codes.tolist() == _oracle_codes(grid.tolist(), p)
+
+
+@pytest.mark.parametrize("n", range(4, batch.MAX_TRACE_DEGREE + 1))
+def test_trace_kernel_half_modulus_residues(n):
+    # Residues near +-p/2 give the kernel's largest float64 products.
+    p = DOMAIN_PRIMES[-1]
+    rng = random.Random(n)
+    half = (p - 1) // 2
+    near = [half, -half, half - 1, 1 - half, 0, 1]
+    rows = [tuple(_lift(c, p, rng.choice([1, -1])) for c in row)
+            for row in product(near[:2], repeat=n)]
+    rows += [tuple(rng.choice(near) for _ in range(n)) for _ in range(100)]
+    pool = [s * (half - k) for k in range(5) for s in (1, -1)]  # ten distinct residues
+    for i in range(100):
+        # a product of linear factors: split, or with a repeated root
+        roots = rng.sample(pool, n) if i % 2 else rng.choices(pool[:4], k=n)
+        split = _monic_product(*[(-r,) for r in roots])
+        rows.append(tuple(_lift(c, p, rng.choice([1, -1])) for c in split))
+    coeffs = batch.pack(rows)
+    assert coeffs.dtype == np.int64
+    codes = batch.types_mod_p(coeffs, p).tolist()
+    assert codes == _oracle_codes(rows, p)
+    types = enumerate_types(n)
+    assert {types.index((n,) + (0,) * (n - 1)), len(types)} <= set(codes)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_oracle_called_once_per_residue_row(n, monkeypatch):
+    # At p <= n the rows go to the oracle, once per distinct row mod p.
+    coeffs = generate(FamilySpec(n=n, height_bound=2))
+    rows = coeffs.tolist()
+    oracle = fppoly.splitting_type_mod_p
+    for p in sieve_primes(n):
+        expected = _oracle_codes(rows, p)
+        calls = []
+
+        def counted(f, q):
+            calls.append(tuple(f))
+            return oracle(f, q)
+
+        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
+        assert batch.types_mod_p(coeffs, p).tolist() == expected, p
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) == len({tuple(c % p for c in row) for row in rows})
+        assert len(calls) <= p**n
 
 
 @pytest.mark.parametrize("p", DOMAIN_PRIMES[-4:])

@@ -217,7 +217,8 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
 
 
 def test_count_profile_skips_ramified_rows(monkeypatch):
-    # Degree 4 takes the generic path: the oracle never sees a row with p | disc(f).
+    # Degree 4 takes the generic path, and reaches the oracle only at p <= n:
+    # there, too, it never sees a row with p | disc(f).
     cf = certify_family(generate(FamilySpec(n=4, height_bound=2)))
     x = 50
     primes = sieve_primes(x)
