@@ -202,11 +202,12 @@ def _trace_codes(coeffs, p):
     t-adic filtration when i > 0, so only the field F_(p^e) adds to the
     trace of Frob^d: e when e | d and 0 otherwise (a normal basis is
     permuted cyclically).  So trace(Q^d) = sum over e | d of e N_e mod p,
-    with N_e the number of distinct degree-e factors of f.  That sum is at most n < p, so the
-    residue is the integer, and N_d = (trace(Q^d) - sum over e | d, e < d
-    of e N_e) / d.  The N_d are the type of the radical of f: f is
-    squarefree exactly when sum d N_d = n, and every other row maps to
-    the not-squarefree code.  The rows run in blocks of bounded size.
+    with N_e the number of distinct degree-e factors of f.  That sum is at
+    most n < p, so the residue is the integer, and N_d = (trace(Q^d) - sum
+    over e | d, e < d of e N_e) / d.  The N_d are the type of the radical
+    of f: f is squarefree exactly when sum d N_d = n, and every other row
+    maps to the not-squarefree code.  The rows run in blocks of bounded
+    size.
     """
     m, n = coeffs.shape
     step = _TRACE_BLOCK_ENTRIES // n**2

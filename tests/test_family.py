@@ -242,7 +242,7 @@ def _monic_product(*factors):
 
 def _square_row(n, a, b, e, residue):
     """g^2 h, not squarefree mod p, as a row: g = X - a when e = 1 and
-    X^2 + b X - a when e = 2, and h monic of degree n - 2e, with h = X - b
+    X^2 - b X - a when e = 2, and h monic of degree n - 2e, with h = X - b
     at n = 3 and further coefficients from residue()."""
     low = [-a, -b] + [residue() for _ in range(n - 2 - e)]
     return _monic_product(low[:e], low[:e], low[e:n - e])
@@ -324,7 +324,8 @@ def test_cubic_kernel_census(p):
 
 @pytest.mark.parametrize("n, p", [(4, 5), (4, 7), (4, 11), (5, 7)])
 def test_trace_kernel_census(n, p):
-    # Every residue row once, as the representatives nearest 0.
+    # Every residue row once, as the representatives nearest 0; the 7^5
+    # rows at n = 5 span two of the kernel's blocks.
     grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T - p // 2
     codes = batch.types_mod_p(grid, p)
     types = enumerate_types(n)
