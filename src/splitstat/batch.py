@@ -1,16 +1,17 @@
 """Splitting types of whole families, one prime at a time.
 
-types_mod_p is the single entry point.  While every coefficient fits in a
-64-bit word (|c| < 2^62) and p < 2^20, vectorized numpy kernels take
-quadratic and cubic families at every p, and families of degree 4 to 8 at
-p > n, from the traces of Berlekamp's matrix Q.  The kernels compute in
+types_mod_p is the single entry point.  A type mod p reads only residues,
+so an object-dtype family (pack's, beyond 2^62) is reduced mod p to int64
+first, and the path depends on the degree and p alone.  At p < 2^20,
+vectorized numpy kernels take degrees 2 and 3 at every p, and degrees 4
+to 8 at p > n from the traces of Berlekamp's matrix Q.  They compute in
 float64: residues stay below 2^20 in absolute value (below 2^19 in the
 trace kernel, whose sums hold at most n <= 8 products and a residue), so
-every product is below 2^40 and every sum reduced at once stays below
-2^44, far inside the 2^53 range where float64 integers are exact.  Every
-other family, at every other prime, calls fppoly.splitting_type_mod_p once
-per distinct row of residues mod p, and the kernels are tested against
-that oracle.
+every product is below 2^40 and every sum reduced at once below 2^44, far
+inside the 2^53 range where float64 integers are exact.  The rest (p >=
+2^20, degree 1, degrees above 8, p <= n from degree 4 on) calls the oracle
+fppoly.splitting_type_mod_p once per distinct residue row; the kernels
+are tested against it.
 """
 
 import functools
@@ -21,8 +22,8 @@ from . import fppoly
 from .splittypes import enumerate_types
 
 MAX_KERNEL_PRIME = 2**20
-MAX_KERNEL_HEIGHT = 2**62
 MAX_TRACE_DEGREE = 8
+MAX_INT64_HEIGHT = 2**62  # pack's bound on |coefficient| for int64
 
 # Rows per block of _trace_codes, so that one (n, n, rows) array holds at
 # most 2^18 float64 entries (2 MB) whatever the family's size.
@@ -49,7 +50,7 @@ def pack(rows):
         coeffs = np.array(rows, dtype=np.int64)
     except OverflowError:
         return np.array(rows, dtype=object)
-    if ((coeffs >= MAX_KERNEL_HEIGHT) | (coeffs <= -MAX_KERNEL_HEIGHT)).any():
+    if ((coeffs >= MAX_INT64_HEIGHT) | (coeffs <= -MAX_INT64_HEIGHT)).any():
         return np.array(rows, dtype=object)
     return coeffs
 
@@ -62,7 +63,9 @@ def types_mod_p(coeffs, p):
     marks a reduction that is not squarefree.  p is below 2^63.
     """
     n = coeffs.shape[1]
-    if coeffs.dtype == np.int64 and p < MAX_KERNEL_PRIME:
+    if coeffs.dtype == object:
+        coeffs = (coeffs % p).astype(np.int64)
+    if p < MAX_KERNEL_PRIME:
         if n == 3:
             return _cubic_codes(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], p)
         if n == 2:
@@ -73,9 +76,7 @@ def types_mod_p(coeffs, p):
     index = {r: code for code, r in enumerate(types)}
     index[None] = len(types)
     # One oracle call per distinct residue row: at most p^n of them.
-    residues, inverse = np.unique(
-        (coeffs % p).astype(np.int64), axis=0, return_inverse=True
-    )
+    residues, inverse = np.unique(coeffs % p, axis=0, return_inverse=True)
     codes = np.array(
         [index[fppoly.splitting_type_mod_p(row, p)] for row in residues.tolist()],
         dtype=np.int16,

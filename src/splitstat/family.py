@@ -42,7 +42,9 @@ from .zpoly import discriminant, is_perfect_square
 # 788 and 1,214 bytes per row at n = 3, 4, 8, 13, about 63 + 91n (slopes
 # between 10^5/4*10^5, 5,000/25,000, 2,000/10,000 and 2,000/24,000 draws).
 # So a sample of degree n > 3 is held to FAMILY_BUDGET * 3/n draws, which
-# need at most 1.01 GB at every degree.
+# need at most 1.01 GB at every degree.  That bounds memory, not time:
+# draws of degree <= 8 take the kernels at any height, but above degree 8
+# every prime goes to the scalar oracle (~18 ms per degree-13 draw).
 FAMILY_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending
@@ -114,7 +116,7 @@ def generate(spec):
             rng = random.Random(_subseed(spec.seed, index))
             rows.append(tuple(rng.randrange(-big_n, big_n + 1) for _ in range(n)))
         return batch.pack(rows)
-    # The budget keeps big_n far below the kernels' 2^62 height bound.
+    # The budget keeps big_n far below pack's 2^62 int64 bound.
     side = np.arange(-big_n, big_n + 1, dtype=np.int64)
     return np.stack(np.meshgrid(*[side] * n, indexing="ij"), axis=-1).reshape(-1, n)
 

@@ -73,19 +73,25 @@ def _require_nonempty(cf):
         raise EmptyFamilyError("no certified polynomials in family")
 
 
+def _type_of_degree(r, n):
+    """r as a tuple, once checked to be a splitting type of degree n."""
+    if splittypes.validate_type(r) != n:
+        raise ValueError("type degree %d does not match the degree %d" % (len(r), n))
+    return tuple(r)
+
+
 # ---------------------------------------------------------------------------
 # Per-polynomial counting
 
 def splitting_indicator(f, r, p):
     """1 iff f has splitting type r mod p; 0 otherwise (incl. non-squarefree)."""
-    splittypes.validate_type(r)
-    return 1 if fppoly.splitting_type_mod_p(f, p) == tuple(r) else 0
+    r = _type_of_degree(r, len(f))
+    return 1 if fppoly.splitting_type_mod_p(f, p) == r else 0
 
 
 def prime_splitting_count(f, r, x):
     """pi_{f,r}(x): number of primes p <= x at which f has type r."""
-    splittypes.validate_type(r)
-    r = tuple(r)
+    r = _type_of_degree(r, len(f))
     return sum(1 for p in sieve_primes(x) if fppoly.splitting_type_mod_p(f, p) == r)
 
 
@@ -131,14 +137,13 @@ def family_indicator_moments(cf, r, p):
     is q(1-q) for that q.
     """
     _require_nonempty(cf)
-    n = splittypes.validate_type(r)
-    if cf.coeffs.shape[1] != n:
-        raise ValueError("type degree %d does not match the family degree" % n)
-    code = splittypes.enumerate_types(n).index(tuple(r))
+    n = cf.coeffs.shape[1]
+    r = _type_of_degree(r, n)
+    code = splittypes.enumerate_types(n).index(r)
     hits = int(np.count_nonzero(batch.types_mod_p(cf.coeffs, p) == code))
     mean = hits / len(cf)
     variance = mean - mean * mean
-    reference = splittypes.class_count(n, tuple(r), p) / p**n
+    reference = splittypes.class_count(n, r, p) / p**n
     return mean, variance, reference
 
 
@@ -156,9 +161,9 @@ def family_chebotarev_mean(cf, r, x):
     Both sums run over the primes <= floor(x).
     """
     _require_nonempty(cf)
-    n = splittypes.validate_type(r)
-    counts = _count_profile(cf, x)
-    values = counts[tuple(r)]
+    n = cf.coeffs.shape[1]
+    r = _type_of_degree(r, n)
+    values = _count_profile(cf, x)[r]
     mean = math.fsum(values) / len(values)
     return mean, exact_chebotarev_reference(n, r, x)
 
@@ -177,14 +182,14 @@ def family_centered_moment(cf, r, x, k, center="asymptotic"):
     if center not in ("asymptotic", "exact"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
     _require_nonempty(cf)
-    n = splittypes.validate_type(r)
-    counts = _count_profile(cf, x)
-    values = counts[tuple(r)]
+    n = cf.coeffs.shape[1]
+    r = _type_of_degree(r, n)
+    values = _count_profile(cf, x)[r]
     pix = len(sieve_primes(x))
     if center == "asymptotic":
         center = float(splittypes.delta(r)) * pix
     else:
-        center = exact_chebotarev_reference(n, tuple(r), x)
+        center = exact_chebotarev_reference(n, r, x)
     moment = math.fsum((c - center) ** k for c in values) / len(values)
     if k % 2 == 0:
         reference = float(splittypes.moment_constant(k, r)) * pix ** (k / 2)
@@ -227,14 +232,14 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     tuple of the v(f) in row order.
     """
     _require_nonempty(cf)
-    n = splittypes.validate_type(r)
+    n = cf.coeffs.shape[1]
+    r = _type_of_degree(r, n)
     pix = len(sieve_primes(x))
     if pix < 30:
         raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
     if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
-    counts = _count_profile(cf, x)
-    values = counts[tuple(r)]
+    values = _count_profile(cf, x)[r]
     d = float(splittypes.delta(r))
     scale = math.sqrt((d - d * d) * pix)
     sample = tuple((c - d * pix) / scale for c in values)

@@ -25,7 +25,9 @@ from splitstat.primes import sieve_primes
 from splitstat.splittypes import class_count, enumerate_types
 from splitstat.zpoly import discriminant, is_perfect_square
 
-# The kernels' declared domain: |coefficient| <= 2^62 - 1 and p < 2^20.
+# The kernels take every prime p < 2^20, at any height.  TOP is the largest
+# |coefficient| that batch.pack keeps in int64; beyond it a family is packed
+# as object dtype, and the kernels read its residues mod p.
 TOP = 2**62 - 1
 DOMAIN_PRIMES = sieve_primes(2**20)
 KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
@@ -207,7 +209,7 @@ def test_certified_fraction_floor(cubic_box):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_column_discriminants_match_rows(n):
     # int64 closed forms up to |c| = 2^15; one coefficient beyond, or rows
-    # at the kernels' height bound, switch the family to Python ints.
+    # at pack's int64 bound, switch the discriminants to Python ints.
     edge = 2**15
     for top, dtype in [(edge, np.int64), (edge + 1, object), (TOP, object)]:
         values = (top, -top, top - 1, 1 - top, 0, 1, -1)
@@ -249,7 +251,7 @@ def _square_row(n, a, b, e, residue):
 
 
 def _kernel_rows(n, p, rng):
-    """Rows at the height bound, random rows, and non-squarefree rows mod p."""
+    """Rows at pack's int64 bound, random rows, and non-squarefree rows mod p."""
     rows = [(TOP,) * n, (-TOP,) * n, (0,) * n]
     rows += [tuple(rng.choice([TOP, -TOP, rng.randrange(-TOP, TOP + 1)])
                    for _ in range(n)) for _ in range(25)]
@@ -264,7 +266,7 @@ def _kernel_rows(n, p, rng):
 @pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
 def test_types_mod_p_matches_oracle(n):
     rng = random.Random(100 + n)
-    big = (2**62,) + (1,) * (n - 1)  # one row outside the kernel bounds
+    big = (2**62,) + (1,) * (n - 1)  # one row beyond pack's int64 bound
     for p in KERNEL_PRIMES:
         rows = _kernel_rows(n, p, rng)
         expected = _oracle_codes(rows, p)
@@ -277,6 +279,45 @@ def test_types_mod_p_matches_oracle(n):
     for ragged in ([(1,) * n, (1,) * (n + 1)], [big, (1,) * (n + 1)]):
         with pytest.raises(ValueError):
             batch.pack(ragged)
+
+
+def _object_rows(n, p, rng):
+    """Rows of height about 2^64 and 10^400, some not squarefree mod p."""
+    def height():
+        return rng.choice([1, -1]) * rng.choice([2**64 + rng.randrange(p * p), 10**400])
+
+    rows = [(10**400,) * n, (-2**64,) * n]
+    rows += [tuple(height() for _ in range(n)) for _ in range(25)]
+    for _ in range(6):
+        a, b = rng.randrange(p), rng.randrange(p)
+        e = 1 if n < 4 else rng.choice([1, 2])
+        square = _square_row(n, a, b, e, lambda: rng.randrange(p))
+        rows.append(tuple(c + p * height() for c in square))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
+def test_object_families_take_the_kernels(n, monkeypatch):
+    # A type mod p reads only the residues, so rows beyond pack's int64
+    # bound take the kernels wherever int64 rows do: the oracle is left
+    # only the primes p <= n from degree 4 on.
+    rng = random.Random(200 + n)
+    oracle = fppoly.splitting_type_mod_p
+    for p in KERNEL_PRIMES:
+        rows = _object_rows(n, p, rng)
+        expected = _oracle_codes(rows, p)
+        coeffs = batch.pack(rows)
+        assert coeffs.dtype == object
+        calls = []
+
+        def counted(f, q):
+            calls.append(q)
+            return oracle(f, q)
+
+        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
+        assert batch.types_mod_p(coeffs, p).tolist() == expected, p
+        monkeypatch.undo()
+        assert (len(calls) > 0) == (n >= 4 and p <= n), p
 
 
 @st.composite
@@ -399,12 +440,12 @@ def test_cubic_kernel_half_modulus_residues(p):
 
 
 def _scalar_certify(row, budget):
-    """Certify one row alone, through the object-dtype (scalar) path.
+    """Certify one row alone, as Python ints (object dtype).
 
-    Returns its (status code, discriminant).
+    Returns its (status code, discriminant).  Under a batch.MAX_KERNEL_PRIME
+    patched to 0, every type comes from the oracle.
     """
-    big = (2**62,) + (1,) * (len(row) - 1)
-    status, disc = certify(batch.pack([tuple(row), big]), budget)
+    status, disc = certify(np.array([row], dtype=object), budget)
     return status[0], disc[0]
 
 
@@ -414,37 +455,43 @@ def _certify_pairs(coeffs, budget):
     return list(zip(status.tolist(), disc.tolist()))
 
 
-def test_bulk_certification_matches_scalar():
+def test_bulk_certification_matches_scalar(monkeypatch):
     spec = FamilySpec(n=3, height_bound=4)
     coeffs = generate(spec)
     bulk = _certify_pairs(coeffs, 25)
+    monkeypatch.setattr(batch, "MAX_KERNEL_PRIME", 0)
     scalar = [_scalar_certify(row, 25) for row in coeffs.tolist()]
     assert bulk == scalar
 
 
-def test_bulk_certification_matches_scalar_tight_budget():
+def test_bulk_certification_matches_scalar_tight_budget(monkeypatch):
     spec = FamilySpec(n=3, height_bound=3)
     coeffs = generate(spec)
-    for budget in (1, 2, 5):
-        assert _certify_pairs(coeffs, budget) == [
-            _scalar_certify(row, budget) for row in coeffs.tolist()
-        ]
+    bulk = {budget: _certify_pairs(coeffs, budget) for budget in (1, 2, 5)}
+    monkeypatch.setattr(batch, "MAX_KERNEL_PRIME", 0)
+    for budget, pairs in bulk.items():
+        assert pairs == [_scalar_certify(row, budget) for row in coeffs.tolist()], budget
 
 
 @pytest.mark.parametrize("n, height", [(2, 10), (3, 3)])
-def test_kernel_and_scalar_certification_agree(n, height):
+def test_kernel_and_scalar_certification_agree(n, height, monkeypatch):
     rows = [tuple(row) for row in generate(FamilySpec(n=n, height_bound=height)).tolist()]
-    # Rows at the kernels' height bound, whose discriminants and integer-root
+    # Rows at pack's int64 bound, whose discriminants and integer-root
     # searches overflow int64; for n = 3 also (X - 2)(X^2 + 2^59).
     rows += [tuple(s * TOP for s in signs) for signs in product((1, -1), repeat=n)]
     if n == 3:
         rows.append((-2**60, 2**59, -2))
+    # The same rows packed as int64, as object dtype (one row beyond pack's
+    # int64 bound), and as int64 with every type from the oracle.
     big = (2**62,) + (1,) * (n - 1)
     assert batch.pack(rows).dtype == np.int64
     for budget in (1, 2, 5, 25):
         kernel = _certify_pairs(batch.pack(rows), budget)
         scalar = _certify_pairs(batch.pack(rows + [big]), budget)
-        assert kernel == scalar[:-1], budget
+        with monkeypatch.context() as patch:
+            patch.setattr(batch, "MAX_KERNEL_PRIME", 0)
+            oracle = _certify_pairs(batch.pack(rows), budget)
+        assert kernel == scalar[:-1] == oracle, budget
     if n == 3:
         assert STATUSES[kernel[-1][0]] == REDUCIBLE
 

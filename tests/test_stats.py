@@ -100,6 +100,28 @@ def test_family_indicator_moments(cubic_box):
     assert mean == 0 and reference == 0
 
 
+_TYPE_TAKERS = {
+    "splitting_indicator": lambda cf, r: splitting_indicator(cf.coeffs[0].tolist(), r, 5),
+    "prime_splitting_count": lambda cf, r: prime_splitting_count(cf.coeffs[0].tolist(), r, 127),
+    "family_indicator_moments": lambda cf, r: family_indicator_moments(cf, r, 5),
+    "family_chebotarev_mean": lambda cf, r: family_chebotarev_mean(cf, r, 127),
+    "family_centered_moment": lambda cf, r: family_centered_moment(cf, r, 127, 2),
+    "clt_report": lambda cf, r: clt_report(cf, r, 127),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPE_TAKERS))
+def test_type_of_another_degree_refused(name):
+    # Well-formed types of degree 2 and 4 on cubics: a ValueError, not a
+    # silent 0 or a KeyError.  pi(127) = 31 and 216 certified rows pass
+    # clt_report's own checks.
+    cf = certify_family(generate(FamilySpec(n=3, height_bound=3)))
+    assert len(cf) == 216
+    for r in [(0, 1), (0, 0, 0, 1)]:
+        with pytest.raises(ValueError, match="does not match"):
+            _TYPE_TAKERS[name](cf, r)
+
+
 def test_indicator_mean_matches_single_prime_chebotarev():
     cf = certify_family(generate(FamilySpec(n=3, height_bound=8)))
     for r in enumerate_types(3):
