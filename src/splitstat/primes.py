@@ -16,7 +16,7 @@ from .errors import ResourceLimitError
 # since the ~5.8M prime ints dominate; the primes up to 2*10^9 alone would
 # take several GB.  Statistics that far out are out of reach anyway: at
 # primes above batch.MAX_KERNEL_PRIME every degree goes to the scalar
-# oracle, which takes ~300 us per quartic near 2^20 and ~450 us near 2^31.
+# oracle, which takes ~150 us per quartic near 2^20 and ~300 us near 2^31.
 # Below it the kernels take degrees 2 to 8 at any height (an object-dtype
 # family is reduced mod p first), except at p <= n from degree 4 on.
 MAX_SIEVE_LIMIT = 10**8

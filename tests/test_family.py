@@ -264,60 +264,40 @@ def _kernel_rows(n, p, rng):
 
 
 @pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
-def test_types_mod_p_matches_oracle(n):
+def test_types_mod_p_matches_oracle(n, monkeypatch):
+    # Rows beyond pack's int64 bound are packed as object dtype.  A type
+    # mod p reads only the residues, so they take the kernels wherever int64
+    # rows do: the oracle is left only the primes p <= n from degree 4 on.
     rng = random.Random(100 + n)
-    big = (2**62,) + (1,) * (n - 1)  # one row beyond pack's int64 bound
+    oracle = fppoly.splitting_type_mod_p
+    calls = []
+
+    def counted(f, q):
+        calls.append(q)
+        return oracle(f, q)
+
     for p in KERNEL_PRIMES:
         rows = _kernel_rows(n, p, rng)
         expected = _oracle_codes(rows, p)
         kernel = batch.pack(rows)
         assert kernel.dtype == np.int64
         assert batch.types_mod_p(kernel, p).tolist() == expected, p
-        scalar = batch.pack(rows + [big])
+        # Every row lifted to a height about 2^64 or 10^400, the g^2 h rows
+        # among them, and rows just beyond the bound.
+        big = [(2**62,) + (1,) * (n - 1), (10**400,) * n, (-2**64,) * n]
+        heights = [2**64 + rng.randrange(p * p), -2**64 - rng.randrange(p * p), 10**400, -10**400]
+        big += [tuple(c + p * rng.choice(heights) for c in row) for row in rows]
+        scalar = batch.pack(rows + big)
         assert scalar.dtype == object
-        assert batch.types_mod_p(scalar, p).tolist() == expected + _oracle_codes([big], p), p
-    for ragged in ([(1,) * n, (1,) * (n + 1)], [big, (1,) * (n + 1)]):
+        calls.clear()
+        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
+        codes = batch.types_mod_p(scalar, p).tolist()
+        monkeypatch.undo()
+        assert codes == expected + _oracle_codes(big, p), p
+        assert bool(calls) == (n >= 4 and p <= n), p
+    for ragged in ([(1,) * n, (1,) * (n + 1)], [big[0], (1,) * (n + 1)]):
         with pytest.raises(ValueError):
             batch.pack(ragged)
-
-
-def _object_rows(n, p, rng):
-    """Rows of height about 2^64 and 10^400, some not squarefree mod p."""
-    def height():
-        return rng.choice([1, -1]) * rng.choice([2**64 + rng.randrange(p * p), 10**400])
-
-    rows = [(10**400,) * n, (-2**64,) * n]
-    rows += [tuple(height() for _ in range(n)) for _ in range(25)]
-    for _ in range(6):
-        a, b = rng.randrange(p), rng.randrange(p)
-        e = 1 if n < 4 else rng.choice([1, 2])
-        square = _square_row(n, a, b, e, lambda: rng.randrange(p))
-        rows.append(tuple(c + p * height() for c in square))
-    return rows
-
-
-@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
-def test_object_families_take_the_kernels(n, monkeypatch):
-    # A type mod p reads only the residues, so rows beyond pack's int64
-    # bound take the kernels wherever int64 rows do: the oracle is left
-    # only the primes p <= n from degree 4 on.
-    rng = random.Random(200 + n)
-    oracle = fppoly.splitting_type_mod_p
-    for p in KERNEL_PRIMES:
-        rows = _object_rows(n, p, rng)
-        expected = _oracle_codes(rows, p)
-        coeffs = batch.pack(rows)
-        assert coeffs.dtype == object
-        calls = []
-
-        def counted(f, q):
-            calls.append(q)
-            return oracle(f, q)
-
-        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
-        assert batch.types_mod_p(coeffs, p).tolist() == expected, p
-        monkeypatch.undo()
-        assert (len(calls) > 0) == (n >= 4 and p <= n), p
 
 
 @st.composite
