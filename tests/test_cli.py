@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -233,6 +234,30 @@ def test_refusal_before_computing(tmp_path, monkeypatch):
     code = main(["ramified", "--n", "3", "--N", "20", "--bound", "7", "--out", str(out)])
     assert code == 2
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("failure", ["exits", "raises"])
+def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
+    parent = os.getpid()
+    count_matrix = stats._count_matrix
+
+    def failing(coeffs, disc, primes):
+        if os.getpid() != parent:
+            if failure == "exits":
+                os._exit(1)
+            raise RuntimeError("worker failed")
+        return count_matrix(coeffs, disc, primes)
+
+    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(stats, "_count_matrix", failing)
+    out = tmp_path / "clt.json"
+    code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
+                 "200", "--x", "300", "--r", "0,0,1", "--out", str(out)])
+    assert code == 3
+    assert "count worker exited with code 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("args", [

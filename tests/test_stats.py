@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import random
 
 import mpmath
@@ -260,6 +262,41 @@ def test_count_profile_skips_ramified_rows(monkeypatch):
         f = tuple(cf.coeffs[i].tolist())
         for r, column in counts.items():
             assert column[i] == prime_splitting_count(f, r, x)
+
+
+# (n, height, sample size, x): the kernels at n = 2, 3, 4, 5 (the oracle at
+# p <= n from degree 4 on), object rows beyond 2^62, and the oracle alone at n = 9.
+_SHARDED_FAMILIES = [
+    (2, 10**6, 60, 200),
+    (3, 10**12, 60, 200),
+    (3, 2**70, 60, 200),
+    (4, 10**6, 60, 200),
+    (5, 10**6, 60, 200),
+    (9, 10**3, 20, 40),
+]
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("n, height, size, x", _SHARDED_FAMILIES)
+def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x, shards):
+    spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=size, seed=3)
+    cf = certify_family(generate(spec))
+    assert len(cf) and (cf.coeffs.dtype == object) == (height > 2**62)
+    expected = stats._count_profile(cf, x)
+    cf._profiles.clear()
+    counted = []
+    count_matrix = stats._count_matrix
+
+    def recorded(coeffs, disc, primes):
+        counted.append(len(coeffs))  # seen in this process only
+        return count_matrix(coeffs, disc, primes)
+
+    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)))
+    monkeypatch.setattr(stats, "_count_matrix", recorded)
+    assert stats._count_profile(cf, x) == expected
+    assert counted == [len(cf) // shards]
+    assert multiprocessing.active_children() == []
 
 
 def test_clt_report_preconditions():
