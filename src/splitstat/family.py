@@ -45,6 +45,13 @@ from .zpoly import discriminant, is_perfect_square
 # need at most 1.01 GB at every degree.  That bounds memory, not time:
 # draws of degree <= 8 take the kernels at any height, but above degree 8
 # every prime goes to the scalar oracle (~18 ms per degree-13 draw).
+# A count profile splits the rows over forked workers (stats.SHARD_PAIRS),
+# each with kernel temporaries for its own rows.  Measured on 2 CPUs:
+# 3*10^6 cubics at N = 10^12, x = 100, peaked at 0.68 GB of parent RSS plus
+# worker private memory (0.69 GB in one process), under the 0.85 GB of
+# certification; RUSAGE_SELF + RUSAGE_CHILDREN sum to 0.85 + 0.47 GB, as the
+# worker's RSS counts the family pages it shares.  10^5 cubics at N = 10^30
+# (object rows), x = 1000: 0.10 GB (0.08 in one process), sum 78 + 65 MB.
 FAMILY_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending

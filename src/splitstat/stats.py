@@ -37,10 +37,11 @@ DEFAULT_K_MAX = 6
 MAX_MOMENT = 40
 
 # Count profiles of more (rows x primes) pairs than this split their rows
-# over forked workers.  Two row blocks against one process (2-CPU Xeon):
-# 0.96-1.9x the time at 6,200-201,600 pairs, 0.86-0.98x at 3.4*10^5 to
-# 3.7*10^6, 0.64x at 1.2*10^7 (10^4 cubics, x = 10^4).  Splitting the primes
-# was faster on few rows, but held 1.09 GB, not 0.68, on 3*10^6 rows.
+# over forked workers.  Time of two row blocks over one process (2-CPU
+# Xeon), cubics: 0.97-1.9x at 6,200-201,600 pairs, 0.86-1.02x at 3.4*10^5
+# to 3.7*10^6 and 0.64x at 1.2*10^7 (10^4 rows, x = 10^4); quartics: 0.96x
+# at 50,400 and 0.59-0.79x at 1.7-5*10^5.  Splitting the primes instead was
+# faster on few rows, but held 1.09 GB, not 0.68, on 3*10^6 rows.
 SHARD_PAIRS = 10**6
 
 
@@ -176,7 +177,8 @@ def _sharded_count_matrix(coeffs, disc, primes, shards):
                 raise SplitstatError("count worker exited with code %s" % worker.exitcode) from None
             blocks.append(block.reshape(-1, blocks[0].shape[1]))
     finally:
-        for worker, _receive in workers:
+        for worker, receive in workers:
+            receive.close()
             worker.kill()  # it has sent its rows or failed
             worker.join()
     return np.concatenate(blocks)

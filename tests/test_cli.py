@@ -249,7 +249,7 @@ def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
         return count_matrix(coeffs, disc, primes)
 
     monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(stats, "_count_matrix", failing)
     out = tmp_path / "clt.json"
     code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
