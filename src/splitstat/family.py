@@ -34,9 +34,9 @@ from .zpoly import discriminant, is_perfect_square
 # the interpreter's ~35 MB: 1731^2 (0.20 GB), 143^3 (0.33 GB), 41^4
 # (0.70 GB), 19^5 (0.78 GB), 5^9 (0.91 GB) and 3^13 (1.06 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
-# 17^4 and 25^4 quartic boxes takes 4.2 s and 14.9 s (2-CPU Xeon), ~35 us
-# per row between them, half of it the discriminants, so 41^4 would take
-# ~100 s.
+# 17^4 and 25^4 quartic boxes takes 2.3 s and 10.2 s (medians of three
+# runs, 2.2-3.0 s and 8.7-10.6 s; 2-CPU Xeon), ~26 us per row between them,
+# about two thirds of it the discriminants, so 41^4 would take ~75 s.
 # Samples: generate plus stats.certify_family grow peak RSS by about 274
 # bytes per cubic at N = 10^12, and at N = 2^64 (object rows) by 336, 445,
 # 788 and 1,214 bytes per row at n = 3, 4, 8, 13, about 63 + 91n (slopes
@@ -153,6 +153,55 @@ def _has_integer_root(f):
     return False
 
 
+def _has_integer_roots(coeffs):
+    """_has_integer_root of every row of an (m, n) packed family.
+
+    int64 rows whose Cauchy bound is at most _horner_height(n) take
+    _horner_roots, and every other row the trial division.
+    """
+    rooted = np.zeros(len(coeffs), dtype=bool)
+    fast = np.zeros(len(coeffs), dtype=bool)
+    if coeffs.dtype == np.int64:
+        fast = np.abs(coeffs).max(axis=1, initial=0) < _horner_height(coeffs.shape[1])
+        rooted[fast] = _horner_roots(coeffs[fast])
+    slow = np.flatnonzero(~fast)
+    rooted[slow] = [_has_integer_root(f) for f in coeffs[slow].tolist()]
+    return rooted
+
+
+def _horner_height(n):
+    """The largest Cauchy bound B = 1 + max |a_i| of a degree-n row that
+    _horner_roots takes.
+
+    Every root of the row lies in (-B, B), among at most 2B + 1 <=
+    ROOT_DIVISOR_BOUND candidates, and |a_0| < B, so _has_integer_root's
+    trial division finds every divisor and both find the same roots.
+    Horner's rule on coefficients below B at |r| <= B keeps every partial
+    value below (n + 1) B^(n+1) < 2^63.
+    """
+    b = (ROOT_DIVISOR_BOUND - 1) // 2
+    while (n + 1) * b ** (n + 1) >= 2**63:
+        b -= 1
+    return b
+
+
+def _horner_roots(coeffs):
+    """Whether each int64 row within _horner_height(n) has an integer root,
+    by Horner's rule at every r in [-B, B], B the largest Cauchy bound of
+    the rows."""
+    columns = np.ascontiguousarray(coeffs.T)
+    found = np.zeros(len(coeffs), dtype=bool)
+    bound = 1 + int(np.abs(coeffs).max(initial=0))
+    for root in range(-bound, bound + 1):
+        value = np.full(len(coeffs), root, dtype=np.int64)
+        for c in columns[:0:-1]:
+            value += c
+            value *= root
+        value += columns[0]
+        found |= value == 0
+    return found
+
+
 def _witness_kinds(n):
     """Boolean tables over the degree-n codes, one per kind of witness.
 
@@ -230,7 +279,6 @@ def certify(coeffs, budget):
     status[square[[is_perfect_square(d) for d in disc[square].tolist()]]] = _AN
     # Only a row without an n-cycle witness can have an integer root.
     rootless = np.flatnonzero(~irreducible & (disc != 0))
-    rooted = [_has_integer_root(f) for f in coeffs[rootless].tolist()]
-    status[rootless[rooted]] = _REDUCIBLE
+    status[rootless[_has_integer_roots(coeffs[rootless])]] = _REDUCIBLE
     status[disc == 0] = _REDUCIBLE
     return status, disc

@@ -18,6 +18,10 @@ from splitstat.family import (
     UNDETERMINED,
     FamilySpec,
     _discriminants,
+    _has_integer_root,
+    _has_integer_roots,
+    _horner_height,
+    _horner_roots,
     certify,
     generate,
 )
@@ -402,6 +406,34 @@ def test_oracle_called_once_per_residue_row(n, monkeypatch):
         assert len(calls) <= p**n
 
 
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (3, 7),
+                                  (4, 5), (4, 7), (5, 7), (6, 7)])
+def test_residue_census_matches_direct_path(n, p, monkeypatch):
+    # A family of more than p^n rows is typed by a census: the kernel types
+    # the p^n residue rows once and each row reads its code from there.  At
+    # p^n rows the kernel types the rows themselves.  From n = 7 on, the
+    # smallest kernel prime 11 puts p^n above FAMILY_BUDGET, so no admitted
+    # family reaches the census there.  At n = 6 every call types 7^6 =
+    # 117,649 grid rows, so only the census of p^n + 1 rows runs.
+    rng = np.random.default_rng(10 * n + p)
+    grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+    expected = batch.types_mod_p(grid, p)  # the direct path, in grid order
+    checked = rng.permutation(p**n)[:400]
+    assert expected[checked].tolist() == _oracle_codes(grid[checked].tolist(), p)
+    calls = []
+    monkeypatch.setattr(fppoly, "splitting_type_mod_p", lambda f, q: calls.append(q))
+    sizes = (p**n, p**n + 1, max(3 * p**n, 2000)) if n < 6 else (p**n + 1,)
+    for size in sizes:
+        position = rng.integers(p**n, size=size)
+        residues = grid[position]
+        # Representatives of every size up to pack's int64 bound, and beyond it.
+        lift = rng.integers(-(TOP // p), TOP // p, size=residues.shape)
+        lift[::7] %= 5
+        for coeffs in (residues + p * lift, residues + p * (lift.astype(object) << 40)):
+            assert batch.types_mod_p(coeffs, p).tolist() == expected[position].tolist(), size
+    assert calls == []
+
+
 @pytest.mark.parametrize("p", DOMAIN_PRIMES[-4:])
 def test_cubic_kernel_half_modulus_residues(p):
     # Residues near +-p/2 give the kernel's largest float64 products.
@@ -474,6 +506,41 @@ def test_kernel_and_scalar_certification_agree(n, height, monkeypatch):
         assert kernel == scalar[:-1] == oracle, budget
     if n == 3:
         assert STATUSES[kernel[-1][0]] == REDUCIBLE
+
+
+@pytest.mark.parametrize("n, height", [(2, 30), (3, 10), (4, 3), (6, 2)])
+def test_horner_roots_match_trial_division(n, height):
+    box = generate(FamilySpec(n=n, height_bound=height))
+    assert height < _horner_height(n)  # every row takes the int64 search
+    expected = [_has_integer_root(f) for f in box.tolist()]
+    assert _horner_roots(box).tolist() == expected
+    assert _has_integer_roots(box).tolist() == expected
+
+
+def test_horner_height_keeps_int64_exact():
+    # X^6 + 512 X^5 + X - 2048 is 5 * 2^64 at X = 2048, which int64 wraps
+    # to 0.  Its height passes the int64 search's bound at n = 6, so the
+    # row keeps the trial division, which finds no root.
+    row = (-2048, 1, 0, 0, 0, 512)
+    assert not _has_integer_root(row)
+    assert 2048 >= _horner_height(6)
+    assert _has_integer_roots(batch.pack([row])).tolist() == [False]
+
+
+def test_integer_root_beyond_trial_division():
+    # (X - 10007)(X^2 + 10009): both factors of a_0 pass the trial-division
+    # bound, so the root is missed.  (X - 10007)(X^2 + 9973): 9973 is a
+    # divisor within it, and 10007 its cofactor.  Both rows are beyond the
+    # int64 search's heights and keep the trial division, alone and in a box.
+    missed, found = (-100160063, 10009, -10007), (-99799811, 9973, -10007)
+    assert _monic_product((-10007,), (10009, 0)) == missed
+    assert _monic_product((-10007,), (9973, 0)) == found
+    assert _certify(missed) == UNDETERMINED
+    assert _certify(found) == REDUCIBLE
+    box = generate(FamilySpec(n=3, height_bound=3))
+    status, _disc = certify(np.vstack([box, [missed, found]]), 25)
+    assert [STATUSES[s] for s in status[-2:]] == [UNDETERMINED, REDUCIBLE]
+    assert (status[:-2] == certify(box, 25)[0]).all()
 
 
 def test_cubic_certificates_pinned():
