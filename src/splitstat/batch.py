@@ -8,13 +8,16 @@ to 8 at p > n from the traces of Berlekamp's matrix Q.  They compute in
 float64: residues stay below 2^20 in absolute value (below 2^19 in the
 trace kernel, whose sums hold at most n <= 8 products and a residue), so
 every product is below 2^40 and every sum reduced at once below 2^44, far
-inside the 2^53 range where float64 integers are exact.  Where a kernel
-serves (n, p) and the family has more than p^n rows, the kernel types the
-p^n residue rows once (a residue census) and every row reads its code by
-its index sum (a_i mod p) p^i.  The rest (p >= 2^20, degree 1, degrees
-above 8, p <= n from degree 4 on) calls the oracle
+inside the 2^53 range where float64 integers are exact.  The rest (p >=
+2^20, degree 1, degrees above 8, p <= n from degree 4 on) calls the oracle
 fppoly.splitting_type_mod_p once per distinct residue row; the kernels
 are tested against it.
+
+A family of more than p^n rows is typed by a residue census: every row
+gets its index sum (a_i mod p) p^i, a p^n-entry table marks the residue
+rows that occur, the kernel or the oracle types each of those once, and
+every row reads its code from the table.  Smaller families go to the
+kernel directly, or to the oracle after np.unique of their residue rows.
 """
 
 import functools
@@ -68,12 +71,30 @@ def types_mod_p(coeffs, p):
     n = coeffs.shape[1]
     if coeffs.dtype == object:
         coeffs = (coeffs % p).astype(np.int64)
-    if p < MAX_KERNEL_PRIME and (n in (2, 3) or 4 <= n <= MAX_TRACE_DEGREE and p > n):
-        if p**n < len(coeffs):
-            # The p^n residue rows in the order of their index; strictly
-            # fewer rows than the family, so the grid takes the kernel.
-            grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1)[::-1].T
-            return types_mod_p(grid, p)[_residue_index(coeffs, p)]
+    if p**n < len(coeffs):
+        # A residue census; its p^n-entry table is smaller than the family.
+        index = _residue_index(coeffs, p)
+        seen = np.flatnonzero(np.bincount(index, minlength=p**n))
+        residues = seen[:, None] // p ** np.arange(n, dtype=np.int64) % p
+        typed = _row_codes(residues, p)
+        codes = np.zeros(p**n, dtype=typed.dtype)
+        codes[seen] = typed
+        return codes[index]
+    if _kernel_serves(n, p):
+        return _row_codes(coeffs, p)
+    residues, inverse = np.unique(coeffs % p, axis=0, return_inverse=True)
+    return _row_codes(residues, p)[inverse]
+
+
+def _kernel_serves(n, p):
+    return p < MAX_KERNEL_PRIME and (n in (2, 3) or 4 <= n <= MAX_TRACE_DEGREE and p > n)
+
+
+def _row_codes(coeffs, p):
+    """types_mod_p of every row, by a kernel where one serves (n, p) and
+    otherwise by one oracle call per row."""
+    n = coeffs.shape[1]
+    if _kernel_serves(n, p):
         if n == 3:
             return _cubic_codes(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], p)
         if n == 2:
@@ -82,13 +103,10 @@ def types_mod_p(coeffs, p):
     types = enumerate_types(n)
     index = {r: code for code, r in enumerate(types)}
     index[None] = len(types)
-    # One oracle call per distinct residue row: at most p^n of them.
-    residues, inverse = np.unique(coeffs % p, axis=0, return_inverse=True)
-    codes = np.array(
-        [index[fppoly.splitting_type_mod_p(row, p)] for row in residues.tolist()],
+    return np.array(
+        [index[fppoly.splitting_type_mod_p(row, p)] for row in coeffs.tolist()],
         dtype=np.int16,
     )
-    return codes[inverse]
 
 
 def _residue_index(coeffs, p):

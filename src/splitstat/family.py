@@ -34,9 +34,9 @@ from .zpoly import discriminant, is_perfect_square
 # the interpreter's ~35 MB: 1731^2 (0.20 GB), 143^3 (0.33 GB), 41^4
 # (0.70 GB), 19^5 (0.78 GB), 5^9 (0.91 GB) and 3^13 (1.06 GB); 3^14 is
 # refused.  Memory would admit more, but time would not: ramified over the
-# 17^4 and 25^4 quartic boxes takes 2.3 s and 10.2 s (medians of three
-# runs, 2.2-3.0 s and 8.7-10.6 s; 2-CPU Xeon), ~26 us per row between them,
-# about two thirds of it the discriminants, so 41^4 would take ~75 s.
+# 17^4 and 25^4 quartic boxes takes 2.3 s and 7.9 s (medians of three
+# runs, 2.2-2.5 s and 7.6-8.5 s; 2-CPU Xeon), ~18 us per row between them,
+# about two thirds of it the discriminants, so 41^4 would take ~52 s.
 # Samples: generate plus stats.certify_family grow peak RSS by about 274
 # bytes per cubic at N = 10^12, and at N = 2^64 (object rows) by 336, 445,
 # 788 and 1,214 bytes per row at n = 3, 4, 8, 13, about 63 + 91n (slopes
@@ -68,6 +68,10 @@ _SN, _AN, _REDUCIBLE, _UNDETERMINED = range(len(STATUSES))
 # Integer-root search for reducibility proofs trial-divides the constant
 # term only up to this bound; larger constant terms stay Undetermined.
 ROOT_DIVISOR_BOUND = 10**4
+
+# Remainders per block of the int64 root search: 2^18 int64 entries (2 MB)
+# whatever the family's size.
+_DIVISOR_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -156,50 +160,66 @@ def _has_integer_root(f):
 def _has_integer_roots(coeffs):
     """_has_integer_root of every row of an (m, n) packed family.
 
-    int64 rows whose Cauchy bound is at most _horner_height(n) take
-    _horner_roots, and every other row the trial division.
+    int64 rows with n max |a_i| < 2^63 take _divisor_roots; object rows
+    and the rest keep the per-row loop.
     """
-    rooted = np.zeros(len(coeffs), dtype=bool)
-    fast = np.zeros(len(coeffs), dtype=bool)
+    m, n = coeffs.shape
+    rooted = np.zeros(m, dtype=bool)
+    fast = np.zeros(m, dtype=bool)
     if coeffs.dtype == np.int64:
-        fast = np.abs(coeffs).max(axis=1, initial=0) < _horner_height(coeffs.shape[1])
-        rooted[fast] = _horner_roots(coeffs[fast])
+        fast = np.abs(coeffs).max(axis=1, initial=0) <= (2**63 - 1) // n
+        rooted[fast] = _divisor_roots(coeffs[fast])
     slow = np.flatnonzero(~fast)
     rooted[slow] = [_has_integer_root(f) for f in coeffs[slow].tolist()]
     return rooted
 
 
-def _horner_height(n):
-    """The largest Cauchy bound B = 1 + max |a_i| of a degree-n row that
-    _horner_roots takes.
+def _divisor_roots(coeffs):
+    """_has_integer_root of every row of an (m, n) int64 array whose
+    |coefficients| stay below 2^63 / n, over whole blocks of rows.
 
-    Every root of the row lies in (-B, B), among at most 2B + 1 <=
-    ROOT_DIVISOR_BOUND candidates, and |a_0| < B, so _has_integer_root's
-    trial division finds every divisor and both find the same roots.
-    Horner's rule on coefficients below B at |r| <= B keeps every partial
-    value below (n + 1) B^(n+1) < 2^63.
+    Rows are taken from the largest |a_0| down.  A block trial-divides by
+    every d up to min(isqrt(|a_0|), ROOT_DIVISOR_BOUND) of its largest
+    row; a smaller row of the block then meets divisors beyond its square
+    root too, but those and their cofactors are divisors of a_0 that its
+    own search reaches, so every row tests the candidates of
+    _has_integer_root and no others.
     """
-    b = (ROOT_DIVISOR_BOUND - 1) // 2
-    while (n + 1) * b ** (n + 1) >= 2**63:
-        b -= 1
-    return b
+    target = np.abs(coeffs[:, 0])
+    rooted = target == 0
+    rows = np.flatnonzero(~rooted)
+    rows = rows[np.argsort(target[rows], kind="stable")]
+    end = len(rows)
+    while end:
+        top = min(isqrt(int(target[rows[end - 1]])), ROOT_DIVISOR_BOUND)
+        start = max(0, end - max(1, _DIVISOR_BLOCK_ENTRIES // top))
+        block = rows[start:end]
+        divisors = np.arange(1, top + 1, dtype=np.int64)
+        row, column = np.nonzero(target[block, None] % divisors == 0)
+        row, d = block[row], divisors[column]
+        cofactor = target[row] // d
+        row = np.tile(row, 4)
+        rooted[row[_are_roots(coeffs[row], np.concatenate([d, -d, cofactor, -cofactor]))]] = True
+        end = start
+    return rooted
 
 
-def _horner_roots(coeffs):
-    """Whether each int64 row within _horner_height(n) has an integer root,
-    by Horner's rule at every r in [-B, B], B the largest Cauchy bound of
-    the rows."""
-    columns = np.ascontiguousarray(coeffs.T)
-    found = np.zeros(len(coeffs), dtype=bool)
-    bound = 1 + int(np.abs(coeffs).max(initial=0))
-    for root in range(-bound, bound + 1):
-        value = np.full(len(coeffs), root, dtype=np.int64)
-        for c in columns[:0:-1]:
-            value += c
-            value *= root
-        value += columns[0]
-        found |= value == 0
-    return found
+def _are_roots(coeffs, r):
+    """Whether r_k, a nonzero divisor of a_0, is a root of row k of an
+    (m, n) int64 array whose |coefficients| stay below 2^63 / n.
+
+    With T_n = 1 and T_i = a_i + r T_(i+1), f(r) = T_0, so f(r) = 0 exactly
+    when T_1 = -a_0 / r and dividing down, T_(i+1) = (T_i - a_i) / r, is
+    exact at every step and ends at T_n = 1.  Each value the division
+    passes through, exact or not, is at most n max |a_i| < 2^63.
+    """
+    value = -coeffs[:, 0] // r
+    exact = np.ones(len(r), dtype=bool)
+    for column in coeffs.T[1:]:
+        value -= column
+        exact &= value % r == 0
+        value //= r
+    return exact & (value == 1)
 
 
 def _witness_kinds(n):

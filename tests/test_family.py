@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from splitstat import batch, fppoly, stats
+from splitstat import batch, family, fppoly, stats
 from splitstat.errors import EmptyFamilyError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
@@ -20,8 +20,6 @@ from splitstat.family import (
     _discriminants,
     _has_integer_root,
     _has_integer_roots,
-    _horner_height,
-    _horner_roots,
     certify,
     generate,
 )
@@ -410,11 +408,12 @@ def test_oracle_called_once_per_residue_row(n, monkeypatch):
                                   (4, 5), (4, 7), (5, 7), (6, 7)])
 def test_residue_census_matches_direct_path(n, p, monkeypatch):
     # A family of more than p^n rows is typed by a census: the kernel types
-    # the p^n residue rows once and each row reads its code from there.  At
-    # p^n rows the kernel types the rows themselves.  From n = 7 on, the
-    # smallest kernel prime 11 puts p^n above FAMILY_BUDGET, so no admitted
-    # family reaches the census there.  At n = 6 every call types 7^6 =
-    # 117,649 grid rows, so only the census of p^n + 1 rows runs.
+    # each residue row that occurs once and each row reads its code from
+    # there.  At p^n rows the kernel types the rows themselves.  From n = 7
+    # on, the smallest kernel prime 11 puts p^n above FAMILY_BUDGET, so no
+    # admitted family reaches the census there.  At n = 6 every call types
+    # up to 7^6 = 117,649 residue rows, so only the census of p^n + 1 rows
+    # runs.
     rng = np.random.default_rng(10 * n + p)
     grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
     expected = batch.types_mod_p(grid, p)  # the direct path, in grid order
@@ -432,6 +431,31 @@ def test_residue_census_matches_direct_path(n, p, monkeypatch):
         for coeffs in (residues + p * lift, residues + p * (lift.astype(object) << 40)):
             assert batch.types_mod_p(coeffs, p).tolist() == expected[position].tolist(), size
     assert calls == []
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (4, 2), (4, 3), (5, 5), (9, 2)])
+def test_oracle_census_types_only_family_residues(n, p, monkeypatch):
+    # On the oracle path a census types only the residue rows that occur,
+    # each once: here drawn from half of the p^n, in families of 2 p^n + 1
+    # rows, int64 and beyond 2^62.
+    rng = np.random.default_rng(10 * n + p)
+    grid = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+    occurring = grid[rng.permutation(p**n)[: (p**n + 1) // 2]]
+    residues = occurring[rng.integers(len(occurring), size=2 * p**n + 1)]
+    lift = rng.integers(-(TOP // p), TOP // p, size=residues.shape)
+    expected = _oracle_codes(residues.tolist(), p)
+    oracle = fppoly.splitting_type_mod_p
+    for coeffs in (residues + p * lift, residues + p * (lift.astype(object) << 40)):
+        calls = []
+
+        def counted(f, q):
+            calls.append(tuple(f))
+            return oracle(f, q)
+
+        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
+        assert batch.types_mod_p(coeffs, p).tolist() == expected
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(set(map(tuple, residues.tolist())))
 
 
 @pytest.mark.parametrize("p", DOMAIN_PRIMES[-4:])
@@ -509,29 +533,60 @@ def test_kernel_and_scalar_certification_agree(n, height, monkeypatch):
 
 
 @pytest.mark.parametrize("n, height", [(2, 30), (3, 10), (4, 3), (6, 2)])
-def test_horner_roots_match_trial_division(n, height):
+def test_int64_roots_match_trial_division(n, height):
     box = generate(FamilySpec(n=n, height_bound=height))
-    assert height < _horner_height(n)  # every row takes the int64 search
     expected = [_has_integer_root(f) for f in box.tolist()]
-    assert _horner_roots(box).tolist() == expected
     assert _has_integer_roots(box).tolist() == expected
 
 
-def test_horner_height_keeps_int64_exact():
-    # X^6 + 512 X^5 + X - 2048 is 5 * 2^64 at X = 2048, which int64 wraps
-    # to 0.  Its height passes the int64 search's bound at n = 6, so the
-    # row keeps the trial division, which finds no root.
-    row = (-2048, 1, 0, 0, 0, 512)
-    assert not _has_integer_root(row)
-    assert 2048 >= _horner_height(6)
-    assert _has_integer_roots(batch.pack([row])).tolist() == [False]
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_int64_roots_match_trial_division_at_every_height(n):
+    # Rows of heights 10^3 to 10^9 in one family, half of them with a
+    # planted root, so blocks of every divisor range meet; constant terms
+    # beyond ROOT_DIVISOR_BOUND^2 leave the trial division incomplete.
+    rng = random.Random(n)
+    rows = []
+    for height in (1000, 2500, 4900, 10**6, 10**9):
+        for i in range(40):
+            root = rng.randint(-height, height)
+            cofactor = [rng.randint(-height, height) for _ in range(n - 1)]
+            rows.append(_monic_product((-root,), cofactor) if i % 2 else
+                        tuple(rng.randint(-height, height) for _ in range(n)))
+    coeffs = batch.pack(rows)
+    assert coeffs.dtype == np.int64
+    expected = [_has_integer_root(f) for f in rows]
+    assert 0 < sum(expected) < len(rows)
+    assert _has_integer_roots(coeffs).tolist() == expected
+
+
+def test_int64_roots_stay_exact(monkeypatch):
+    # X^6 + 512 X^5 + X - 2048 is 5 * 2^64 at X = 2048, which int64 Horner
+    # would wrap to 0; the root test divides down instead.  Near pack's 2^62
+    # bound, rows with n max|a_i| < 2^63 are tested in int64: (X - 1)(X^2 +
+    # c), (X + 1)(X - c), and X^3 - X^2 - cX + c - 2, whose divisors are
+    # +-1 and the prime +-(2^61 - 1).  (X - 1)(X^2 + 2^62 - 1) is beyond
+    # that and keeps the row loop.
+    c, d = 2**61 + 1, 2**62 - 1
+    rows = [(-2048, 1, 0, 0, 0, 512), (-c, c, -1), (-c, 1 - c), (c - 2, -c, -1), (-d, d, -1)]
+    expected = [False, True, True, False, True]
+    assert [_has_integer_root(f) for f in rows] == expected
+    looped = []
+
+    def counted(f):
+        looped.append(tuple(f))
+        return _has_integer_root(f)
+
+    monkeypatch.setattr(family, "_has_integer_root", counted)
+    for row, root in zip(rows, expected):
+        assert _has_integer_roots(batch.pack([row])).tolist() == [root], row
+    assert looped == [rows[-1]]
 
 
 def test_integer_root_beyond_trial_division():
     # (X - 10007)(X^2 + 10009): both factors of a_0 pass the trial-division
     # bound, so the root is missed.  (X - 10007)(X^2 + 9973): 9973 is a
-    # divisor within it, and 10007 its cofactor.  Both rows are beyond the
-    # int64 search's heights and keep the trial division, alone and in a box.
+    # divisor within it, and 10007 its cofactor.  The int64 search finds
+    # the same, alone and in a box.
     missed, found = (-100160063, 10009, -10007), (-99799811, 9973, -10007)
     assert _monic_product((-10007,), (10009, 0)) == missed
     assert _monic_product((-10007,), (9973, 0)) == found
