@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
-from .family import CERTIFIER_PRIME_BUDGET, FamilySpec, generate
+from .family import CERTIFIER_PRIME_BUDGET, FamilySpec
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
@@ -230,7 +230,7 @@ def _spec_config(spec):
 
 def _certified(spec):
     return stats.certify_family(
-        generate(spec),
+        spec,
         budget=spec.certifier_prime_budget,
         description="P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode),
     )

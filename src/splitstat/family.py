@@ -106,6 +106,17 @@ class FamilySpec:
             return (2 * self.height_bound + 1) ** self.n
         return self.sample_size
 
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, rows):
+        """The rows of a slice of step 1, generated on demand: a FamilySpec
+        is a family that stats.certify_family reads slab by slab."""
+        start, stop, step = rows.indices(self.size)
+        if step != 1:
+            raise ValueError("a family is sliced in steps of 1")
+        return generate(self, start, stop)
+
 
 def _subseed(seed, index):
     """Stable sub-seed of draw `index`: each draw depends on (seed, index) only."""
@@ -113,23 +124,24 @@ def _subseed(seed, index):
     return int.from_bytes(digest[:16], "big")
 
 
-def generate(spec):
-    """The family as one (m, n) array in batch.pack format.
+def generate(spec, start=0, stop=None):
+    """Rows [start, stop) of the family, by default all of it, as one
+    (stop - start, n) array in batch.pack format.
 
-    Exhaustive: all of the box, in the lexicographic order of
-    itertools.product.  Sampled: draw i is n coefficients from
-    random.Random(_subseed(seed, i)).
+    Exhaustive: the box in the lexicographic order of itertools.product.
+    Sampled: draw i is n coefficients from random.Random(_subseed(seed, i)).
     """
     n, big_n = spec.n, spec.height_bound
+    stop = spec.size if stop is None else stop
     if spec.mode == "sampled":
         rows = []
-        for index in range(spec.sample_size):
+        for index in range(start, stop):
             rng = random.Random(_subseed(spec.seed, index))
             rows.append(tuple(rng.randrange(-big_n, big_n + 1) for _ in range(n)))
-        return batch.pack(rows)
+        return batch.pack(rows).reshape(-1, n)
     # The budget keeps big_n far below pack's 2^62 int64 bound.
-    side = np.arange(-big_n, big_n + 1, dtype=np.int64)
-    return np.stack(np.meshgrid(*[side] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    digits = np.unravel_index(np.arange(start, stop, dtype=np.int64), (2 * big_n + 1,) * n)
+    return np.stack(digits, axis=-1) - big_n
 
 
 def _is_transposition_type(r):

@@ -44,6 +44,10 @@ MAX_MOMENT = 40
 # faster on few rows, but held 1.09 GB, not 0.68, on 3*10^6 rows.
 SHARD_PAIRS = 10**6
 
+# Rows that certify_family certifies at a time; its peak is one slab's
+# certification plus the certified rows.  SWEEP
+SLAB_ROWS = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class CertifiedFamily:
@@ -70,13 +74,46 @@ class CertifiedFamily:
         return sum(self.statuses.values()) - len(self)
 
 
-def certify_family(coeffs, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
-    """Certify a packed family and keep only its S_n-certified rows."""
-    status, disc = family_mod.certify(coeffs, budget)
-    keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
-    counts = np.bincount(status, minlength=len(family_mod.STATUSES)).tolist()
-    statuses = dict(zip(family_mod.STATUSES, counts))
-    return CertifiedFamily(coeffs[keep], disc[keep], statuses, description)
+def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
+    """Certify a family and keep only its S_n-certified rows.
+
+    family is a packed (m, n) array or a family.FamilySpec: anything whose
+    len is m and whose slices are packed arrays.  It is certified SLAB_ROWS
+    rows at a time.  Certification decides each row alone, so the result is
+    that of one array of the whole family, dtypes included.
+    """
+    m = len(family)
+    coeffs = disc = None
+    kept = 0
+    counts = np.zeros(len(family_mod.STATUSES), dtype=np.int64)
+    # An empty family is certified once, which gives its arrays their shapes.
+    for start in range(0, max(m, 1), SLAB_ROWS):
+        slab = family[start:start + SLAB_ROWS]
+        status, slab_disc = family_mod.certify(slab, budget)
+        keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
+        end = kept + np.count_nonzero(keep)
+        coeffs = _keep(coeffs, m, kept, end, slab[keep])
+        disc = _keep(disc, m, kept, end, slab_disc[keep])
+        counts += np.bincount(status, minlength=len(counts))
+        kept = end
+    statuses = dict(zip(family_mod.STATUSES, counts.tolist()))
+    return CertifiedFamily(coeffs[:kept], disc[:kept], statuses, description)
+
+
+def _keep(buffer, m, start, stop, rows):
+    """buffer[start:stop] = rows, in a buffer of m rows made on first use.
+
+    Its pages past the rows written are never touched, so they take no
+    memory.  Object rows (beyond int64) turn an int64 buffer into an object
+    one, as they would turn one array of the whole family.
+    """
+    if buffer is None or (rows.dtype == object and buffer.dtype != object):
+        wider = np.empty((m,) + rows.shape[1:], dtype=rows.dtype)
+        if buffer is not None:
+            wider[:start] = buffer[:start]
+        buffer = wider
+    buffer[start:stop] = rows
+    return buffer
 
 
 def _require_nonempty(cf):

@@ -125,7 +125,7 @@ def test_sampled_family_over_budget_exit_code(tmp_path, monkeypatch, capsys):
     def generate(*args, **kwargs):
         raise AssertionError("generated a family over the budget")
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(family, "generate", generate)
     code = main(
         ["chebotarev", "--n", "3", "--N", str(10**12), "--mode", "sampled",
          "--sample-size", str(family.FAMILY_BUDGET + 1), "--x", "100", "--r", "0,0,1",
@@ -167,7 +167,7 @@ def test_fibers_outside_regime_exit_code(tmp_path, monkeypatch, capsys):
     def generate(*args, **kwargs):
         raise AssertionError("generated before refusing the targets")
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(family, "generate", generate)
     code = main(
         ["fibers", "--n", "3", "--N", "20", "--target", "3:1,0,2", "--target", "5:0,1,1",
          "--out", str(tmp_path / "fib.json")]
@@ -185,7 +185,7 @@ def test_fibers_bad_moduli_exit_code(tmp_path, monkeypatch, capsys, targets):
     def generate(*args, **kwargs):
         raise AssertionError("generated before refusing the targets")
 
-    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.setattr(family, "generate", generate)
     argv = ["fibers", "--n", "2", "--N", "100", "--out", str(tmp_path / "fib.json")]
     for target in targets:
         argv += ["--target", target]
@@ -225,6 +225,27 @@ def test_index_subcommand(tmp_path):
     assert doc["config"]["bound"] == 11
     assert doc["results"]["family_size"] + doc["results"]["excluded"] == 61**2
     assert doc["results"]["reference"] == pytest.approx(1 / 4 + 1 / 9 + 1 / 25 + 1 / 49 + 1 / 121)
+
+
+def test_ramified_generates_the_box_in_slabs(tmp_path, monkeypatch):
+    # The box is generated one slab at a time, in order, and never whole,
+    # and the report is the one certified with the default slab.
+    argv = ["ramified", "--n", "3", "--N", "5", "--bound", "7", "--out"]
+    assert main(argv + [str(tmp_path / "default.json")]) == 0
+    ranges = []
+    generate = family.generate
+
+    def recorded(spec, start=0, stop=None):
+        ranges.append((start, stop))
+        return generate(spec, start, stop)
+
+    monkeypatch.setattr(family, "generate", recorded)
+    monkeypatch.setattr(stats, "SLAB_ROWS", 100)
+    assert main(argv + [str(tmp_path / "slabs.json")]) == 0
+    cuts = [start for start, _stop in ranges] + [11**3]
+    assert ranges == list(zip(cuts, cuts[1:])) and cuts[0] == 0
+    assert all(0 < stop - start <= 100 for start, stop in ranges)
+    assert (tmp_path / "slabs.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def test_refusal_before_computing(tmp_path, monkeypatch):

@@ -122,12 +122,27 @@ def test_sampled_family_budget():
             sampled(n, most + 1)
 
 
+def _assert_slices_tile(spec, whole):
+    """generate(spec, i, j) over cuts 7 rows apart, and spec's own slices,
+    put back together give the whole family, dtype and order included."""
+    cuts = list(range(0, spec.size, 7)) + [spec.size]
+    for part in (generate, lambda spec, i, j: spec[i:j]):
+        slices = [part(spec, i, j) for i, j in zip(cuts, cuts[1:])]
+        assert all(piece.shape == (j - i, spec.n) for piece, i, j in zip(slices, cuts, cuts[1:]))
+        joined = np.concatenate(slices)
+        assert joined.tolist() == whole.tolist()
+    assert generate(spec, 3, 3).shape == (0, spec.n)
+    assert len(spec) == spec.size
+
+
 def test_generate_exhaustive():
     for n, height in [(1, 3), (2, 1), (2, 2), (3, 0), (3, 2), (4, 2)]:
-        coeffs = generate(FamilySpec(n=n, height_bound=height))
+        spec = FamilySpec(n=n, height_bound=height)
+        coeffs = generate(spec)
         box = np.array(list(product(range(-height, height + 1), repeat=n)))
         assert coeffs.dtype == np.int64 and coeffs.flags.c_contiguous
         assert coeffs.shape == box.shape and (coeffs == box).all(), (n, height)
+        _assert_slices_tile(spec, box)
 
 
 def test_generate_sampled_deterministic():
@@ -148,6 +163,9 @@ def test_generate_sampled_deterministic():
     assert [tuple(row) for row in coeffs.tolist()] == [
         (6949142590151003363, 10931521264089054602, -248668961329141903),
         (-9533134185274568833, -12483256141774059573, 6183784080481168661)]
+    for sampled in (spec, small, FamilySpec(n=3, height_bound=2**64, mode="sampled",
+                                            sample_size=30, seed=7)):
+        _assert_slices_tile(sampled, generate(sampled))
 
 
 def test_certify_empty_family():

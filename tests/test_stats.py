@@ -61,7 +61,7 @@ def test_partition_identity():
         assert total + nonsq == len(sieve_primes(x))
 
 
-def test_certify_family_counts_exclusions():
+def test_certify_family_counts_exclusions(monkeypatch):
     spec = FamilySpec(n=3, height_bound=5)
     coeffs = generate(spec)
     cf = certify_family(coeffs, budget=25)
@@ -82,6 +82,57 @@ def test_certify_family_counts_exclusions():
     assert cf.statuses[SN_CERTIFIED] == len(cf)
     none = certify_family(batch.pack([(-1, 0)]))
     assert none.coeffs.shape == (0, 2) and none.disc.size == 0 and none.excluded == 1
+    # With slabs of 7 rows, slab boundaries fall inside every family below.
+    # certify_family over the family and over it as one packed array gives
+    # what certify gives on that array: rows, discriminants, dtypes, order
+    # and status counts.
+    monkeypatch.setattr(stats, "SLAB_ROWS", 7)
+    for family, whole in _slabbed_families():
+        status, disc = certify(whole, 25)
+        keep = status == STATUSES.index(SN_CERTIFIED)
+        counts = dict(zip(STATUSES, np.bincount(status, minlength=len(STATUSES)).tolist()))
+        for source in (family, whole):
+            cf = certify_family(source, budget=25)
+            assert cf.coeffs.dtype == whole.dtype and cf.disc.dtype == disc.dtype
+            assert cf.coeffs.shape == (keep.sum(), whole.shape[1])
+            assert cf.coeffs.tolist() == whole[keep].tolist()
+            assert cf.disc.tolist() == disc[keep].tolist()
+            assert cf.statuses == counts
+
+
+class _PackedSlices:
+    """A family of rows packed a slice at a time, so that its slices can
+    differ in dtype from each other and from the whole family."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, rows):
+        return batch.pack(self.rows[rows])
+
+
+def _slabbed_families():
+    """(family, the family as one packed array) pairs: boxes, samples below,
+    at and beyond pack's 2^62 bound, families whose slabs differ in the
+    dtype of their rows or discriminants, and the empty family."""
+    specs = [FamilySpec(n=n, height_bound=h) for n, h in [(1, 3), (2, 4), (3, 3), (4, 1), (6, 1)]]
+    specs += [FamilySpec(n=n, height_bound=h, mode="sampled", sample_size=40, seed=5)
+              for n, h in [(3, 10**12), (3, 2**62), (3, 2**64), (5, 2**64)]]
+    families = [(spec, generate(spec)) for spec in specs]
+    box = generate(FamilySpec(n=3, height_bound=2)).tolist()
+    for height in (10**12, 2**64):
+        draws = generate(FamilySpec(n=3, height_bound=height, mode="sampled",
+                                    sample_size=8)).tolist()
+        # 134 rows: small discriminants, then large ones (and at 2^64 object
+        # rows) from slab 17 on, and a last slab of X^3 - X - 1 alone.
+        rows = box + draws + [[-1, -1, 0]]
+        families.append((_PackedSlices(rows), batch.pack(rows)))
+    empty = np.zeros((0, 3), dtype=np.int64)
+    families.append((empty, empty))
+    return families
 
 
 def test_empty_family_error():
