@@ -5,8 +5,9 @@ and sieves the primes <= floor(x) it needs; pi(x) is their number.
 Every aggregate is a function of one CertifiedFamily, made by
 certify_family, and reports how many polynomials were excluded; it
 returns plain numbers, lists and dicts, which the CLI writes as they are.
-The certified subfamily is its packed coefficient rows and the array of
-their discriminants, both kept from certification: no statistic re-packs
+certify_family walks the family in slabs of SLAB_ROWS rows, so only the
+certified subfamily is held: its packed coefficient rows and the array of
+their discriminants, both kept from certification.  No statistic re-packs
 a row or recomputes a discriminant.  A large count profile splits its
 rows over forked workers, one per CPU, and stacks their integer counts,
 so the result is the same as in one process.  Exact per-prime references
@@ -45,7 +46,14 @@ MAX_MOMENT = 40
 SHARD_PAIRS = 10**6
 
 # Rows that certify_family certifies at a time; its peak is one slab's
-# certification plus the certified rows.  SWEEP
+# certification plus the certified rows.  ramified over the N=50 cubic box
+# (1,030,301 rows), three runs per size in one process each (2-CPU Xeon):
+# one slab of the whole box 0.88-1.02 s and 124 MB; slabs of 20,000 rows
+# 1.10-1.60 s and 76-77 MB, 2^15 0.93-1.49 s and 76-77 MB, 2^16 0.72-0.91 s
+# and 77 MB, 2^17 0.82-1.13 s and 80 MB, 2^18 0.81-1.14 s and 94 MB; the
+# unslabbed certifier took 0.80-0.99 s and 113 MB.  Small slabs pay the
+# kernels' fixed cost per prime more often and lose the residue census
+# (batch.types_mod_p, p^n < rows) at more primes.
 SLAB_ROWS = 2**16
 
 

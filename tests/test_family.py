@@ -111,7 +111,7 @@ def test_family_spec_validation():
 
 
 def test_sampled_family_budget():
-    # A sampled family is held whole too: the budget bounds it as it does a box.
+    # The budget bounds a sampled family as it does a box.
     # Above degree 3 a draw costs more, and the budget shrinks as 3/n.
     def sampled(n, size):
         return FamilySpec(n=n, height_bound=2**64, mode="sampled", sample_size=size)
