@@ -27,29 +27,28 @@ from .zpoly import discriminant, is_perfect_square
 
 # Largest family, in polynomials.  stats.certify_family holds one slab of
 # stats.SLAB_ROWS = 2^16 rows and the certified rows, so beyond one slab
-# peak RSS grows by about 31, 38, 86 and 81 bytes per polynomial in boxes
-# at n = 2, 3, 4, 6 (slope of peak RSS of the ramified subcommand between
-# boxes of 90,601/811,801, 68,921/531,441, 83,521/390,625 and
-# 117,649/531,441 polynomials; CPython 3.11, numpy 2.4; 68, 113, 246 and
-# 314 bytes before slabs).  Taking n = 6's slope for n = 5 and allowing 50
-# more per degree above 6, the largest admitted box of every degree needs
-# at most 0.7 GB on top of the interpreter's ~35 MB and one slab (the
-# slopes before slabs times 2^16 rows, at most ~80 MB): 1731^2 (0.09 GB), 143^3 (0.11 GB), 41^4 (0.24 GB), 19^5
-# (0.20 GB), 5^9 (0.45 GB) and 3^13 (0.69 GB); 3^14 is refused.  Memory
-# would admit more, but time would not, which is what holds the budget at
-# 3*10^6: ramified over the 17^4 and 25^4 quartic boxes takes 2.3 s and
-# 7.9 s (medians of three runs, 2.2-2.5 s and 7.6-8.5 s; 2-CPU Xeon), ~18 us
-# per row between them, about two thirds of it the discriminants, so 41^4
-# would take ~52 s.  Samples: peak RSS grows by about 112 bytes per cubic
-# at N = 10^12 (slope between 10^5/4*10^5 draws; 274 before slabs), and at
-# N = 2^64, where the certified rows keep their Python ints, by 255, 368,
-# 596 and ~1,100 bytes per draw at n = 3, 4, 8, 13 (slopes between
+# peak RSS grows by about 31, 38, 86 and 81 bytes per polynomial in boxes at
+# n = 2, 3, 4, 6 (slope of peak RSS of the ramified subcommand between boxes
+# of 90,601/811,801, 68,921/531,441, 83,521/390,625 and 117,649/531,441
+# polynomials; CPython 3.11, numpy 2.4).  Taking n = 6's slope for n = 5 and
+# allowing 50 more per degree above 6, the largest admitted box of every
+# degree needs at most 0.7 GB on top of the interpreter's ~35 MB and one
+# slab (at most ~80 MB, for 2^16 degree-13 draws): 1731^2 (0.09 GB), 143^3
+# (0.11 GB), 41^4 (0.24 GB), 19^5 (0.20 GB), 5^9 (0.45 GB) and 3^13 (0.69
+# GB); 3^14 is refused.  Memory would admit more, but time would not, which
+# is what holds the budget at 3*10^6: ramified over the 17^4 and 25^4
+# quartic boxes takes 2.3 s and 7.9 s (medians of three runs, 2.2-2.5 s and
+# 7.6-8.5 s; 2-CPU Xeon), ~18 us per row between them, about two thirds of
+# it the discriminants, so 41^4 would take ~52 s.  Samples: peak RSS grows by
+# about 112 bytes per cubic at N = 10^12 (slope between 10^5/4*10^5 draws),
+# and at N = 2^64, where the certified rows keep their Python ints, by 255,
+# 368, 596 and ~1,100 bytes per draw at n = 3, 4, 8, 13 (slopes between
 # 10^5/4*10^5 and 10^5/2*10^5 draws, and, with slabs of 2^10 rows,
-# 2,000/10,000 and 1,000/3,000 draws; 336, 445, 788 and 1,214 before).  A
-# sample of degree n > 3 is held to FAMILY_BUDGET * 3/n draws, which need
-# at most 0.83 GB at every degree.  That bounds memory, not time: draws of
-# degree <= 8 take the kernels at any height, but above degree 8 every
-# prime goes to the scalar oracle (~18 ms per degree-13 draw).
+# 2,000/10,000 and 1,000/3,000 draws).  A sample of degree n > 3 is held to
+# FAMILY_BUDGET * 3/n draws, which need at most 0.83 GB at every
+# degree.  That bounds memory, not time: draws of degree <= 8 take the
+# kernels at any height, but above degree 8 every prime goes to the scalar
+# oracle (~18 ms per degree-13 draw).
 # A count profile splits the rows over forked workers (stats.SHARD_PAIRS),
 # each with kernel temporaries for its own rows.  Measured on 2 CPUs before
 # slabs: 3*10^6 cubics at N = 10^12, x = 100, peaked at 0.68 GB of parent

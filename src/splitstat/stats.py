@@ -99,28 +99,27 @@ def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description
         slab = family[start:start + SLAB_ROWS]
         status, slab_disc = family_mod.certify(slab, budget)
         keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
-        end = kept + np.count_nonzero(keep)
-        coeffs = _keep(coeffs, m, kept, end, slab[keep])
-        disc = _keep(disc, m, kept, end, slab_disc[keep])
+        coeffs = _keep(coeffs, m, kept, slab[keep])
+        disc = _keep(disc, m, kept, slab_disc[keep])
+        kept += np.count_nonzero(keep)
         counts += np.bincount(status, minlength=len(counts))
-        kept = end
     statuses = dict(zip(family_mod.STATUSES, counts.tolist()))
     return CertifiedFamily(coeffs[:kept], disc[:kept], statuses, description)
 
 
-def _keep(buffer, m, start, stop, rows):
-    """buffer[start:stop] = rows, in a buffer of m rows made on first use.
+def _keep(buffer, m, start, rows):
+    """The buffer of m rows, made on first use, with rows written from
+    row start on; its pages past the rows written are never touched.
 
-    Its pages past the rows written are never touched, so they take no
-    memory.  Object rows (beyond int64) turn an int64 buffer into an object
-    one, as they would turn one array of the whole family.
+    Object rows (beyond int64) turn an int64 buffer into an object one, as
+    they would turn one array of the whole family.
     """
     if buffer is None or (rows.dtype == object and buffer.dtype != object):
         wider = np.empty((m,) + rows.shape[1:], dtype=rows.dtype)
         if buffer is not None:
             wider[:start] = buffer[:start]
         buffer = wider
-    buffer[start:stop] = rows
+    buffer[start:start + len(rows)] = rows
     return buffer
 
 
