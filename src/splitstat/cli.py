@@ -111,13 +111,16 @@ SAMPLE_SUFFIX = ".sample.csv"
 
 
 def _check_outputs(args):
-    """Refuse a missing --out, or one of the run's outputs already in the way.
+    """Refuse a missing --out, one in no existing directory, or one of the
+    run's outputs already in the way.
 
     Called before the subcommand computes anything, so a refused run
     spends no time and leaves no output.
     """
     if args.out is None:
         raise ValueError("field out: an output path is required")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError("field out: no directory %s" % os.path.dirname(args.out))
     paths = [args.out]
     if args.command == "clt":
         paths.append(args.out + SAMPLE_SUFFIX)
@@ -135,8 +138,9 @@ def _write_report(args, experiment, config, results, summary, extra=(), statuses
     one row of values per dict.  Every text is complete before anything is
     written; each goes to a temp file beside its path and is then moved
     into place, so a failure before the moves leaves no output and no temp
-    file.  Then prints the experiment's name, the (key, value) pairs of
-    summary and out=--out on one line.
+    file; an OSError there is a SplitstatError.  Then prints the
+    experiment's name, the (key, value) pairs of summary and out=--out on
+    one line.
     """
     meta = {"experiment": experiment, "version": __version__}
     if statuses is not None:
@@ -168,9 +172,12 @@ def _write_report(args, experiment, config, results, summary, extra=(), statuses
                 fh.write(body)
         for (path, _text), temp in zip(outputs, temps):
             os.replace(temp, path)
+    except OSError as exc:
+        raise SplitstatError("cannot write the report: %s" % exc) from None
     finally:
         for temp in temps:
-            pathlib.Path(temp).unlink(missing_ok=True)
+            if os.path.lexists(temp):  # False, not an error, on a bad name
+                os.remove(temp)
     fields = [*summary, ("out", args.out)]
     print(experiment, " ".join("%s=%s" % field for field in fields))
 
@@ -326,16 +333,19 @@ def run_ansplit(args):
 # Argument handling
 
 def _load_config_file(path):
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError("config file: %s" % exc) from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError("%s:%d: expected key = value" % (path, lineno))
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError("%s:%d: expected key = value" % (path, lineno))
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 

@@ -6,9 +6,9 @@ Every aggregate is a function of one CertifiedFamily, made by
 certify_family, and reports how many polynomials were excluded; it
 returns plain numbers, lists and dicts, which the CLI writes as they are.
 certify_family walks the family in slabs of SLAB_ROWS rows, so only the
-certified subfamily is held: its packed coefficient rows and the array of
-their discriminants, both kept from certification.  No statistic re-packs
-a row or recomputes a discriminant.  A large count profile splits its
+certified subfamily is held: its packed rows and their discriminants, both
+kept from certification.  Count profiles read the rows alone, the ramified
+and index averages the discriminants.  A large count profile splits its
 rows over forked workers, one per CPU, and stacks their integer counts,
 so the result is the same as in one process.  Exact per-prime references
 come from the splitting-type combinatorics; asymptotic constants are never
@@ -154,13 +154,12 @@ def prime_splitting_count(f, r, x):
 # Count profiles (cached per certified family)
 
 def _count_profile(cf, x):
-    """Per-polynomial pi_{f,r}(x) for every type r.
+    """Per-polynomial pi_{f,r}(x) for every type r, from the rows alone.
 
     Returns a dict mapping each splitting type to a list of per-polynomial
     counts.  Cached on the CertifiedFamily instance under floor(x), so the
     primes are sieved only on a miss.  Above SHARD_PAIRS (rows x primes),
-    set above the crossover measured in its comment, the rows are split
-    over every CPU the process may run on; the counts are the same.
+    the rows are split over every CPU the process may run on.
     """
     key = math.floor(x)
     if key in cf._profiles:
@@ -171,30 +170,30 @@ def _count_profile(cf, x):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     shards = min(cpus, len(cf))
     if shards > 1 and len(cf) * len(primes) > SHARD_PAIRS:
-        matrix = _sharded_count_matrix(cf.coeffs, cf.disc, primes, shards)
+        matrix = _sharded_count_matrix(cf.coeffs, primes, shards)
     else:
-        matrix = _count_matrix(cf.coeffs, cf.disc, primes)
+        matrix = _count_matrix(cf.coeffs, primes)
     types = splittypes.enumerate_types(cf.coeffs.shape[1])
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
     cf._profiles[key] = counts
     return counts
 
 
-def _count_matrix(coeffs, disc, primes):
-    """(rows, types + 1) counts of each type code; the last is never read."""
-    n = coeffs.shape[1]
+def _count_matrix(coeffs, primes):
+    """(rows, types + 1) counts per type code; the last, p | disc(f), is never read."""
+    m, n = coeffs.shape
+    # The same counts: perfbench's self-test needs batch.count_pairs, counted only here.
     if (n == 3 and primes and coeffs.dtype == np.int64
             and primes[-1] < batch.MAX_KERNEL_PRIME):
         return batch.cubic_count_matrix(coeffs, primes)
-    matrix = np.zeros((len(coeffs), len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)
+    matrix = np.zeros((m, len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)
+    rows = np.arange(m)
     for p in primes:
-        # Rows with p | disc(f) are not squarefree mod p.
-        rows = np.flatnonzero(disc % p != 0)
-        matrix[rows, batch.types_mod_p(coeffs[rows], p)] += 1
+        matrix[rows, batch.types_mod_p(coeffs, p)] += 1
     return matrix
 
 
-def _sharded_count_matrix(coeffs, disc, primes, shards):
+def _sharded_count_matrix(coeffs, primes, shards):
     """_count_matrix of `shards` consecutive row blocks, stacked: block 0
     here, each other in a forked worker that shares the family's pages and
     sends its rows back.  Each process holds temporaries for its rows only.
@@ -208,11 +207,11 @@ def _sharded_count_matrix(coeffs, disc, primes, shards):
         for lo, hi in zip(bounds[1:], bounds[2:]):
             receive, send = context.Pipe(duplex=False)
             worker = context.Process(target=_send_count_matrix, daemon=True,
-                                     args=(send, coeffs[lo:hi], disc[lo:hi], primes))
+                                     args=(send, coeffs[lo:hi], primes))
             worker.start()
             send.close()
             workers.append((worker, receive))
-        blocks = [_count_matrix(coeffs[:bounds[1]], disc[:bounds[1]], primes)]
+        blocks = [_count_matrix(coeffs[:bounds[1]], primes)]
         for worker, receive in workers:
             try:
                 block = np.frombuffer(receive.recv_bytes(), dtype=np.int64)
@@ -228,8 +227,8 @@ def _sharded_count_matrix(coeffs, disc, primes, shards):
     return np.concatenate(blocks)
 
 
-def _send_count_matrix(send, coeffs, disc, primes):
-    send.send_bytes(_count_matrix(coeffs, disc, primes))
+def _send_count_matrix(send, coeffs, primes):
+    send.send_bytes(_count_matrix(coeffs, primes))
 
 
 # ---------------------------------------------------------------------------

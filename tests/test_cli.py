@@ -257,17 +257,43 @@ def test_refusal_before_computing(tmp_path, monkeypatch):
     assert out.read_text() == "kept\n"
 
 
+def test_out_in_missing_directory_refused(tmp_path, monkeypatch, capsys):
+    _refuse_computing(monkeypatch)
+    out = tmp_path / "nodir" / "x.json"
+    for argv in (["counts", "--n", "3", "--p", "5"],
+                 ["ramified", "--n", "3", "--N", "20", "--bound", "7"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "configuration error: field out: no directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "counts.json"
+    argv = ["counts", "--n", "3", "--p", "5", "--config", str(tmp_path / "none.cfg")]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "configuration error: config file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_write_failure_exit_code(tmp_path, capsys):
+    # The longest name the directory takes: its temp file's name is too long.
+    out = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    assert main(["counts", "--n", "3", "--p", "5", "--out", str(out)]) == 3
+    assert "error: cannot write the report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("failure", ["exits", "raises"])
 def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     parent = os.getpid()
     count_matrix = stats._count_matrix
 
-    def failing(coeffs, disc, primes):
+    def failing(coeffs, primes):
         if os.getpid() != parent:
             if failure == "exits":
                 os._exit(1)
             raise RuntimeError("worker failed")
-        return count_matrix(coeffs, disc, primes)
+        return count_matrix(coeffs, primes)
 
     monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

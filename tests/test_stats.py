@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from splitstat import batch, fppoly, stats
+from splitstat import batch, stats
 from splitstat.errors import EmptyFamilyError
 from splitstat.family import SN_CERTIFIED, STATUSES, FamilySpec, certify, generate
 from splitstat.primes import sieve_primes
@@ -291,28 +291,35 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
     assert len(calls) == 1
 
 
-def test_count_profile_skips_ramified_rows(monkeypatch):
-    # Degree 4 takes the generic path, and reaches the oracle only at p <= n:
-    # there, too, it never sees a row with p | disc(f).
-    cf = certify_family(generate(FamilySpec(n=4, height_bound=2)))
-    x = 50
+# (spec, x, every how many rows to check against the oracle): boxes on the
+# generic path, cubics on both sides of 2^62 and the oracle alone at n = 9.
+_PROFILE_FAMILIES = [
+    (FamilySpec(n=2, height_bound=20), 60, 97),
+    (FamilySpec(n=4, height_bound=2), 50, 23),
+    (FamilySpec(n=3, height_bound=10**12, mode="sampled", sample_size=40, seed=5), 60, 7),
+    (FamilySpec(n=3, height_bound=10**30, mode="sampled", sample_size=40, seed=5), 60, 7),
+    (FamilySpec(n=9, height_bound=10**3, mode="sampled", sample_size=12, seed=5), 30, 4),
+]
+
+
+@pytest.mark.parametrize("spec, x, step", _PROFILE_FAMILIES,
+                         ids=["box2", "box4", "cubic", "cubic-object", "sample9"])
+def test_count_profile_matches_prime_splitting_count(spec, x, step):
+    cf = certify_family(spec)
     primes = sieve_primes(x)
-    assert any(d % p == 0 for d in cf.disc for p in primes)
-    calls = []
-    oracle = fppoly.splitting_type_mod_p
-
-    def wrapped(f, p):
-        calls.append((f, p))
-        return oracle(f, p)
-
-    monkeypatch.setattr(fppoly, "splitting_type_mod_p", wrapped)
     counts = stats._count_profile(cf, x)
-    assert calls and all(discriminant(f) % p != 0 for f, p in calls)
-    monkeypatch.undo()
-    for i in range(0, len(cf), 25):
+    for i in range(0, len(cf), step):
         f = tuple(cf.coeffs[i].tolist())
         for r, column in counts.items():
             assert column[i] == prime_splitting_count(f, r, x)
+    # Each row counts for one type at every prime but those dividing disc(f).
+    ramified = sum((cf.disc % p == 0).astype(np.int64) for p in primes)
+    assert ramified.any()
+    total = np.sum(list(counts.values()), axis=0)
+    assert (total == len(primes) - ramified).all()
+    # The count path never reads a discriminant.
+    bare = stats.CertifiedFamily(cf.coeffs, None, cf.statuses)
+    assert stats._count_profile(bare, x) == counts
 
 
 # (n, height, sample size, x): the kernels at n = 2, 3, 4, 5 (the oracle at
@@ -338,9 +345,9 @@ def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x
     counted = []
     count_matrix = stats._count_matrix
 
-    def recorded(coeffs, disc, primes):
+    def recorded(coeffs, primes):
         counted.append(len(coeffs))  # seen in this process only
-        return count_matrix(coeffs, disc, primes)
+        return count_matrix(coeffs, primes)
 
     monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)), raising=False)
