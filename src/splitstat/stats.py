@@ -180,7 +180,7 @@ def _count_profile(cf, x):
 
 
 def _count_matrix(coeffs, primes):
-    """(rows, types + 1) counts per type code; the last, p | disc(f), is never read."""
+    """(rows, types + 1) counts per type code; the last, not squarefree, is never read."""
     m, n = coeffs.shape
     # The same counts: perfbench's self-test needs batch.count_pairs, counted only here.
     if (n == 3 and primes and coeffs.dtype == np.int64
