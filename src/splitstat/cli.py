@@ -136,11 +136,11 @@ def _write_report(args, experiment, config, results, summary, extra=(), statuses
     The CSV table is read off results: a dict gives its sorted key,value
     rows; a list of dicts gives the first dict's keys as the header and
     one row of values per dict.  Every text is complete before anything is
-    written; each goes to a temp file beside its path and is then moved
-    into place, so a failure before the moves leaves no output and no temp
-    file; an OSError there is a SplitstatError.  Then prints the
-    experiment's name, the (key, value) pairs of summary and out=--out on
-    one line.
+    written; each goes to a new temp file .<pid>.<i>.tmp in its path's
+    directory and is then moved into place, so a failure before the moves
+    leaves no output and no temp file; an OSError there is a
+    SplitstatError.  Then prints the experiment's name, the (key, value)
+    pairs of summary and out=--out on one line.
     """
     meta = {"experiment": experiment, "version": __version__}
     if statuses is not None:
@@ -165,10 +165,13 @@ def _write_report(args, experiment, config, results, summary, extra=(), statuses
             writer.writerows(row.values() for row in results)
         text = buf.getvalue()
     outputs = [(args.out, text), *extra]
-    temps = ["%s.%d.tmp" % (path, os.getpid()) for path, _text in outputs]
+    temps = []
     try:
-        for (_path, body), temp in zip(outputs, temps):
+        for i, (path, body) in enumerate(outputs):
+            # A short name, so that any name the directory takes is writable.
+            temp = os.path.join(os.path.dirname(path), ".%d.%d.tmp" % (os.getpid(), i))
             with open(temp, "x", encoding="utf-8", newline="") as fh:
+                temps.append(temp)
                 fh.write(body)
         for (path, _text), temp in zip(outputs, temps):
             os.replace(temp, path)
@@ -176,7 +179,7 @@ def _write_report(args, experiment, config, results, summary, extra=(), statuses
         raise SplitstatError("cannot write the report: %s" % exc) from None
     finally:
         for temp in temps:
-            if os.path.lexists(temp):  # False, not an error, on a bad name
+            if os.path.lexists(temp):  # not once moved into place
                 os.remove(temp)
     fields = [*summary, ("out", args.out)]
     print(experiment, " ".join("%s=%s" % field for field in fields))

@@ -37,9 +37,10 @@ from .zpoly import discriminant, is_perfect_square
 # (0.11 GB), 41^4 (0.24 GB), 19^5 (0.20 GB), 5^9 (0.45 GB) and 3^13 (0.69
 # GB); 3^14 is refused.  Memory would admit more, but time would not, which
 # is what holds the budget at 3*10^6: ramified over the 17^4 and 25^4
-# quartic boxes takes 2.3 s and 7.9 s (medians of three runs, 2.2-2.5 s and
-# 7.6-8.5 s; 2-CPU Xeon), ~18 us per row between them, about two thirds of
-# it the discriminants, so 41^4 would take ~52 s.  Samples: peak RSS grows by
+# quartic boxes takes 1.4 s and 5.3 s (medians of three runs, 1.35-1.61 s
+# and 4.4-5.5 s; 2-CPU Xeon), ~13 us per row between them, about a sixth of
+# it the discriminants (0.79 s of the 25^4 box), and 21 s over 41^4 (one
+# run).  Samples: peak RSS grows by
 # about 112 bytes per cubic at N = 10^12 (slope between 10^5/4*10^5 draws),
 # and at N = 2^64, where the certified rows keep their Python ints, by 255,
 # 368, 596 and ~1,100 bytes per draw at n = 3, 4, 8, 13 (slopes between
@@ -77,6 +78,14 @@ ROOT_DIVISOR_BOUND = 10**4
 # Remainders per block of the int64 root search: 2^18 int64 entries (2 MB)
 # whatever the family's size.
 _DIVISOR_BLOCK_ENTRIES = 2**18
+
+# Matrix entries per block of _discriminants, whatever the family's size:
+# the (n, n, rows) object stack of 2^14 / n^2 polynomials.  Bareiss on
+# 2,000 degree-13 draws at N = 2^64 peaked at 6.0 MB (tracemalloc) in such
+# blocks and at 116 MB in one stack, so a 2^16-row slab in one stack would
+# need ~3.8 GB.  Blocks of 2^12 and 2^13 entries took 1.7x and 1.2x as long
+# on the N=8 quartic box (2-CPU Xeon).
+_DISC_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -260,16 +269,22 @@ def _witness_kinds(n):
 def _discriminants(coeffs):
     """disc(f) of every row of an (m, n) packed family, in row order.
 
-    For n <= 3 the closed forms run over the coefficient columns, in int64
-    when every |c| <= 2^15: then each term of the cubic's is at most 2^62
-    in absolute value and their sum stays below 2^63.  Otherwise, and for
-    n >= 4, row by row as Python ints (object dtype).
+    zpoly.discriminant runs over the coefficient columns of blocks of
+    _DISC_BLOCK_ENTRIES // n^2 rows.  For n <= 3 the closed forms run in
+    int64 when every |c| <= 2^15: then each term of the cubic's is at most
+    2^62 in absolute value and their sum stays below 2^63.  Otherwise, and
+    for n >= 4, the discriminants are Python ints (object dtype).
     """
     m, n = coeffs.shape
-    if n <= 3 and coeffs.dtype == np.int64 and np.abs(coeffs).max(initial=0) <= 2**15:
-        disc = discriminant(list(coeffs.T))
-        return np.full(m, disc) if n == 1 else disc
-    return np.array([discriminant(row) for row in coeffs.tolist()], dtype=object)
+    small = n <= 3 and coeffs.dtype == np.int64 and np.abs(coeffs).max(initial=0) <= 2**15
+    dtype = np.int64 if small else object
+    step = _DISC_BLOCK_ENTRIES // n**2
+    # Filled in place: a list of block results joined by np.concatenate
+    # raised cubic-box-ramified's peak RSS by 1.3 MB.
+    disc = np.empty(m, dtype=dtype)
+    for start in range(0, m, step):
+        disc[start:start + step] = discriminant(tuple(coeffs[start:start + step].T.astype(dtype)))
+    return disc
 
 
 def certify(coeffs, budget):

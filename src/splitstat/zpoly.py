@@ -2,47 +2,54 @@
 
 A polynomial X^n + a_{n-1}X^{n-1} + ... + a_0 is its coefficient row
 (a_0, ..., a_{n-1}) of Python ints, with the leading 1 implicit: a row of
-a batch.pack array after .tolist().  Every routine here takes that row.
-Discriminants as the determinant of the n x n matrix of multiplication
-by f' modulo f, and the Dedekind p-maximality test.
+a batch.pack array after .tolist().  The Dedekind p-maximality test takes
+that row; discriminants, the determinant of the n x n matrix of
+multiplication by f' modulo f, take it or the coefficient columns of many
+polynomials at once.
 """
 
 from math import isqrt
+
+import numpy as np
 
 from . import fppoly
 from .errors import ReduciblePolynomialError
 
 
 def _bareiss_det(m):
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign = 1
+    """Fraction-free (Bareiss) determinants of an (n, n, rows) object stack
+    of integer matrices, one per index of the last axis; modifies m.
+
+    At a zero pivot the first row below with a nonzero entry in the pivot
+    column is added to the pivot row, chosen per matrix by mask: Bareiss
+    updates every row below the pivot linearly in that row, so adding
+    active rows adds the original ones, which keeps the determinant and
+    every division exact.  Where the whole column is zero, every later
+    entry becomes 0 and the zero pivot divides as 1.
+    """
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for k in range(len(m) - 1):
+        zero = np.flatnonzero(m[k, k] == 0)
+        below = k + 1 + (m[k + 1:, k, zero] != 0).argmax(axis=0)
+        m[k, k:, zero] += m[below, k:, zero]
+        pivot, rest = m[k, k], m[k + 1:, k + 1:]
+        rest[...] = (rest * pivot - m[k + 1:, k:k + 1] * m[k:k + 1, k + 1:]) // prev
+        prev = np.where(pivot == 0, 1, pivot)
+    return m[-1, -1]
 
 
 def discriminant(f):
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f'), exact.
 
-    Degrees 2 and 3 use the classical closed forms.  Otherwise, f being
-    monic, Res(f, f') is the determinant of multiplication by f' on
-    Z[X]/(f) in the basis 1, X, ..., X^(n-1).  Its column j is X^j f' mod f,
-    each the previous one times X minus its top coefficient times f, and
-    Bareiss elimination takes the n x n determinant; degree 1 gives 1.
+    f is a row of ints or a tuple of n coefficient columns (arrays of one
+    shape); a row gives a Python int and columns an array of that shape.
+    Degrees 2 and 3 use the classical closed forms, in the columns' dtype.
+    Otherwise, f being monic, Res(f, f') is the determinant of
+    multiplication by f' on Z[X]/(f) in the basis 1, X, ..., X^(n-1).  Its
+    column j is X^j f' mod f, each the previous one times X minus its top
+    coefficient times f, built for every row as Python ints (object dtype)
+    into a stack whose n x n determinants Bareiss elimination takes;
+    degree 1 gives 1.
     """
     n = len(f)
     if n == 2:
@@ -53,14 +60,15 @@ def discriminant(f):
         return (
             18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c
         )
-    col = [i * c for i, c in enumerate(f)][1:] + [n]
-    cols = [col]
-    for _ in range(n - 1):
-        top = col[-1]
-        col = [-top * f[0]] + [c - top * a for c, a in zip(col, f[1:])]
-        cols.append(col)
+    coeffs = np.array(f, dtype=object).reshape(n, -1)
+    m = np.empty((n, n, coeffs.shape[1]), dtype=object)
+    m[0, :-1] = np.arange(1, n, dtype=object)[:, None] * coeffs[1:]
+    m[0, -1] = n
+    for j in range(1, n):
+        m[j] = -m[j - 1, -1] * coeffs
+        m[j, 1:] += m[j - 1, :-1]
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * _bareiss_det(cols)
+    return (sign * _bareiss_det(m)).reshape(np.shape(f[0]))[()]
 
 
 def _int_poly_mul(a, b):

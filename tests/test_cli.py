@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import multiprocessing
 import os
@@ -275,12 +276,22 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_report_write_failure_exit_code(tmp_path, capsys):
-    # The longest name the directory takes: its temp file's name is too long.
-    out = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+def test_report_write_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def failing(src, dst):
+        raise OSError(errno.EIO, "cannot move", src)
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "counts.json"
     assert main(["counts", "--n", "3", "--p", "5", "--out", str(out)]) == 3
     assert "error: cannot write the report" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_report_with_longest_name_is_written(tmp_path):
+    out = tmp_path / ("r" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    assert main(["counts", "--n", "3", "--p", "5", "--out", str(out)]) == 0
+    assert list(tmp_path.iterdir()) == [out]
+    assert json.loads(out.read_text())["meta"]["experiment"] == "counts"
 
 
 @pytest.mark.parametrize("failure", ["exits", "raises"])

@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from splitstat import batch, family, fppoly, stats
+from splitstat import batch, family, fppoly, stats, zpoly
 from splitstat.errors import EmptyFamilyError, ResourceLimitError
 from splitstat.family import (
     AN_CANDIDATE,
@@ -16,6 +16,7 @@ from splitstat.family import (
     SN_CERTIFIED,
     STATUSES,
     UNDETERMINED,
+    _DISC_BLOCK_ENTRIES,
     FamilySpec,
     _discriminants,
     _has_integer_root,
@@ -226,19 +227,41 @@ def test_certified_fraction_floor(cubic_box):
     assert frac >= 0.95
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_column_discriminants_match_rows(n):
-    # int64 closed forms up to |c| = 2^15; one coefficient beyond, or rows
-    # at pack's int64 bound, switch the discriminants to Python ints.
+    # int64 closed forms for n <= 3 up to |c| = 2^15; one coefficient
+    # beyond, rows at pack's int64 bound or n >= 4 switch the discriminants
+    # to Python ints.  An empty family keeps its coefficients' rule.
     edge = 2**15
+    rng = random.Random(n)
     for top, dtype in [(edge, np.int64), (edge + 1, object), (TOP, object)]:
         values = (top, -top, top - 1, 1 - top, 0, 1, -1)
-        rows = list(product(values, repeat=n))
+        if n <= 4:
+            rows = list(product(values, repeat=n))
+        else:
+            rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(1000)]
         coeffs = batch.pack(rows)
         disc = _discriminants(coeffs)
-        if n > 1:
-            assert disc.dtype == dtype, top
+        assert disc.dtype == (dtype if n <= 3 else object), top
         assert disc.tolist() == [discriminant(list(row)) for row in rows], top
+        assert _discriminants(coeffs[:0]).dtype == (np.int64 if n <= 3 else object)
+
+
+def test_discriminant_blocks(monkeypatch):
+    # Several blocks of a quintic box: no stack holds more than a block's
+    # entries, and the discriminants match one call per row.
+    sizes = []
+    bareiss = zpoly._bareiss_det
+
+    def spy(m):
+        sizes.append(m.size)
+        return bareiss(m)
+
+    monkeypatch.setattr(zpoly, "_bareiss_det", spy)
+    coeffs = generate(FamilySpec(n=5, height_bound=2))
+    disc = _discriminants(coeffs)
+    assert len(sizes) > 1 and max(sizes) <= _DISC_BLOCK_ENTRIES
+    assert disc.tolist() == [discriminant(row) for row in coeffs.tolist()]
 
 
 def _lift(c, p, sign):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from splitstat.errors import ReduciblePolynomialError
@@ -79,6 +80,27 @@ def test_discriminant_against_determinant_oracle():
         roots = [rng.randrange(-9, 10) for _ in range(n - 1)]
         f = _from_roots(roots + [rng.choice(roots)])
         assert discriminant(f) == _discriminant_oracle(f) == 0, f
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_column_discriminant_against_determinant_oracle(n):
+    # One call over the columns of a mixed batch: f = X^n (a zero column at
+    # the first pivot), rows with a_1 = 0 (a zero first pivot), repeated
+    # roots (disc 0) and entries beyond 2^64.
+    rng = random.Random(n)
+    rows = [(0,) * n]
+    for h in (3, 10**6, 2**70):
+        for _ in range(6):
+            f = [rng.randrange(-h, h + 1) for _ in range(n)]
+            rows.append(tuple(f))
+            if n > 1:
+                rows.append((f[0], 0, *f[2:]))
+                roots = [rng.randrange(-h, h + 1) for _ in range(n - 1)]
+                rows.append(_from_roots(roots + [rng.choice(roots)]))
+    columns = tuple(np.array(column, dtype=object) for column in zip(*rows))
+    disc = discriminant(columns)
+    assert disc.shape == (len(rows),)
+    assert disc.tolist() == [_discriminant_oracle(f) for f in rows]
 
 
 def test_discriminant_zero_iff_nonsquarefree_mod_p():
