@@ -4,14 +4,16 @@ types_mod_p is the single entry point.  A type mod p reads only residues,
 so an object-dtype family (pack's, beyond 2^62) is reduced mod p to int64
 first, and the path depends on the degree and p alone.  At p < 2^20,
 vectorized numpy kernels take degrees 2 and 3 at every p, and degrees 4
-to 8 at p > n from the traces of Berlekamp's matrix Q.  They compute in
-float64: residues stay below 2^20 in absolute value (below 2^19 in the
-trace kernel, whose sums hold at most n <= 8 products and a residue), so
-every product is below 2^40 and every sum reduced at once below 2^44, far
-inside the 2^53 range where float64 integers are exact.  The rest (p >=
-2^20, degree 1, degrees above 8, p <= n from degree 4 on) calls the oracle
-fppoly.splitting_type_mod_p once per distinct residue row; the kernels
-are tested against it.
+to 8 at p > n from the traces of Berlekamp's matrix Q.  Cubics at 3 < p <=
+CUBIC_TABLE_FACTOR * rows read their codes from a table of the p classes of
+depressed cubics, built per call from discrete logs, in int64 below 2^41.
+The other kernels compute in float64: residues stay below 2^20 in absolute
+value (below 2^19 in the trace kernel, whose sums hold at most n <= 8
+products and a residue), so every product is below 2^40 and every sum
+reduced at once below 2^44, far inside the 2^53 range where float64
+integers are exact.  The rest (p >= 2^20, degree 1, degrees above 8,
+p <= n from degree 4 on) calls the oracle fppoly.splitting_type_mod_p
+once per distinct residue row; the kernels are tested against it.
 
 A family of more than p^n rows is typed by a residue census: every row
 gets its index sum (a_i mod p) p^i, a p^n-entry table marks the residue
@@ -21,6 +23,7 @@ kernel directly, or to the oracle after np.unique of their residue rows.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -35,6 +38,19 @@ MAX_INT64_HEIGHT = 2**62  # pack's bound on |coefficient| for int64
 # most 2^18 float64 entries (2 MB) whatever the family's size.
 _TRACE_BLOCK_ENTRIES = 2**18
 
+# Cubics mod p are typed from _cubic_table(p) where 3 < p <= CUBIC_TABLE_FACTOR
+# times the number of rows, and by X^p mod f at the other odd p.  The table
+# costs about 0.1 ms at p = 101, 0.5 ms at 10^4 and 100 ms at 10^6, whatever
+# the rows; the X^p path 0.35 ms on 10 rows and 35 ms on 10^5 at p ~ 10^5.
+# Medians of 7 calls at p ~ k rows, table / X^p in ms (2-CPU Xeon): 1,000
+# rows 0.41/0.78 at k = 10 and 1.89/0.73 at 30; 5,000 rows 1.02/2.26 at 3,
+# 1.65/2.46 at 6 and 5.90/2.70 at 12; 20,000 rows 2.92/6.60 at 2, 8.52/10.24
+# at 3 and 10.16/9.14 at 4; 10^5 rows 22.8/37.4 at 2, 34.8/42.7 at 3 and
+# 45.1/35.6 at 4; 2^18 rows 131.5/192.8 at 4 (p = 1,048,573).  The crossover
+# falls from k ~ 20 at 10^3 rows to ~3.5 from 2*10^4 rows on, where the
+# table's cost past it grows fastest, so k = 3.
+CUBIC_TABLE_FACTOR = 3
+
 # Cubic codes, in enumerate_types(3) order; ABSENT is the not-squarefree code.
 INERT, TRANSPOSITION, SPLIT, ABSENT = 0, 1, 2, 3
 
@@ -44,6 +60,8 @@ _CUBIC_MOD_2 = np.array(
     [ABSENT, TRANSPOSITION, ABSENT, INERT, ABSENT, INERT, TRANSPOSITION, ABSENT],
     dtype=np.int8,
 )
+# Cubic code by its number of distinct roots mod p (_cubic_table).
+_CUBIC_BY_ROOTS = np.array([INERT, TRANSPOSITION, ABSENT, SPLIT], dtype=np.int8)
 
 
 def pack(rows):
@@ -123,9 +141,18 @@ def _residue_index(coeffs, p):
     return index
 
 
+def _mod(x, m):
+    """The residues in [0, m) of an integer array x: // and * by a scalar,
+    several times faster in numpy than %, into one new array."""
+    q = x // m
+    q *= -m
+    q += x
+    return q
+
+
 def _residues(x, p):
     """int64 coefficients as float64 residues in [0, p), exactly."""
-    return (x - x // p * p).astype(np.float64)
+    return _mod(x, p).astype(np.float64)
 
 
 def _reduce(x, p):
@@ -176,13 +203,24 @@ def _cubic_codes(a0, a1, a2, p):
     """Splitting-type codes for cubics X^3 + a2 X^2 + a1 X + a0 mod p.
 
     Input arrays are arbitrary int64 coefficients; output is an int8 array
-    with INERT / TRANSPOSITION / SPLIT / ABSENT per polynomial.  For odd p,
+    with INERT / TRANSPOSITION / SPLIT / ABSENT per polynomial.  At
+    3 < p <= CUBIC_TABLE_FACTOR * rows the rows read their codes from
+    _cubic_table(p); the other odd primes take the Frobenius path.
+    """
+    if p == 2:
+        return _CUBIC_MOD_2[(a0 & 1) + 2 * (a1 & 1) + 4 * (a2 & 1)]
+    if 3 < p <= CUBIC_TABLE_FACTOR * len(a0):
+        return _cubic_table_codes(a0, a1, a2, p)
+    return _cubic_frobenius_codes(a0, a1, a2, p)
+
+
+def _cubic_frobenius_codes(a0, a1, a2, p):
+    """_cubic_codes at an odd prime p, from the discriminant and X^p mod f.
+
     Stickelberger's parity theorem makes a squarefree cubic a TRANSPOSITION
     exactly when its discriminant is a nonsquare; the other squarefree
     cubics are SPLIT when X^p = X mod f and INERT otherwise.
     """
-    if p == 2:
-        return _CUBIC_MOD_2[(a0 & 1) + 2 * (a1 & 1) + 4 * (a2 & 1)]
     a, b, c = _residues(a2, p), _residues(a1, p), _residues(a0, p)
     disc = _cubic_discriminant(a, b, c, p)
     codes = np.where(disc == 0, ABSENT, TRANSPOSITION).astype(np.int8)
@@ -213,14 +251,121 @@ def _cubic_codes(a0, a1, a2, p):
     return codes
 
 
+def _cubic_table_codes(a0, a1, a2, p):
+    """_cubic_codes at a prime 3 < p < 2^20, from _cubic_table(p).
+
+    Z = 3X + a2 turns 27 f(X) into Z^3 + P Z + Q with P = 9 a1 - 3 a2^2
+    and Q = 2 a2^3 - 9 a2 a1 + 27 a0, of the same type since 3 is a unit.
+    Each row's code is the table's entry at log(Q^2) + log(R^-3), R = -P:
+    three residues, three reductions and three gathers, all int64 below
+    2^41.
+    """
+    log_square, log_inverse_cube, codes = _cubic_table(p)
+    a, b = _mod(a2, p), _mod(a1, p)
+    aa = a * a
+    b *= -9
+    b += 2 * aa
+    u = _mod(b, p)  # 2 a^2 - 9 b
+    aa += u
+    r = _mod(aa, p)  # 3 a^2 - 9 b = -P
+    a *= u
+    a += 27 * _mod(a0, p)
+    q = _mod(a, p)  # a (2 a^2 - 9 b) + 27 c = Q
+    index = log_square[q]
+    index += log_inverse_cube[r]
+    return codes[index]
+
+
+def _cubic_table(p):
+    """(log_square, log_inverse_cube, codes): the cubic types mod a prime
+    3 < p < 2^20 as p-entry tables of discrete logs to a primitive root g.
+
+    Z^3 + P Z + Q with P, Q != 0 scales by l = Q / P^2 to l^3 f(Z / l) =
+    Z^3 + t Z + t^2, t = Q^2 / P^3 = -Q^2 / R^3, so its type depends on t
+    alone.  A root x of that is nonzero and t^2 + x t + x^3 = 0, so
+    t = x (-1 + s) / 2 with s^2 = 1 - 4x for one s != +-1; then -8t =
+    w^2 (2 - w) with w = 1 - s, w != 0, 2.  So the roots of each t are
+    counted by one bincount over w = g^j of log(-8t) = 2j + log(2 - w).
+    0 roots is INERT, 1 TRANSPOSITION and 3 SPLIT; the one t with a
+    repeated root, -4/27, where the discriminant -t^3 (4 + 27t) vanishes,
+    has 2 and is ABSENT.  codes[k] for k < 2(p - 1) is the code of
+    log(-t) = k mod (p - 1), since log_square[Q] + log_inverse_cube[R] =
+    log(Q^2 / R^3) in [0, 2(p - 2)].  The rest of codes holds the rows
+    with P or Q zero, sent there by log_square[0] = 2(p - 1) and
+    log_inverse_cube[0] = 3(p - 1):
+      Q = 0: Z (Z^2 + P) is SPLIT when R = -P is a square, that is when
+        log(R^-3) is even, and a TRANSPOSITION otherwise;
+      P = 0: Z^3 + Q is a TRANSPOSITION when p = 2 mod 3, where cubing is
+        a bijection of F_p; otherwise 3 | p - 1, and it is SPLIT when Q is
+        a cube, that is when log(Q^2) = 0 mod 3, and INERT otherwise;
+      P = Q = 0: Z^3 is ABSENT, at codes[5(p - 1)].
+    """
+    # power[k] = g^k for k < p - 1, as g^(i width) g^j with i, j < width.
+    g = _primitive_root(p)
+    width = math.isqrt(p) + 1
+    low, high = [1], [1]
+    for _ in range(width - 1):
+        low.append(low[-1] * g % p)
+    for _ in range(width - 1):
+        high.append(high[-1] * low[-1] * g % p)
+    power = _mod(np.multiply.outer(high, low).ravel()[:p - 1], p).astype(np.int32)
+    log = np.empty(p, dtype=np.int32)
+    log[power] = np.arange(p - 1, dtype=np.int32)
+    log[0] = 0
+
+    # 2 - w lies in (-p, 2) and a negative index reads log[p + 2 - w].
+    # w = 2 reads log[0] = 0 at j = log 2, a key taken back out.
+    keys = log[2 - power]
+    del power
+    keys += np.arange(0, 2 * (p - 1), 2, dtype=np.int32)
+    roots = np.bincount(_mod(keys, p - 1), minlength=p - 1)
+    del keys
+    roots[2 * int(log[2]) % (p - 1)] -= 1
+    # The keys are log(-8t); by_log[k] is the code of the t with log(-t) = k.
+    by_log = np.roll(_CUBIC_BY_ROOTS[roots], -int(log[8 % p]))
+    del roots
+    codes = np.full(5 * (p - 1) + 1, ABSENT, dtype=np.int8)
+    codes[:p - 1] = codes[p - 1:2 * (p - 1)] = by_log
+    zero_q = codes[2 * (p - 1):3 * (p - 1)]
+    zero_q[0::2], zero_q[1::2] = SPLIT, TRANSPOSITION
+    zero_p = codes[3 * (p - 1):4 * (p - 1)]
+    zero_p[:] = TRANSPOSITION if p % 3 == 2 else INERT
+    if p % 3 == 1:
+        zero_p[0::3] = SPLIT
+
+    log_square = _mod(2 * log, p - 1)
+    log_inverse_cube = _mod(-3 * log, p - 1)
+    log_square[0], log_inverse_cube[0] = 2 * (p - 1), 3 * (p - 1)
+    return log_square, log_inverse_cube, codes
+
+
+def _primitive_root(p):
+    """The least generator of the multiplicative group mod a prime p."""
+    factors, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
 def cubic_count_matrix(coeffs, primes):
     """Per-row counts of each cubic code over the primes.
 
     coeffs is an (m, 3) int64 array within the kernel bounds and every
     prime is below MAX_KERNEL_PRIME.  Returns an int64 array of shape
     (m, 4) whose columns are the codes INERT, TRANSPOSITION, SPLIT, ABSENT.
-    Each prime costs one _cubic_codes call: Euler's criterion on every
-    row's discriminant and X^p mod f on the square-discriminant rows.
+    Each prime costs one _cubic_codes call: at 3 < p <= CUBIC_TABLE_FACTOR
+    * m a p-entry table and three gathers per row, elsewhere Euler's
+    criterion on every row's discriminant and X^p mod f on the
+    square-discriminant rows.
     """
     a0, a1, a2 = (np.ascontiguousarray(column) for column in coeffs.T)
     m = len(coeffs)

@@ -38,11 +38,17 @@ DEFAULT_K_MAX = 6
 MAX_MOMENT = 40
 
 # Count profiles of more (rows x primes) pairs than this split their rows
-# over forked workers.  Time of two row blocks over one process (2-CPU
-# Xeon), cubics: 0.97-1.9x at 6,200-201,600 pairs, 0.86-1.02x at 3.4*10^5
-# to 3.7*10^6 and 0.64x at 1.2*10^7 (10^4 rows, x = 10^4); quartics: 0.96x
-# at 50,400 and 0.59-0.79x at 1.7-5*10^5.  Splitting the primes instead was
-# faster on few rows, but held 1.09 GB, not 0.68, on 3*10^6 rows.
+# over forked workers.  Time of two row blocks over one process, medians of
+# 5 (2-CPU Xeon), sampled at N = 10^12.  Quartics: 0.66x at 168,000 pairs
+# (1,000 rows, x = 10^3), 0.97x at 368,700 and 0.70x at 1.2*10^6 (300 and
+# 1,000 rows, x = 10^4).  Cubics, whose table path costs each process a
+# table per prime (batch.CUBIC_TABLE_FACTOR) and types a block's primes
+# above 3 x its rows by X^p mod f: at x = 10^4, 1.35-2.2x at 50,400 to
+# 168,000 pairs, 1.4-1.6x at 1.2-6.1*10^6, 0.80x at 8.6*10^6 and 0.62x at
+# 1.2*10^7 (0.73 s against 1.19 s on 10^4 rows); 0.98x at 9.6*10^6 (1,000
+# rows, x = 10^5).  The threshold serves every degree, so it stays at the
+# quartics' 10^6.  Splitting the primes instead was faster on few rows,
+# but held 1.09 GB, not 0.68, on 3*10^6 rows.
 SHARD_PAIRS = 10**6
 
 # Rows that certify_family certifies at a time; its peak is one slab's
@@ -385,16 +391,21 @@ def index_prime_average(cf, bound):
 
     Only primes with p^2 | disc(f) are submitted to the Dedekind test,
     since the index appears squared in the discriminant; the reference is
-    the leading term sum of 1/p^2.
+    the leading term sum of 1/p^2.  The rows are read SLAB_ROWS at a time,
+    so the residues of disc(f) and the rows as Python ints are held for
+    one slab.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     _require_nonempty(cf)
     primes = sieve_primes(bound)
     total = 0
-    for p in primes:
-        for row in cf.coeffs[cf.disc % (p * p) == 0].tolist():
-            total += not dedekind_is_p_maximal(row, p)
+    for start in range(0, len(cf), SLAB_ROWS):
+        coeffs = cf.coeffs[start:start + SLAB_ROWS]
+        disc = cf.disc[start:start + SLAB_ROWS]
+        for p in primes:
+            for row in coeffs[disc % (p * p) == 0].tolist():
+                total += not dedekind_is_p_maximal(row, p)
     reference = math.fsum(1.0 / (p * p) for p in primes)
     return total / len(cf), reference
 

@@ -374,16 +374,74 @@ def test_types_mod_p_kernel_property(n, data):
     assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
 
 
+def _spy_cubic_paths(monkeypatch):
+    """The primes at which each cubic path is called, by path name."""
+    calls = {"table": [], "frobenius": []}
+    for name, attr in (("table", "_cubic_table_codes"), ("frobenius", "_cubic_frobenius_codes")):
+        def spy(a0, a1, a2, p, name=name, path=getattr(batch, attr)):
+            calls[name].append(p)
+            return path(a0, a1, a2, p)
+        monkeypatch.setattr(batch, attr, spy)
+    return calls
+
+
 @pytest.mark.parametrize("p", sieve_primes(53))
-def test_cubic_kernel_census(p):
-    # Every residue triple once, as the representatives nearest 0.
+def test_cubic_kernel_census(p, monkeypatch):
+    # Every residue triple once, as the representatives nearest 0; from
+    # p = 5 on the p^3 rows take the table path.
     grid = np.indices((p, p, p), dtype=np.int64).reshape(3, -1).T - p // 2
+    calls = _spy_cubic_paths(monkeypatch)
     codes = batch.types_mod_p(grid, p)
+    assert calls == ({"table": [p], "frobenius": []} if p > 3 else
+                     {"table": [], "frobenius": [p] if p == 3 else []})
     counts = np.bincount(codes, minlength=4).tolist()
     expected = [class_count(3, r, p) for r in enumerate_types(3)]
     assert counts == expected + [p**3 - sum(expected)]
     if p <= 13:
         assert codes.tolist() == _oracle_codes(grid.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cubic_table_every_residue_triple(p):
+    # The table path called directly, at primes 1 and 2 mod 3, on every
+    # residue triple as representatives in [0, p) and nearest 0.
+    for shift in (0, p // 2):
+        grid = np.indices((p, p, p), dtype=np.int64).reshape(3, -1).T - shift
+        codes = batch._cubic_table_codes(grid[:, 0], grid[:, 1], grid[:, 2], p)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == _oracle_codes(grid.tolist(), p)
+
+
+def _shifted(row, k):
+    """(a_0, a_1, a_2) of f(X + k) for f = X^3 + a_2 X^2 + a_1 X + a_0."""
+    a0, a1, a2 = row
+    return (k**3 + a2 * k * k + a1 * k + a0, 3 * k * k + 2 * a2 * k + a1, 3 * k + a2)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1009, 1013, DOMAIN_PRIMES[-1]])
+def test_cubic_table_degenerate_classes(p):
+    # X^3 + a X^2 + b X + c is Z^3 + P Z + Q after Z = 3X + a; the rows with
+    # P = 0, Q = 0, both, or t = Q^2 / P^3 = -4/27 (a double root) have
+    # their own table entries.  Each class is checked on shifts f(X + k),
+    # which keep P and Q, lifted near pack's int64 bound.
+    rng = random.Random(p)
+    nonzero = [1, 2, 3, p - 1, p - 2] + [rng.randrange(1, p) for _ in range(20)]
+    classes = {
+        "P = Q = 0": ([(0, 0, 0)], {batch.ABSENT}),
+        "Q = 0": ([(0, v, 0) for v in nonzero],
+                  {batch.SPLIT, batch.TRANSPOSITION}),
+        "P = 0": ([(v, 0, 0) for v in nonzero],
+                  {batch.TRANSPOSITION} if p % 3 == 2 else {batch.SPLIT, batch.INERT}),
+        # (X - r)^2 (X + 2r): P = -3r^2, Q = 2r^3, so t = -4/27
+        "t = -4/27": ([(2 * r**3, -3 * r * r, 0) for r in nonzero], {batch.ABSENT}),
+    }
+    for name, (rows, expected) in classes.items():
+        rows = [_shifted(row, k) for row in rows for k in (0, 1, -5, rng.randrange(p))]
+        rows = [tuple(_lift(c, p, rng.choice([1, -1])) for c in row) for row in rows]
+        coeffs = batch.pack(rows)
+        codes = batch._cubic_table_codes(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], p)
+        assert codes.tolist() == _oracle_codes(rows, p), name
+        assert set(codes.tolist()) == expected, name
 
 
 @pytest.mark.parametrize("n, p", [(4, 5), (4, 7), (4, 11), (5, 7)])
@@ -500,7 +558,7 @@ def test_oracle_census_types_only_family_residues(n, p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", DOMAIN_PRIMES[-4:])
-def test_cubic_kernel_half_modulus_residues(p):
+def test_cubic_kernel_half_modulus_residues(p, monkeypatch):
     # Residues near +-p/2 give the kernel's largest float64 products.
     half = (p - 1) // 2
     near = [half, -half, half - 1, 1 - half, 0, 1]  # six distinct residues
@@ -511,9 +569,15 @@ def test_cubic_kernel_half_modulus_residues(p):
         rows.append((-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -r1 - r2 - r3))
     coeffs = batch.pack(rows)
     assert coeffs.dtype == np.int64
+    calls = _spy_cubic_paths(monkeypatch)
     codes = batch.types_mod_p(coeffs, p).tolist()
+    assert calls == {"table": [], "frobenius": [p]}
+    monkeypatch.undo()
     assert codes == _oracle_codes(rows, p)
     assert set(codes) == {batch.INERT, batch.TRANSPOSITION, batch.SPLIT, batch.ABSENT}
+    # The table path, which types these rows only in larger families, agrees.
+    columns = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    assert batch._cubic_table_codes(*columns, p).tolist() == codes
 
 
 def _scalar_certify(row, budget):
