@@ -26,8 +26,9 @@ from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import discriminant, is_perfect_square
 
 # Largest family, in polynomials.  stats.certify_family holds one slab of
-# stats.SLAB_ROWS = 2^16 rows and the certified rows, so beyond one slab
-# peak RSS grows by about 31, 38, 86 and 81 bytes per polynomial in boxes at
+# stats.SLAB_ROWS = 2^16 rows per process (stats._forked_map) and the
+# certified rows in the calling one, so beyond one slab its peak RSS grows
+# by about 31, 38, 86 and 81 bytes per polynomial in boxes at
 # n = 2, 3, 4, 6 (slope of peak RSS of the ramified subcommand between boxes
 # of 90,601/811,801, 68,921/531,441, 83,521/390,625 and 117,649/531,441
 # polynomials; CPython 3.11, numpy 2.4).  Taking n = 6's slope for n = 5 and
@@ -40,7 +41,11 @@ from .zpoly import discriminant, is_perfect_square
 # quartic boxes takes 1.4 s and 5.3 s (medians of three runs, 1.35-1.61 s
 # and 4.4-5.5 s; 2-CPU Xeon), ~13 us per row between them, about a sixth of
 # it the discriminants (0.79 s of the 25^4 box), and 21 s over 41^4 (one
-# run).  Samples: peak RSS grows by
+# run).  With the slabs on both CPUs (one run each, RUSAGE_SELF and
+# RUSAGE_CHILDREN peaks): ramified over 143^3 took 0.94 s at 132 and 32 MB
+# (1.71 s and 149 MB in one process), over 41^4 11.6 s at 236 and 48 MB
+# (19.5 s and 248 MB); a worker's peak counts the pages it shares with the
+# calling process.  Samples: peak RSS grows by
 # about 112 bytes per cubic at N = 10^12 (slope between 10^5/4*10^5 draws),
 # and at N = 2^64, where the certified rows keep their Python ints, by 255,
 # 368, 596 and ~1,100 bytes per draw at n = 3, 4, 8, 13 (slopes between
@@ -311,6 +316,9 @@ def certify(coeffs, budget):
     done = disc == 0
     seen = [np.zeros(m, dtype=bool) for _ in kinds]
     used = np.zeros(m, dtype=np.int64)
+    # batch._mod halves the time of % on int64 but more than doubles it on
+    # Python ints; take gathers rows in a third of the time of indexing.
+    mod = batch._mod if disc.dtype == np.int64 else np.remainder
     for p in CERTIFIER_PRIMES:
         active = np.flatnonzero(~done)
         if active.size == 0:
@@ -319,8 +327,8 @@ def certify(coeffs, budget):
         # them before typing also halves the cubic rows typed at p = 2: typing
         # them too raised the N=50 cubic box's perfbench peak RSS from 75.2 to
         # 78.3 MB (2-CPU Xeon).
-        active = active[disc[active] % p != 0]
-        codes = batch.types_mod_p(coeffs[active], p)
+        active = active[mod(disc.take(active), p) != 0]
+        codes = batch.types_mod_p(coeffs.take(active, axis=0), p)
         used[active] += 1
         complete = np.ones(active.size, dtype=bool)
         for kind, flag in zip(kinds, seen):

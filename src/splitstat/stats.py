@@ -8,17 +8,20 @@ returns plain numbers, lists and dicts, which the CLI writes as they are.
 certify_family walks the family in slabs of SLAB_ROWS rows, so only the
 certified subfamily is held: its packed rows and their discriminants, both
 kept from certification.  Count profiles read the rows alone, the ramified
-and index averages the discriminants.  A large count profile splits its
-rows over forked workers, one per CPU, and stacks their integer counts,
-so the result is the same as in one process.  Exact per-prime references
-come from the splitting-type combinatorics; asymptotic constants are never
-substituted where an exact count is available.
+and index averages the discriminants.  Work that splits into items, the
+slabs of certification and the row blocks of a large count profile, runs
+on every CPU through _forked_map: forked workers compute a share of the
+items and this process takes the results in item order, so every result
+is the same as in one process.  Exact per-prime references come from the
+splitting-type combinatorics; asymptotic constants are never substituted
+where an exact count is available.
 """
 
 import csv
 import io
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,22 +96,27 @@ def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description
 
     family is a packed (m, n) array or a family.FamilySpec: anything whose
     len is m and whose slices are packed arrays.  It is certified SLAB_ROWS
-    rows at a time.  Certification decides each row alone, so the result is
-    that of one array of the whole family, dtypes included.
+    rows at a time, the slabs spread over every CPU by _forked_map and
+    kept in slab order.  Certification decides each row alone, so the
+    result is that of one array of the whole family, dtypes included.
     """
     m = len(family)
     coeffs = disc = None
     kept = 0
     counts = np.zeros(len(family_mod.STATUSES), dtype=np.int64)
-    # An empty family is certified once, which gives its arrays their shapes.
-    for start in range(0, max(m, 1), SLAB_ROWS):
+
+    def certify_slab(start):
         slab = family[start:start + SLAB_ROWS]
         status, slab_disc = family_mod.certify(slab, budget)
         keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
-        coeffs = _keep(coeffs, m, kept, slab[keep])
-        disc = _keep(disc, m, kept, slab_disc[keep])
-        kept += np.count_nonzero(keep)
-        counts += np.bincount(status, minlength=len(counts))
+        return np.bincount(status, minlength=len(counts)), slab[keep], slab_disc[keep]
+
+    # An empty family is certified once, which gives its arrays their shapes.
+    for slab_counts, rows, rows_disc in _forked_map(certify_slab, range(0, max(m, 1), SLAB_ROWS)):
+        coeffs = _keep(coeffs, m, kept, rows)
+        disc = _keep(disc, m, kept, rows_disc)
+        kept += len(rows)
+        counts += slab_counts
     statuses = dict(zip(family_mod.STATUSES, counts.tolist()))
     return CertifiedFamily(coeffs[:kept], disc[:kept], statuses, description)
 
@@ -127,6 +135,69 @@ def _keep(buffer, m, start, rows):
         buffer = wider
     buffer[start:start + len(rows)] = rows
     return buffer
+
+
+def _cpus():
+    """The CPUs this process may run on; one where the platform cannot say."""
+    # Linux: it can fork and says which CPUs this process may use.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _forked_map(fn, items):
+    """fn(item) for each of a sequence of items, yielded in item order,
+    computed on every CPU this process may use.
+
+    With k = min(CPUs, items) processes, item i is computed in process
+    i mod k: this one computes items 0, k, 2k, ... and each of k - 1 forked
+    workers, which share this process's pages (the family among them),
+    pickles the results of its items, in order, into a pipe that this
+    process reads as it reaches them.  A worker that dies or raises
+    raises SplitstatError here; every worker is killed and reaped once the
+    map ends, is closed or fails.  With one CPU or one item nothing forks.
+    """
+    k = min(_cpus(), len(items))
+    if k < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for first in range(1, k):
+            read, write = os.pipe()
+            worker = context.Process(target=_send_each, daemon=True,
+                                     args=(write, fn, items[first::k]))
+            worker.start()
+            os.close(write)
+            workers.append((worker, open(read, "rb")))
+        for i, item in enumerate(items):
+            if i % k == 0:
+                yield fn(item)
+                continue
+            worker, receive = workers[i % k - 1]
+            try:
+                result = pickle.load(receive)
+            except (EOFError, pickle.UnpicklingError):
+                worker.join()
+                raise SplitstatError("worker exited with code %s" % worker.exitcode) from None
+            yield result
+    finally:
+        for worker, receive in workers:
+            receive.close()
+            worker.kill()  # it has sent its results or failed
+            worker.join()
+
+
+def _send_each(write, fn, items):
+    """Pickle fn(item) for each item to the pipe's write end, in order."""
+    # pickle.load reads protocol 5's array bytes straight into each array;
+    # Connection.recv gathered them in a growing buffer first, which raised
+    # cubic-box-ramified's peak RSS from 74.0 to 77.0 MB (2-CPU Xeon).
+    with open(write, "wb") as send:
+        for item in items:
+            pickle.dump(fn(item), send, protocol=5)
+            send.flush()
 
 
 def _require_nonempty(cf):
@@ -165,20 +236,19 @@ def _count_profile(cf, x):
     Returns a dict mapping each splitting type to a list of per-polynomial
     counts.  Cached on the CertifiedFamily instance under floor(x), so the
     primes are sieved only on a miss.  Above SHARD_PAIRS (rows x primes),
-    the rows are split over every CPU the process may run on.
+    the rows are cut into one block per CPU, counted through _forked_map.
     """
     key = math.floor(x)
     if key in cf._profiles:
         return cf._profiles[key]
 
     primes = sieve_primes(x)
-    # Linux: it can fork and says which CPUs this process may use.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    shards = min(cpus, len(cf))
-    if shards > 1 and len(cf) * len(primes) > SHARD_PAIRS:
-        matrix = _sharded_count_matrix(cf.coeffs, primes, shards)
-    else:
-        matrix = _count_matrix(cf.coeffs, primes)
+    blocks = min(_cpus(), len(cf)) if len(cf) * len(primes) > SHARD_PAIRS else 1
+    bounds = [len(cf) * i // blocks for i in range(blocks + 1)]
+    matrices = list(_forked_map(lambda block: _count_matrix(cf.coeffs[slice(*block)], primes),
+                                list(zip(bounds, bounds[1:]))))
+    # Stacking copies, so one block is kept as it is.
+    matrix = matrices[0] if blocks == 1 else np.concatenate(matrices)
     types = splittypes.enumerate_types(cf.coeffs.shape[1])
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
     cf._profiles[key] = counts
@@ -197,44 +267,6 @@ def _count_matrix(coeffs, primes):
     for p in primes:
         matrix[rows, batch.types_mod_p(coeffs, p)] += 1
     return matrix
-
-
-def _sharded_count_matrix(coeffs, primes, shards):
-    """_count_matrix of `shards` consecutive row blocks, stacked: block 0
-    here, each other in a forked worker that shares the family's pages and
-    sends its rows back.  Each process holds temporaries for its rows only.
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    bounds = [len(coeffs) * i // shards for i in range(shards + 1)]
-    workers = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_count_matrix, daemon=True,
-                                     args=(send, coeffs[lo:hi], primes))
-            worker.start()
-            send.close()
-            workers.append((worker, receive))
-        blocks = [_count_matrix(coeffs[:bounds[1]], primes)]
-        for worker, receive in workers:
-            try:
-                block = np.frombuffer(receive.recv_bytes(), dtype=np.int64)
-            except (EOFError, OSError):
-                worker.join()
-                raise SplitstatError("count worker exited with code %s" % worker.exitcode) from None
-            blocks.append(block.reshape(-1, blocks[0].shape[1]))
-    finally:
-        for worker, receive in workers:
-            receive.close()
-            worker.kill()  # it has sent its rows or failed
-            worker.join()
-    return np.concatenate(blocks)
-
-
-def _send_count_matrix(send, coeffs, primes):
-    send.send_bytes(_count_matrix(coeffs, primes))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +408,19 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
 
 
 def ramified_average(cf, bound):
-    """Average number of primes p <= bound dividing disc(f); ref sum 1/p."""
+    """Average number of primes p <= bound dividing disc(f); ref sum 1/p.
+
+    The discriminants are read SLAB_ROWS at a time, so their residues are
+    held for one slab.
+    """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     _require_nonempty(cf)
     primes = sieve_primes(bound)
-    total = sum(np.count_nonzero(cf.disc % p == 0) for p in primes)
+    total = 0
+    for start in range(0, len(cf), SLAB_ROWS):
+        disc = cf.disc[start:start + SLAB_ROWS]
+        total += sum(np.count_nonzero(disc % p == 0) for p in primes)
     reference = math.fsum(1.0 / p for p in primes)
     return total / len(cf), reference
 

@@ -229,24 +229,41 @@ def test_index_subcommand(tmp_path):
 
 
 def test_ramified_generates_the_box_in_slabs(tmp_path, monkeypatch):
-    # The box is generated one slab at a time, in order, and never whole,
-    # and the report is the one certified with the default slab.
+    # The box is generated one slab at a time and never whole, the slabs
+    # spread over the processes of every CPU, each taking its slabs in
+    # order, and the report is the one certified with the default slab.
+    # Forked workers record their ranges in a file, as the parent does.
     argv = ["ramified", "--n", "3", "--N", "5", "--bound", "7", "--out"]
     assert main(argv + [str(tmp_path / "default.json")]) == 0
-    ranges = []
+    log = tmp_path / "ranges.log"
     generate = family.generate
 
     def recorded(spec, start=0, stop=None):
-        ranges.append((start, stop))
+        with open(log, "a") as out:
+            out.write("%d %d %d\n" % (os.getpid(), start, stop))
         return generate(spec, start, stop)
 
     monkeypatch.setattr(family, "generate", recorded)
     monkeypatch.setattr(stats, "SLAB_ROWS", 100)
-    assert main(argv + [str(tmp_path / "slabs.json")]) == 0
-    cuts = [start for start, _stop in ranges] + [11**3]
-    assert ranges == list(zip(cuts, cuts[1:])) and cuts[0] == 0
-    assert all(0 < stop - start <= 100 for start, stop in ranges)
-    assert (tmp_path / "slabs.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        report = tmp_path / ("slabs%d.json" % cpus)
+        assert main(argv + [str(report)]) == 0
+        by_process = {}
+        for line in log.read_text().splitlines():
+            pid, start, stop = map(int, line.split())
+            by_process.setdefault(pid, []).append((start, stop))
+        log.unlink()
+        ranges = sorted(sum(by_process.values(), []))
+        cuts = [start for start, _stop in ranges] + [11**3]
+        assert ranges == list(zip(cuts, cuts[1:])) and cuts[0] == 0
+        assert all(0 < stop - start <= 100 for start, stop in ranges)
+        assert len(by_process) == cpus
+        assert all(own == sorted(own) for own in by_process.values())
+        if cpus == 1:
+            assert by_process == {os.getpid(): ranges}
+        assert report.read_bytes() == (tmp_path / "default.json").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_refusal_before_computing(tmp_path, monkeypatch):
@@ -294,26 +311,43 @@ def test_report_with_longest_name_is_written(tmp_path):
     assert json.loads(out.read_text())["meta"]["experiment"] == "counts"
 
 
-@pytest.mark.parametrize("failure", ["exits", "raises"])
-def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
+def _failing_in_workers(fn, failure):
+    """fn, except that in any process but this one it exits or raises."""
     parent = os.getpid()
-    count_matrix = stats._count_matrix
 
-    def failing(coeffs, primes):
+    def failing(*args):
         if os.getpid() != parent:
             if failure == "exits":
                 os._exit(1)
             raise RuntimeError("worker failed")
-        return count_matrix(coeffs, primes)
+        return fn(*args)
 
+    return failing
+
+
+@pytest.mark.parametrize("failure", ["exits", "raises"])
+def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(stats, "_count_matrix", failing)
+    monkeypatch.setattr(stats, "_count_matrix", _failing_in_workers(stats._count_matrix, failure))
     out = tmp_path / "clt.json"
     code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
                  "200", "--x", "300", "--r", "0,0,1", "--out", str(out)])
     assert code == 3
-    assert "count worker exited with code 1" in capsys.readouterr().err
+    assert "error: worker exited with code 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["exits", "raises"])
+def test_certify_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
+    monkeypatch.setattr(stats, "SLAB_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(family, "certify", _failing_in_workers(family.certify, failure))
+    out = tmp_path / "ramified.json"
+    code = main(["ramified", "--n", "3", "--N", "5", "--bound", "7", "--out", str(out)])
+    assert code == 3
+    assert "error: worker exited with code 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
 

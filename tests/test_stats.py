@@ -83,21 +83,25 @@ def test_certify_family_counts_exclusions(monkeypatch):
     none = certify_family(batch.pack([(-1, 0)]))
     assert none.coeffs.shape == (0, 2) and none.disc.size == 0 and none.excluded == 1
     # With slabs of 7 rows, slab boundaries fall inside every family below.
-    # certify_family over the family and over it as one packed array gives
-    # what certify gives on that array: rows, discriminants, dtypes, order
-    # and status counts.
+    # certify_family over the family and over it as one packed array in one
+    # process, and over the family with its slabs spread over 2 and 3
+    # processes, gives what certify gives on that array: rows,
+    # discriminants, dtypes, order and status counts.
     monkeypatch.setattr(stats, "SLAB_ROWS", 7)
     for family, whole in _slabbed_families():
         status, disc = certify(whole, 25)
         keep = status == STATUSES.index(SN_CERTIFIED)
         counts = dict(zip(STATUSES, np.bincount(status, minlength=len(STATUSES)).tolist()))
-        for source in (family, whole):
+        for cpus, source in [(1, family), (1, whole), (2, family), (3, family)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
             cf = certify_family(source, budget=25)
             assert cf.coeffs.dtype == whole.dtype and cf.disc.dtype == disc.dtype
             assert cf.coeffs.shape == (keep.sum(), whole.shape[1])
             assert cf.coeffs.tolist() == whole[keep].tolist()
             assert cf.disc.tolist() == disc[keep].tolist()
             assert cf.statuses == counts
+    assert multiprocessing.active_children() == []
 
 
 class _PackedSlices:
