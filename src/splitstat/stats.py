@@ -9,12 +9,12 @@ certify_family walks the family in slabs of SLAB_ROWS rows, so only the
 certified subfamily is held: its packed rows and their discriminants, both
 kept from certification.  Count profiles read the rows alone, the ramified
 and index averages the discriminants.  Work that splits into items, the
-slabs of certification and the row blocks of a large count profile, runs
-on every CPU through _forked_map: forked workers compute a share of the
-items and this process takes the results in item order, so every result
-is the same as in one process.  Exact per-prime references come from the
-splitting-type combinatorics; asymptotic constants are never substituted
-where an exact count is available.
+slabs of certification and the (slab, class of primes) pairs of a large
+count profile, runs on every CPU through _forked_map: forked workers
+compute a share of the items and this process takes the results in item
+order, so every result is the same as in one process.  Exact per-prime
+references come from the splitting-type combinatorics; asymptotic
+constants are never substituted where an exact count is available.
 """
 
 import csv
@@ -40,18 +40,20 @@ DEFAULT_K_MAX = 6
 # The reference (k-1)!! (delta - delta^2)^(k/2) pi(x)^(k/2) is smaller still.
 MAX_MOMENT = 40
 
-# Count profiles of more (rows x primes) pairs than this split their rows
-# over forked workers.  Time of two row blocks over one process, medians of
-# 5 (2-CPU Xeon), sampled at N = 10^12.  Quartics: 0.66x at 168,000 pairs
-# (1,000 rows, x = 10^3), 0.97x at 368,700 and 0.70x at 1.2*10^6 (300 and
-# 1,000 rows, x = 10^4).  Cubics, whose table path costs each process a
-# table per prime (batch.CUBIC_TABLE_FACTOR) and types a block's primes
-# above 3 x its rows by X^p mod f: at x = 10^4, 1.35-2.2x at 50,400 to
-# 168,000 pairs, 1.4-1.6x at 1.2-6.1*10^6, 0.80x at 8.6*10^6 and 0.62x at
-# 1.2*10^7 (0.73 s against 1.19 s on 10^4 rows); 0.98x at 9.6*10^6 (1,000
-# rows, x = 10^5).  The threshold serves every degree, so it stays at the
-# quartics' 10^6.  Splitting the primes instead was faster on few rows,
-# but held 1.09 GB, not 0.68, on 3*10^6 rows.
+# Count profiles of more (rows x primes) pairs than this deal their primes
+# over forked workers, one class primes[c::k] per CPU.  Time of that split
+# on 2 CPUs over one process, medians of 5 (2-CPU Xeon), sampled at
+# N = 10^12.  Quartics: 0.90-0.99x at 50,000 to 129,000 pairs (300 rows
+# at x = 10^3 and 3*10^3, 1,000 at 300; 0.07-0.27 s), 0.81x at 167,000
+# (1,000 rows, x = 10^3), 0.66x at 367,000 and 0.62x at 1.2*10^6 (300
+# and 1,000 rows, x = 10^4).
+# Cubics: 0.99x at 50,400 and 0.84x at 168,000 pairs (x = 10^3, ~20 ms);
+# at x = 10^4, 0.62-0.79x from 1.2*10^6 to 1.2*10^7 pairs (0.42 s against
+# 0.54 s on 10^4 rows); 0.61x at 9.6*10^6 (1,000 rows, x = 10^5).  Each
+# process builds the cubic tables (batch._cubic_table) of its own primes
+# only; split by rows, each built every table, and cubics at 1.2-6.1*10^6
+# pairs ran 1.4-1.6x slower than in one process.
+# Every degree gains above 10^6; quartics would from ~1.7*10^5 as well.
 SHARD_PAIRS = 10**6
 
 # Rows that certify_family certifies at a time; its peak is one slab's
@@ -235,21 +237,29 @@ def _count_profile(cf, x):
 
     Returns a dict mapping each splitting type to a list of per-polynomial
     counts.  Cached on the CertifiedFamily instance under floor(x), so the
-    primes are sieved only on a miss.  Above SHARD_PAIRS (rows x primes),
-    the rows are cut into one block per CPU, counted through _forked_map.
+    primes are sieved only on a miss.  The rows are counted SLAB_ROWS at a
+    time.  Above SHARD_PAIRS (rows x primes), the primes are dealt into one
+    class per CPU, primes[c::k], and each (slab, class) item is counted
+    through _forked_map, so process c counts every row at its own primes
+    and builds the cubic tables (batch._cubic_table) of those alone.  The
+    integer counts of each slab's classes are added up.
     """
     key = math.floor(x)
     if key in cf._profiles:
         return cf._profiles[key]
 
     primes = sieve_primes(x)
-    blocks = min(_cpus(), len(cf)) if len(cf) * len(primes) > SHARD_PAIRS else 1
-    bounds = [len(cf) * i // blocks for i in range(blocks + 1)]
-    matrices = list(_forked_map(lambda block: _count_matrix(cf.coeffs[slice(*block)], primes),
-                                list(zip(bounds, bounds[1:]))))
-    # Stacking copies, so one block is kept as it is.
-    matrix = matrices[0] if blocks == 1 else np.concatenate(matrices)
-    types = splittypes.enumerate_types(cf.coeffs.shape[1])
+    m, n = cf.coeffs.shape
+    k = _cpus() if m * len(primes) > SHARD_PAIRS else 1
+    items = [(start, c) for start in range(0, m, SLAB_ROWS) for c in range(k)]
+    # With one class, map keeps every slab in this process.
+    counted = (_forked_map if k > 1 else map)(
+        lambda item: _count_matrix(cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k]),
+        items)
+    types = splittypes.enumerate_types(n)
+    matrix = np.zeros((m, len(types) + 1), dtype=np.int64)
+    for (start, _c), slab_counts in zip(items, counted):
+        matrix[start:start + len(slab_counts)] += slab_counts
     counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
     cf._profiles[key] = counts
     return counts
@@ -477,13 +487,18 @@ def fiber_reference(spec, targets):
 def fiber_probability(cf, targets):
     """Share of the certified family in every fiber of targets.
 
-    targets as fiber_reference takes them; it checks them.
+    targets as fiber_reference takes them; it checks them.  The rows are
+    read SLAB_ROWS at a time, so their residues are held for one slab.
     """
     _require_nonempty(cf)
-    hit = np.ones(len(cf), dtype=bool)
-    for p, row in targets:
-        hit &= (cf.coeffs % p == np.array(row)).all(axis=1)
-    return int(np.count_nonzero(hit)) / len(cf)
+    hits = 0
+    for start in range(0, len(cf), SLAB_ROWS):
+        coeffs = cf.coeffs[start:start + SLAB_ROWS]
+        hit = np.ones(len(coeffs), dtype=bool)
+        for p, row in targets:
+            hit &= (coeffs % p == np.array(row)).all(axis=1)
+        hits += int(np.count_nonzero(hit))
+    return hits / len(cf)
 
 
 def split_lower_bound_fraction(cf, x):

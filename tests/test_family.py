@@ -444,6 +444,33 @@ def test_cubic_table_degenerate_classes(p):
         assert set(codes.tolist()) == expected, name
 
 
+@pytest.mark.parametrize("p", [5, 7, 101, 997, 9973])
+def test_cubic_table_row_blocks(p):
+    # Rows spanning two whole blocks of the table path and a partial third,
+    # with P = 0, Q = 0 and p | disc rows spread through them: one table
+    # serves every block, and the codes are those of the Frobenius path.
+    rng = random.Random(p)
+    special = [
+        (0, 0, 0),  # P = Q = 0
+        (rng.randrange(1, p), 0, 0),  # P = 0
+        (0, rng.randrange(1, p), 0),  # Q = 0
+        (2 * 3**3, -3 * 3 * 3, 0),  # (X - 3)^2 (X + 6): p | disc
+        (0, 0, rng.randrange(1, p)),  # X^2 (X + a): p | disc
+    ]
+    m = 2 * batch._CUBIC_BLOCK_ROWS + 123
+    rows = [tuple(rng.randrange(-TOP, TOP) for _ in range(3)) for _ in range(m)]
+    for i in range(0, m, 97):
+        row = _shifted(special[i % len(special)], rng.randrange(p))
+        rows[i] = tuple(_lift(c % p, p, rng.choice([1, -1])) for c in row)
+    coeffs = batch.pack(rows)
+    assert coeffs.dtype == np.int64
+    columns = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    codes = batch._cubic_table_codes(*columns, p)
+    assert codes.dtype == np.int8 and len(codes) == m
+    assert codes.tolist() == batch._cubic_frobenius_codes(*columns, p).tolist()
+    assert batch.ABSENT in codes[::97]
+
+
 @pytest.mark.parametrize("n, p", [(4, 5), (4, 7), (4, 11), (5, 7)])
 def test_trace_kernel_census(n, p):
     # Every residue row once, as the representatives nearest 0; the 7^5
@@ -798,6 +825,20 @@ def test_fiber_probability_coprime_composite_moduli():
     empirical, reference, _statuses = _fibers(spec, [(4, (1, 1)), (9, (2, 0))])
     assert reference == 1 / 36**2
     assert abs(empirical - reference) <= 10 / 800
+
+
+def test_fiber_probability_slabs(monkeypatch):
+    # Read in slabs of 7 rows, int64 and object rows give the share of
+    # the hits counted row by row; the targets are the fibers of one row.
+    monkeypatch.setattr(stats, "SLAB_ROWS", 7)
+    for spec in (FamilySpec(n=2, height_bound=20),
+                 FamilySpec(n=3, height_bound=2**70, mode="sampled", sample_size=60, seed=4)):
+        cf = stats.certify_family(generate(spec))
+        assert len(cf) % 7
+        targets = [(p, tuple(c % p for c in cf.coeffs[-1].tolist())) for p in (2, 3)]
+        hits = sum(all(c % p == t for p, target in targets for c, t in zip(row, target))
+                   for row in cf.coeffs.tolist())
+        assert stats.fiber_probability(cf, targets) == hits / len(cf)
 
 
 def test_undetermined_is_possible():

@@ -338,27 +338,59 @@ _SHARDED_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("shards", [2, 3])
-@pytest.mark.parametrize("n, height, size, x", _SHARDED_FAMILIES)
-def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x, shards):
-    spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=size, seed=3)
-    cf = certify_family(generate(spec))
-    assert len(cf) and (cf.coeffs.dtype == object) == (height > 2**62)
-    expected = stats._count_profile(cf, x)
+def _profile_on(monkeypatch, cf, x, cpus, shard_pairs=0):
+    """_count_profile of cf at x on cpus CPUs above shard_pairs, and the
+    (rows, primes) of every _count_matrix call made in this process."""
     cf._profiles.clear()
     counted = []
     count_matrix = stats._count_matrix
 
     def recorded(coeffs, primes):
-        counted.append(len(coeffs))  # seen in this process only
+        counted.append((len(coeffs), primes))  # seen in this process only
         return count_matrix(coeffs, primes)
 
-    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shards)), raising=False)
+    monkeypatch.setattr(stats, "SHARD_PAIRS", shard_pairs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(stats, "_count_matrix", recorded)
-    assert stats._count_profile(cf, x) == expected
-    assert counted == [len(cf) // shards]
+    profile = stats._count_profile(cf, x)
     assert multiprocessing.active_children() == []
+    return profile, counted
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("n, height, size, x", _SHARDED_FAMILIES)
+def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x, shards):
+    # Process c counts every row at primes[c::shards]; this one takes c = 0.
+    spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=size, seed=3)
+    cf = certify_family(generate(spec))
+    assert len(cf) and (cf.coeffs.dtype == object) == (height > 2**62)
+    expected = stats._count_profile(cf, x)
+    profile, counted = _profile_on(monkeypatch, cf, x, shards)
+    assert profile == expected
+    assert counted == [(len(cf), sieve_primes(x)[0::shards])]
+
+
+def test_count_profile_slabs_and_empty_class(monkeypatch):
+    spec = FamilySpec(n=3, height_bound=10**12, mode="sampled", sample_size=60, seed=3)
+    cf = certify_family(generate(spec))
+    expected = {x: stats._count_profile(cf, x) for x in (200, 3)}
+    # Slabs of 7 rows, the last one partial: this process counts each slab
+    # at its own class of primes, and the slabs' counts go back in order.
+    assert len(cf) % 7
+    monkeypatch.setattr(stats, "SLAB_ROWS", 7)
+    slabs = [7] * (len(cf) // 7) + [len(cf) % 7]
+    profile, counted = _profile_on(monkeypatch, cf, 200, 2)
+    assert profile == expected[200]
+    assert counted == [(rows, sieve_primes(200)[0::2]) for rows in slabs]
+    # At most SHARD_PAIRS pairs, every slab is counted here at every prime.
+    profile, counted = _profile_on(monkeypatch, cf, 200, 2, shard_pairs=len(cf) * len(sieve_primes(200)))
+    assert profile == expected[200]
+    assert counted == [(rows, sieve_primes(200)) for rows in slabs]
+    # Three CPUs, two primes: the third class is empty and counts nothing.
+    monkeypatch.setattr(stats, "SLAB_ROWS", 2**16)
+    profile, counted = _profile_on(monkeypatch, cf, 3, 3)
+    assert profile == expected[3]
+    assert counted == [(len(cf), (2,))]
 
 
 def test_clt_report_preconditions():
