@@ -148,15 +148,31 @@ def generate(spec, start=0, stop=None):
     (stop - start, n) array in batch.pack format.
 
     Exhaustive: the box in the lexicographic order of itertools.product.
-    Sampled: draw i is n coefficients from random.Random(_subseed(seed, i)).
+    Sampled: draw i is the n values of n randrange(-N, N + 1) calls, in
+    order, on random.Random(_subseed(seed, i)).  One generator is reseeded
+    per draw, and each call is inlined as the code randrange runs:
+    getrandbits((2N + 1).bit_length()) until the value is below 2N + 1,
+    minus N.  That takes 0.080 s per 10^4 cubic draws at N = 10^12,
+    against 0.098 s for a new generator and randrange per draw (medians of
+    7 processes, 2-CPU Xeon); seeding is ~0.065 s of it.
     """
     n, big_n = spec.n, spec.height_bound
     stop = spec.size if stop is None else stop
     if spec.mode == "sampled":
+        width = 2 * big_n + 1
+        bits = width.bit_length()
+        rng = random.Random()
+        getrandbits = rng.getrandbits
         rows = []
         for index in range(start, stop):
-            rng = random.Random(_subseed(spec.seed, index))
-            rows.append(tuple(rng.randrange(-big_n, big_n + 1) for _ in range(n)))
+            rng.seed(_subseed(spec.seed, index))
+            row = []
+            for _ in range(n):
+                value = getrandbits(bits)
+                while value >= width:
+                    value = getrandbits(bits)
+                row.append(value - big_n)
+            rows.append(row)
         return batch.pack(rows).reshape(-1, n)
     # The budget keeps big_n far below pack's 2^62 int64 bound.
     digits = np.unravel_index(np.arange(start, stop, dtype=np.int64), (2 * big_n + 1,) * n)

@@ -63,15 +63,6 @@ def delta(r):
     return d
 
 
-def class_size(r):
-    """Order of the conjugacy class: n! * delta(r), always integral."""
-    n = validate_type(r)
-    size = factorial(n) * delta(r)
-    if size.denominator != 1:
-        raise ArithmeticError("class size %s is not integral" % size)
-    return size.numerator
-
-
 def _mobius(d):
     m = 1
     q = 2
@@ -160,16 +151,6 @@ def moment_constant(k, r):
         return (d - d * d) ** half * Fraction(factorial(k), 2**half * factorial(half))
     half = (k - 1) // 2
     return d**half * Fraction(factorial(k), 2**half * factorial(half))
-
-
-def gaussian_moment(k):
-    """k-th moment of the standard normal distribution, exact."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k % 2 == 1:
-        return Fraction(0)
-    half = k // 2
-    return Fraction(factorial(k), 2**half * factorial(half))
 
 
 def parity(r):

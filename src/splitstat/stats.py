@@ -5,11 +5,13 @@ and sieves the primes <= floor(x) it needs; pi(x) is their number.
 Every aggregate is a function of one CertifiedFamily, made by
 certify_family, and reports how many polynomials were excluded; it
 returns plain numbers, lists and dicts, which the CLI writes as they are.
-certify_family walks the family in slabs of SLAB_ROWS rows, so only the
-certified subfamily is held: its packed rows and their discriminants, both
-kept from certification.  Count profiles read the rows alone, the ramified
-and index averages the discriminants.  Work that splits into items, the
-slabs of certification and the (slab, class of primes) pairs of a large
+certify_family walks the family in slabs of at most SLAB_ROWS rows, so
+only the certified subfamily is held: its packed rows and their
+discriminants, both kept from certification.  Count profiles read the rows
+alone, the ramified and index averages the discriminants.  Work that
+splits into items, the slabs of certification (a family smaller than one
+SLAB_ROWS slab per CPU is dealt into one slab per CPU, of no fewer than
+MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of a large
 count profile, runs on every CPU through _forked_map: forked workers
 compute a share of the items and this process takes the results in item
 order, so every result is the same as in one process.  Exact per-prime
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batch, family as family_mod, fppoly, splittypes
+from . import batch, family as family_mod, splittypes
 from .errors import EmptyFamilyError, SplitstatError
 from .primes import sieve_primes
 from .zpoly import dedekind_is_p_maximal
@@ -56,7 +58,7 @@ MAX_MOMENT = 40
 # Every degree gains above 10^6; quartics would from ~1.7*10^5 as well.
 SHARD_PAIRS = 10**6
 
-# Rows that certify_family certifies at a time; its peak is one slab's
+# Most rows that certify_family certifies at a time; its peak is one slab's
 # certification plus the certified rows.  ramified over the N=50 cubic box
 # (1,030,301 rows), three runs per size in one process each (2-CPU Xeon):
 # one slab of the whole box 0.88-1.02 s and 124 MB; slabs of 20,000 rows
@@ -65,7 +67,19 @@ SHARD_PAIRS = 10**6
 # unslabbed certifier took 0.80-0.99 s and 113 MB.  Small slabs pay the
 # kernels' fixed cost per prime more often and lose the residue census
 # (batch.types_mod_p, p^n < rows) at more primes.
+# A family of fewer than SLAB_ROWS rows per CPU is dealt into one slab per
+# CPU, each drawn and certified in its own process, but no slab is cut
+# below MIN_SLAB_ROWS rows: a first fork costs ~11 ms (importing
+# multiprocessing and starting the worker).  Drawing and certifying m draws
+# at N = 10^12 in two equal slabs on 2 CPUs, over one process, medians of
+# 11 fresh processes (2-CPU Xeon): cubics 1.82x at 1,000 draws (14 ms in
+# one process), 1.31x at 2,000, 0.94x at 4,000 and 0.73x at 8,000;
+# quartics 2.31x at 300, 1.43x at 1,000, 1.01x at 2,000 and 0.84x at
+# 4,000; degree 8 0.82x at 300 (0.17 s).  After a first fork, cubics
+# 1.05x at 2,000 and 0.84x at 4,000, quartics 1.01x at 1,000.  So a slab
+# pays for its process from ~2^11 cubic and ~2^10 quartic rows.
 SLAB_ROWS = 2**16
+MIN_SLAB_ROWS = 2**11
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,24 +111,28 @@ def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description
     """Certify a family and keep only its S_n-certified rows.
 
     family is a packed (m, n) array or a family.FamilySpec: anything whose
-    len is m and whose slices are packed arrays.  It is certified SLAB_ROWS
-    rows at a time, the slabs spread over every CPU by _forked_map and
-    kept in slab order.  Certification decides each row alone, so the
-    result is that of one array of the whole family, dtypes included.
+    len is m and whose slices are packed arrays.  Each slab is sliced (a
+    FamilySpec's slice draws it) and certified in one process.  A slab is
+    SLAB_ROWS rows, or ceil(m / k) on k CPUs when that is fewer, but never
+    fewer than MIN_SLAB_ROWS; _forked_map spreads the slabs over every CPU
+    and they are kept in slab order.  Certification decides each row
+    alone, so the result is that of one array of the whole family, dtypes
+    included.
     """
     m = len(family)
+    slab_rows = min(SLAB_ROWS, max(-(-m // _cpus()), MIN_SLAB_ROWS))
     coeffs = disc = None
     kept = 0
     counts = np.zeros(len(family_mod.STATUSES), dtype=np.int64)
 
     def certify_slab(start):
-        slab = family[start:start + SLAB_ROWS]
+        slab = family[start:start + slab_rows]
         status, slab_disc = family_mod.certify(slab, budget)
         keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
         return np.bincount(status, minlength=len(counts)), slab[keep], slab_disc[keep]
 
     # An empty family is certified once, which gives its arrays their shapes.
-    for slab_counts, rows, rows_disc in _forked_map(certify_slab, range(0, max(m, 1), SLAB_ROWS)):
+    for slab_counts, rows, rows_disc in _forked_map(certify_slab, range(0, max(m, 1), slab_rows)):
         coeffs = _keep(coeffs, m, kept, rows)
         disc = _keep(disc, m, kept, rows_disc)
         kept += len(rows)
@@ -215,21 +233,6 @@ def _type_of_degree(r, n):
 
 
 # ---------------------------------------------------------------------------
-# Per-polynomial counting
-
-def splitting_indicator(f, r, p):
-    """1 iff f has splitting type r mod p; 0 otherwise (incl. non-squarefree)."""
-    r = _type_of_degree(r, len(f))
-    return 1 if fppoly.splitting_type_mod_p(f, p) == r else 0
-
-
-def prime_splitting_count(f, r, x):
-    """pi_{f,r}(x): number of primes p <= x at which f has type r."""
-    r = _type_of_degree(r, len(f))
-    return sum(1 for p in sieve_primes(x) if fppoly.splitting_type_mod_p(f, p) == r)
-
-
-# ---------------------------------------------------------------------------
 # Count profiles (cached per certified family)
 
 def _count_profile(cf, x):
@@ -281,23 +284,6 @@ def _count_matrix(coeffs, primes):
 
 # ---------------------------------------------------------------------------
 # Family aggregates
-
-def family_indicator_moments(cf, r, p):
-    """Mean and variance of the type-r indicator at p over the certified family.
-
-    The exact reference is class_count(n,r,p)/p^n; the reference variance
-    is q(1-q) for that q.
-    """
-    _require_nonempty(cf)
-    n = cf.coeffs.shape[1]
-    r = _type_of_degree(r, n)
-    code = splittypes.enumerate_types(n).index(r)
-    hits = int(np.count_nonzero(batch.types_mod_p(cf.coeffs, p) == code))
-    mean = hits / len(cf)
-    variance = mean - mean * mean
-    reference = splittypes.class_count(n, r, p) / p**n
-    return mean, variance, reference
-
 
 def exact_chebotarev_reference(n, r, x):
     """Sum over p <= x of class_count(n,r,p)/p^n, in ascending prime order."""

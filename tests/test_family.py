@@ -21,6 +21,7 @@ from splitstat.family import (
     _discriminants,
     _has_integer_root,
     _has_integer_roots,
+    _subseed,
     certify,
     generate,
 )
@@ -167,6 +168,33 @@ def test_generate_sampled_deterministic():
     for sampled in (spec, small, FamilySpec(n=3, height_bound=2**64, mode="sampled",
                                             sample_size=30, seed=7)):
         _assert_slices_tile(sampled, generate(sampled))
+
+
+def _randrange_draws(spec, start, stop):
+    """Draws start to stop - 1 as n randrange(-N, N + 1) calls each, in
+    order, on random.Random(_subseed(seed, i)): the definition of a draw."""
+    rows = []
+    for index in range(start, stop):
+        rng = random.Random(_subseed(spec.seed, index))
+        rows.append([rng.randrange(-spec.height_bound, spec.height_bound + 1)
+                     for _ in range(spec.n)])
+    return rows
+
+
+@pytest.mark.parametrize("height", [0, 1, 2**31 - 1, 2**31, 2**62 - 1, 2**62, 10**30, 10**400])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_generate_sampled_matches_randrange(n, height):
+    # 2N + 1 just below, at and just above 32-bit words and powers of two
+    # (rejections from 1 in 2^32 to nearly 1 in 2), on both sides of pack's
+    # int64 bound, and far beyond it.
+    spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=60, seed=11)
+    for start, stop in [(0, 60), (13, 41), (59, 60), (5, 5)]:
+        coeffs = generate(spec, start, stop)
+        rows = _randrange_draws(spec, start, stop)
+        wide = any(abs(c) >= batch.MAX_INT64_HEIGHT for row in rows for c in row)
+        assert coeffs.dtype == (object if wide else np.int64)
+        assert coeffs.shape == (stop - start, n)
+        assert coeffs.tolist() == rows
 
 
 def test_certify_empty_family():

@@ -8,11 +8,9 @@ import pytest
 from splitstat.fppoly import _divmod, enumerate_class_counts
 from splitstat.splittypes import (
     class_count,
-    class_size,
     delta,
     empirical_second_order,
     enumerate_types,
-    gaussian_moment,
     irreducible_count,
     moment_constant,
     paper_second_order,
@@ -49,9 +47,11 @@ def test_delta_partition_of_unity():
 
 
 def test_class_size():
-    assert class_size((1, 1, 0)) == 3
-    assert class_size((0, 0, 1)) == 2
-    assert class_size((0, 2, 0, 0)) == 3
+    # n! delta(r) permutations of S_n have cycle type r.
+    for r, size in [((1, 1, 0), 3), ((0, 0, 1), 2), ((0, 2, 0, 0), 3), ((1, 0, 1, 0), 8)]:
+        n = len(r)
+        assert factorial(n) * delta(r) == size
+        assert sum(1 for perm in permutations(range(n)) if _cycle_type(perm) == r) == size
 
 
 def _brute_irreducible_count(p, k):
@@ -141,10 +141,19 @@ def test_moment_constant():
     assert moment_constant(3, (0, 0, 1)) == 3 * Fraction(1, 3)
 
 
+def _normalized_moment(k, r):
+    """The k-th moment of the normalized count that the references imply:
+    moment_constant(k, r) / (delta - delta^2)^(k/2) for even k, and 0 for
+    odd k, as stats.family_centered_moment takes it."""
+    if k % 2:
+        return Fraction(0)
+    d = delta(r)
+    return moment_constant(k, r) / (d - d * d) ** (k // 2)
+
+
 def test_gaussian_moment_values():
-    assert gaussian_moment(2) == 1
-    assert gaussian_moment(3) == 0
-    assert gaussian_moment(6) == 15
+    for r in [(3, 0, 0), (0, 0, 1), (1, 0, 1, 0)]:
+        assert [_normalized_moment(k, r) for k in (2, 3, 4, 6)] == [1, 0, 3, 15]
 
 
 def test_gaussian_moment_against_quadrature():
@@ -152,7 +161,7 @@ def test_gaussian_moment_against_quadrature():
         integral = mpmath.quad(
             lambda t, k=k: t**k * mpmath.npdf(t), [-mpmath.inf, mpmath.inf]
         )
-        assert abs(float(gaussian_moment(k)) - float(integral)) < 1e-8
+        assert abs(float(_normalized_moment(k, (1, 1, 0))) - float(integral)) < 1e-8
 
 
 def test_parity():

@@ -7,36 +7,46 @@ import mpmath
 import numpy as np
 import pytest
 
-from splitstat import batch, stats
+from splitstat import batch, family as family_mod, stats
 from splitstat.errors import EmptyFamilyError
 from splitstat.family import SN_CERTIFIED, STATUSES, FamilySpec, certify, generate
+from splitstat.fppoly import splitting_type_mod_p
 from splitstat.primes import sieve_primes
-from splitstat.splittypes import delta, enumerate_types, gaussian_moment
+from splitstat.splittypes import class_count, delta, enumerate_types
 from splitstat.stats import (
     certify_family,
     clt_report,
     exact_chebotarev_reference,
     family_centered_moment,
     family_chebotarev_mean,
-    family_indicator_moments,
     index_prime_average,
     ks_distance,
     normal_cdf,
-    prime_splitting_count,
     ramified_average,
     split_lower_bound_fraction,
-    splitting_indicator,
 )
 from splitstat.zpoly import discriminant
 
 
+def prime_splitting_count(f, r, x):
+    """pi_{f,r}(x) by the scalar oracle: the primes p <= x at which f has type r."""
+    return sum(1 for p in sieve_primes(x) if splitting_type_mod_p(f, p) == tuple(r))
+
+
+def indicator_mean(cf, r, p):
+    """Share of the certified rows of type r mod p, by the kernels, and its
+    exact reference class_count(n, r, p) / p^n."""
+    n = cf.coeffs.shape[1]
+    code = enumerate_types(n).index(tuple(r))
+    hits = np.count_nonzero(batch.types_mod_p(cf.coeffs, p) == code)
+    return hits / len(cf), class_count(n, tuple(r), p) / p**n
+
+
 def test_splitting_indicator():
     f = (-1, -1, 0)
-    assert splitting_indicator(f, (0, 0, 1), 2) == 1
-    assert splitting_indicator(f, (3, 0, 0), 2) == 0
+    assert splitting_type_mod_p(f, 2) == (0, 0, 1)
     g = (6, 4)
-    for r in enumerate_types(2):
-        assert splitting_indicator(g, r, 2) == 0
+    assert splitting_type_mod_p(g, 2) is None  # X^2 mod 2: not squarefree, no type
 
 
 def test_prime_splitting_count():
@@ -104,6 +114,58 @@ def test_certify_family_counts_exclusions(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_small_sampled_families_are_dealt_over_the_cpus(tmp_path, monkeypatch):
+    # A family of fewer than SLAB_ROWS rows per CPU is drawn and certified
+    # in one slab per CPU, none below MIN_SLAB_ROWS rows: at the floor it
+    # stays in this process, one row above it spreads, and either way the
+    # result is certify's on the whole array.  Near 2^62, draw 3295 of
+    # seed 22 alone has a coefficient beyond int64, so slabs differ in the
+    # dtype of their rows.  Every process records its draws in a file.
+    floor = stats.MIN_SLAB_ROWS
+    specs = [FamilySpec(n=3, height_bound=10**12, mode="sampled", sample_size=size, seed=3)
+             for size in (floor, floor + 1)]
+    specs.append(FamilySpec(n=3, height_bound=2**62 + 2**48, mode="sampled",
+                            sample_size=4500, seed=22))
+    wholes = [generate(spec) for spec in specs]
+    assert wholes[2].dtype == object and generate(specs[2], 0, 3000).dtype == np.int64
+    log = tmp_path / "draws.log"
+    draw = family_mod.generate
+
+    def recorded(spec, start=0, stop=None):
+        with open(log, "a") as out:
+            out.write("%d %d %d\n" % (os.getpid(), start, stop))
+        return draw(spec, start, stop)
+
+    monkeypatch.setattr(family_mod, "generate", recorded)
+    for spec, whole in zip(specs, wholes):
+        m = spec.size
+        status, disc = certify(whole, 25)
+        keep = status == STATUSES.index(SN_CERTIFIED)
+        counts = dict(zip(STATUSES, np.bincount(status, minlength=len(STATUSES)).tolist()))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            cf = certify_family(spec, budget=25)
+            assert cf.coeffs.dtype == whole.dtype and cf.disc.dtype == disc.dtype
+            assert cf.coeffs.tolist() == whole[keep].tolist()
+            assert cf.disc.tolist() == disc[keep].tolist()
+            assert cf.statuses == counts
+            by_process = {}
+            for line in log.read_text().splitlines():
+                pid, start, stop = map(int, line.split())
+                by_process.setdefault(pid, []).append((start, stop))
+            log.unlink()
+            ranges = sorted(sum(by_process.values(), []))
+            cuts = [start for start, _stop in ranges] + [m]
+            assert ranges == list(zip(cuts, cuts[1:])) and cuts[0] == 0
+            if cpus == 1 or m <= floor:
+                assert by_process == {os.getpid(): [(0, m)]}
+            else:
+                assert len(by_process) == min(cpus, len(ranges)) > 1
+                assert all(stop - start >= min(floor, m - start) for start, stop in ranges)
+    assert multiprocessing.active_children() == []
+
+
 class _PackedSlices:
     """A family of rows packed a slice at a time, so that its slices can
     differ in dtype from each other and from the whole family."""
@@ -147,20 +209,14 @@ def test_empty_family_error():
 
 def test_family_indicator_moments(cubic_box):
     single = certify_family(batch.pack([(-1, -1, 0)]))
-    mean, variance, reference = family_indicator_moments(single, (0, 0, 1), 2)
-    assert mean == 1 and variance == 0
-    cf = cubic_box
-    mean, variance, reference = family_indicator_moments(cf, (1, 1, 0), 5)
+    assert indicator_mean(single, (0, 0, 1), 2)[0] == 1
+    mean, reference = indicator_mean(cubic_box, (1, 1, 0), 5)
     assert reference == pytest.approx(50 / 125)
     assert abs(mean - 0.4) <= 0.02
-    mean, _, reference = family_indicator_moments(cf, (3, 0, 0), 2)
-    assert mean == 0 and reference == 0
+    assert indicator_mean(cubic_box, (3, 0, 0), 2) == (0, 0)
 
 
 _TYPE_TAKERS = {
-    "splitting_indicator": lambda cf, r: splitting_indicator(cf.coeffs[0].tolist(), r, 5),
-    "prime_splitting_count": lambda cf, r: prime_splitting_count(cf.coeffs[0].tolist(), r, 127),
-    "family_indicator_moments": lambda cf, r: family_indicator_moments(cf, r, 5),
     "family_chebotarev_mean": lambda cf, r: family_chebotarev_mean(cf, r, 127),
     "family_centered_moment": lambda cf, r: family_centered_moment(cf, r, 127, 2),
     "clt_report": lambda cf, r: clt_report(cf, r, 127),
@@ -182,7 +238,7 @@ def test_type_of_another_degree_refused(name):
 def test_indicator_mean_matches_single_prime_chebotarev():
     cf = certify_family(generate(FamilySpec(n=3, height_bound=8)))
     for r in enumerate_types(3):
-        mean, _, _ = family_indicator_moments(cf, r, 5)
+        mean, _ = indicator_mean(cf, r, 5)
         # x = 5 counts primes {2,3,5}; subtract the p=2 and p=3 contributions
         m5, _ = family_chebotarev_mean(cf, r, 5.5)
         m3, _ = family_chebotarev_mean(cf, r, 4.9)
@@ -255,7 +311,7 @@ def test_ks_distance_gaussian_pipeline():
     assert ks_distance(sample) < 0.01
     for k in range(1, 5):
         emp = sum(v**k for v in sample) / len(sample)
-        ref = float(gaussian_moment(k))
+        ref = 0 if k % 2 else math.prod(range(k - 1, 0, -2))  # (k - 1)!!
         assert abs(emp - ref) <= 0.05 * max(1.0, abs(ref))
 
 
