@@ -1,19 +1,21 @@
 """Splitting types of whole families, one prime at a time.
 
-types_mod_p is the single entry point.  A type mod p reads only residues,
-so an object-dtype family (pack's, beyond 2^62) is reduced mod p to int64
-first, and the path depends on the degree and p alone.  At p < 2^20,
-vectorized numpy kernels take degrees 2 and 3 at every p, and degrees 4
-to 8 at p > n from the traces of Berlekamp's matrix Q.  Cubics at 3 < p <=
-CUBIC_TABLE_FACTOR * rows read their codes from a table of the p classes of
-depressed cubics, built per call from discrete logs, in int64 below 2^41.
-The other kernels compute in float64: residues stay below 2^20 in absolute
-value (below 2^19 in the trace kernel, whose sums hold at most n <= 8
-products and a residue), so every product is below 2^40 and every sum
-reduced at once below 2^44, far inside the 2^53 range where float64
-integers are exact.  The rest (p >= 2^20, degree 1, degrees above 8,
-p <= n from degree 4 on) calls the oracle fppoly.splitting_type_mod_p
-once per distinct residue row; the kernels are tested against it.
+types_mod_p is the entry point; only cubic_count_matrix, which counts int64
+cubics for stats._count_matrix, calls _cubic_codes directly, a second path
+kept only for perfbench's batch.count_pairs counter.  A type mod p reads
+only residues, so an object-dtype family (pack's, beyond 2^62) is reduced
+mod p to int64 first, and the path depends on the degree and p alone.  At
+p < 2^20, vectorized numpy kernels take degrees 2 and 3 at every p, and
+degrees 4 to 8 at p > n from the traces of Berlekamp's matrix Q.  Cubics at
+3 < p <= CUBIC_TABLE_FACTOR * rows read their codes from a table of the p
+classes of depressed cubics, built per call from discrete logs, in int64
+below 2^41.  The other kernels compute in float64: residues stay below 2^20
+in absolute value (below 2^19 in the trace kernel, whose sums hold at most
+n <= 8 products and a residue), so every product is below 2^40 and every
+sum reduced at once below 2^44, far inside the 2^53 range where float64
+integers are exact.  The rest (p >= 2^20, degree 1, degrees above 8, p <= n
+from degree 4 on) calls the oracle fppoly.splitting_type_mod_p once per
+distinct residue row; the kernels are tested against it.
 
 A family of more than p^n rows is typed by a residue census: every row
 gets its index sum (a_i mod p) p^i, a p^n-entry table marks the residue

@@ -55,14 +55,15 @@ from .zpoly import discriminant, is_perfect_square
 # degree.  That bounds memory, not time: draws of degree <= 8 take the
 # kernels at any height, but above degree 8 every prime goes to the scalar
 # oracle (~18 ms per degree-13 draw).
-# A count profile counts stats.SLAB_ROWS rows at a time and, above
-# stats.SHARD_PAIRS, deals its primes over forked workers, so each process
-# holds kernel temporaries for one slab.  Profiles alone, of rows drawn
-# uniformly (not certified), RUSAGE_SELF and RUSAGE_CHILDREN peaks on 2
-# CPUs: 3*10^6 cubics at N = 10^12, x = 100, 273 and 100 MB from 103 MB
-# before the profile (273 MB in one process); a worker's peak counts the
-# family pages it shares.  10^5 cubics at N = 10^30 (object rows),
-# x = 1000: 69 and 59 MB from 61 MB.
+# A count profile holds one slab's kernel temporaries per process and keeps
+# an int64 matrix of (types + 1) * 8 bytes per certified row: 32, 48, 184 and
+# 816 at n = 3, 4, 8, 13.  Peak RSS of family_chebotarev_mean at x = 10^4 over
+# rows drawn at N = 10^12, slope between two sizes in fresh processes, one
+# process / 2 CPUs: cubics (10^5, 3*10^5 rows, past one slab) 100 / 91 bytes
+# per row, the rows' 24 included; quartics (2,000, 10^4) 0.9 / 0.9 KB and
+# n = 8 (1,000, 2,000) 3.8 / 3.8 KB, kernel temporaries growing below a slab.
+# 3*10^6 cubics at x = 100: 217 MB from 101 MB.  The worst case, 692,307
+# degree-13 draws (0.56 GB of profile alone), is unmeasured.
 FAMILY_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending

@@ -8,7 +8,8 @@ returns plain numbers, lists and dicts, which the CLI writes as they are.
 certify_family walks the family in slabs of at most SLAB_ROWS rows, so
 only the certified subfamily is held: its packed rows and their
 discriminants, both kept from certification.  Count profiles read the rows
-alone, the ramified and index averages the discriminants.  Work that
+alone (one int64 matrix per floor(x), a row per f and a column per type),
+the ramified and index averages the discriminants.  Work that
 splits into items, the slabs of certification (a family smaller than one
 SLAB_ROWS slab per CPU is dealt into one slab per CPU, of no fewer than
 MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of a large
@@ -96,7 +97,7 @@ class CertifiedFamily:
     disc: np.ndarray
     statuses: dict
     description: str = ""
-    # Count profiles by floor(x), filled by _count_profile.
+    # Count profiles by floor(x), int64 matrices filled by _count_profile.
     _profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
@@ -225,11 +226,19 @@ def _require_nonempty(cf):
         raise EmptyFamilyError("no certified polynomials in family")
 
 
-def _type_of_degree(r, n):
-    """r as a tuple, once checked to be a splitting type of degree n."""
+def _type_counts(cf, r):
+    """counts, where counts(x) lists pi_{f,r}(x) of every certified f in row
+    order, as Python ints: the column of r in _count_profile(cf, x).
+
+    Refuses an empty family, then a type r not of the family's degree.  A
+    statistic makes its own checks before counts(x), so a refused one
+    counts nothing."""
+    _require_nonempty(cf)
+    n = cf.coeffs.shape[1]
     if splittypes.validate_type(r) != n:
         raise ValueError("type degree %d does not match the degree %d" % (len(r), n))
-    return tuple(r)
+    code = splittypes.enumerate_types(n).index(tuple(r))
+    return lambda x: _count_profile(cf, x)[:, code].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +247,19 @@ def _type_of_degree(r, n):
 def _count_profile(cf, x):
     """Per-polynomial pi_{f,r}(x) for every type r, from the rows alone.
 
-    Returns a dict mapping each splitting type to a list of per-polynomial
-    counts.  Cached on the CertifiedFamily instance under floor(x), so the
-    primes are sieved only on a miss.  The rows are counted SLAB_ROWS at a
-    time.  Above SHARD_PAIRS (rows x primes), the primes are dealt into one
-    class per CPU, primes[c::k], and each (slab, class) item is counted
-    through _forked_map, so process c counts every row at its own primes
-    and builds the cubic tables (batch._cubic_table) of those alone.  The
-    integer counts of each slab's classes are added up.
+    Returns _count_matrix's int64 matrix at the primes <= floor(x): row i
+    counts f_i's primes of each type in enumerate_types(n) order, then
+    those dividing disc(f_i).  Cached on the CertifiedFamily instance under
+    floor(x), so the primes are sieved only on a miss.  The rows are
+    counted SLAB_ROWS at a time.  Above SHARD_PAIRS (rows x primes), the
+    primes are dealt into one class per CPU, primes[c::k], and each (slab,
+    class) item is counted through _forked_map, so process c counts every
+    row at its own primes and builds the cubic tables (batch._cubic_table)
+    of those alone.  The integer counts of each slab's classes are added up.
     """
     key = math.floor(x)
     if key in cf._profiles:
         return cf._profiles[key]
-
     primes = sieve_primes(x)
     m, n = cf.coeffs.shape
     k = _cpus() if m * len(primes) > SHARD_PAIRS else 1
@@ -259,17 +268,15 @@ def _count_profile(cf, x):
     counted = (_forked_map if k > 1 else map)(
         lambda item: _count_matrix(cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k]),
         items)
-    types = splittypes.enumerate_types(n)
-    matrix = np.zeros((m, len(types) + 1), dtype=np.int64)
+    matrix = np.zeros((m, len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)
     for (start, _c), slab_counts in zip(items, counted):
         matrix[start:start + len(slab_counts)] += slab_counts
-    counts = {r: matrix[:, code].tolist() for code, r in enumerate(types)}
-    cf._profiles[key] = counts
-    return counts
+    cf._profiles[key] = matrix
+    return matrix
 
 
 def _count_matrix(coeffs, primes):
-    """(rows, types + 1) counts per type code; the last, not squarefree, is never read."""
+    """(rows, types + 1) counts per type code; the last is not squarefree."""
     m, n = coeffs.shape
     # The same counts: perfbench's self-test needs batch.count_pairs, counted only here.
     if (n == 3 and primes and coeffs.dtype == np.int64
@@ -298,12 +305,8 @@ def family_chebotarev_mean(cf, r, x):
 
     Both sums run over the primes <= floor(x).
     """
-    _require_nonempty(cf)
-    n = cf.coeffs.shape[1]
-    r = _type_of_degree(r, n)
-    values = _count_profile(cf, x)[r]
-    mean = math.fsum(values) / len(values)
-    return mean, exact_chebotarev_reference(n, r, x)
+    mean = math.fsum(_type_counts(cf, r)(x)) / len(cf)
+    return mean, exact_chebotarev_reference(len(r), r, x)
 
 
 def family_centered_moment(cf, r, x, k, center="asymptotic"):
@@ -319,15 +322,12 @@ def family_centered_moment(cf, r, x, k, center="asymptotic"):
         raise ValueError("k must lie in [1, %d]" % MAX_MOMENT)
     if center not in ("asymptotic", "exact"):
         raise ValueError("center must be 'asymptotic' or 'exact'")
-    _require_nonempty(cf)
-    n = cf.coeffs.shape[1]
-    r = _type_of_degree(r, n)
-    values = _count_profile(cf, x)[r]
+    values = _type_counts(cf, r)(x)
     pix = len(sieve_primes(x))
     if center == "asymptotic":
         center = float(splittypes.delta(r)) * pix
     else:
-        center = exact_chebotarev_reference(n, r, x)
+        center = exact_chebotarev_reference(len(r), r, x)
     moment = math.fsum((c - center) ** k for c in values) / len(values)
     if k % 2 == 0:
         reference = float(splittypes.moment_constant(k, r)) * pix ** (k / 2)
@@ -369,15 +369,13 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     Returns (results, sample): the report's results, a dict, and the
     tuple of the v(f) in row order.
     """
-    _require_nonempty(cf)
-    n = cf.coeffs.shape[1]
-    r = _type_of_degree(r, n)
+    counts = _type_counts(cf, r)
     pix = len(sieve_primes(x))
     if pix < 30:
         raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
     if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
-    values = _count_profile(cf, x)[r]
+    values = counts(x)
     d = float(splittypes.delta(r))
     scale = math.sqrt((d - d * d) * pix)
     sample = tuple((c - d * pix) / scale for c in values)
@@ -387,14 +385,14 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
                for k in range(1, k_max + 1)}
     results = {
         "description": cf.description,
-        "n": n,
+        "n": len(r),
         "r": list(r),
         "x": float(x),
         "family_size": len(cf),
         "excluded": cf.excluded,
         "empirical_mean": mean,
         "empirical_variance": variance,
-        "reference_mean": exact_chebotarev_reference(n, r, x),
+        "reference_mean": exact_chebotarev_reference(len(r), r, x),
         "reference_variance": (d - d * d) * pix,
         "moments": moments,
         "ks_distance": ks_distance(sample),
@@ -416,7 +414,7 @@ def ramified_average(cf, bound):
     total = 0
     for start in range(0, len(cf), SLAB_ROWS):
         disc = cf.disc[start:start + SLAB_ROWS]
-        total += sum(np.count_nonzero(disc % p == 0) for p in primes)
+        total += sum(int(np.count_nonzero(disc % p == 0)) for p in primes)
     reference = math.fsum(1.0 / p for p in primes)
     return total / len(cf), reference
 
@@ -489,13 +487,11 @@ def fiber_probability(cf, targets):
 
 def split_lower_bound_fraction(cf, x):
     """Fraction of certified f with at least delta*pi(x)/2 totally split primes."""
-    _require_nonempty(cf)
+    n = cf.coeffs.shape[1]
+    split_type = (n,) + (0,) * (n - 1)
+    counts = _type_counts(cf, split_type)
     pix = len(sieve_primes(x))
     if pix < 30:
         raise ValueError("pi(x) must be at least 30")
-    n = cf.coeffs.shape[1]
-    split_type = tuple([n] + [0] * (n - 1))
-    counts = _count_profile(cf, x)
     floor_value = float(splittypes.delta(split_type)) * pix / 2.0
-    values = counts[split_type]
-    return sum(1 for c in values if c >= floor_value) / len(values)
+    return sum(1 for c in counts(x) if c >= floor_value) / len(cf)

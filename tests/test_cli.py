@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -522,3 +523,70 @@ def test_reports_carry_status_histogram(tmp_path, args):
     assert main(args + box[:-1] + [str(csv_out), "--format", "csv"]) == 0
     meta = [l for l in csv_out.read_text().splitlines() if l.startswith("# statuses=")]
     assert [json.loads(l.split("=", 1)[1]) for l in meta] == [BOX_STATUSES]
+
+
+# Small samples at n = 2, 4 and 8, and cubics at N = 10^30, whose rows are
+# Python ints: every family certifies at least 100 rows, as clt requires.
+_PINNED_FAMILIES = {
+    "n2": ["--n", "2", "--N", str(10**6), "--sample-size", "150", "--x", "300",
+           "--r", "0,1"],
+    "n4": ["--n", "4", "--N", str(10**6), "--sample-size", "150", "--x", "300",
+           "--r", "1,0,1,0"],
+    "n8": ["--n", "8", "--N", str(10**6), "--sample-size", "120", "--x", "200",
+           "--r", "0,0,0,0,0,0,0,1"],
+    "n3-object": ["--n", "3", "--N", str(10**30), "--sample-size", "150", "--x", "300",
+                  "--r", "0,0,1"],
+}
+
+# sha256 of each report of _pinned_reports, taken before the count profile
+# became one cached matrix.  No change to the count path may move a byte.
+_PINNED_DIGESTS = {
+    ("n2", "chebotarev.json"): "16c9d8fe6061947c67b22385936c6d1cff2cebeb609c097d2e9b471f6cd40453",
+    ("n2", "moments.csv"): "23dca7587f5185320bd7e85cd0323467bc6899c8859254547ed03cfa63adf8c1",
+    ("n2", "clt.json"): "2f471a80e7a1361df8e57b7b9723379eff34205ec25f918b14acaf5f89ca7c9c",
+    ("n2", "clt.sample.csv"): "a544f073b215dc0fd884267b150a06a0b2462c60164bfca7889c3db5e977e85c",
+    ("n4", "chebotarev.json"): "3fa89d4c5e4a1fec3a886b6a8ec7da6930fa8cd06722ad05d303d37af6706e4e",
+    ("n4", "moments.csv"): "5f36e2c9a1204fbca820f16c41c52baa8bc7d111cc336c5e0f1228d562f726df",
+    ("n4", "clt.json"): "bdd2c63d2877ee31a2e16e32d89924db13b3fae65cc607bb3d02b6c739a8bfdb",
+    ("n4", "clt.sample.csv"): "9d47131f2b865d4bf47a3134bd9dfa0e407044beefcc14f500704fe5d72ee4d0",
+    ("n8", "chebotarev.json"): "cab80a08164bec56b1031b951cac4838d0b2c81332a14ae82371a29603bd87e6",
+    ("n8", "moments.csv"): "ddb99a035e9ca1c7731aeb1bb84f2e21ed10ffac9a34766d14f6508b27cf4483",
+    ("n8", "clt.json"): "2fa5013a0f17255b7ba98cbb67de8061134d3508562743a3874823526980c3e3",
+    ("n8", "clt.sample.csv"): "1cc342cc3c9b3796aa45847d5adb8b6d51bc02d306ef0e3aeda08d86141f366c",
+    ("n3-object", "chebotarev.json"):
+        "e70548cb208502c6d062e1f41a3bd836bdc98d77135ec6ed17c083ca6cb62493",
+    ("n3-object", "moments.csv"):
+        "77dcb4de0e6264b378d3507ec74ea08972131a2ef011c08219540d7d1bafb6c0",
+    ("n3-object", "clt.json"):
+        "ebe8b98fe0b217f9f01ff271ac73f9d65ac19971d41850d25d171eed99aa0a29",
+    ("n3-object", "clt.sample.csv"):
+        "43e6765d7b7a285e98538629a4f9117f37ce1831951818e51df01d69930b58f7",
+}
+
+
+def _pinned_reports(tmp_path):
+    """sha256 of the chebotarev (JSON), moments (CSV) and clt (JSON, and its
+    sample CSV) reports of every pinned family, by (family, file)."""
+    runs = [("chebotarev", "chebotarev.json", ["--format", "json"]),
+            ("moments", "moments.csv", ["--format", "csv", "--k-max", "4"]),
+            ("clt", "clt.json", ["--format", "json"])]
+    digests = {}
+    for name, family_args in _PINNED_FAMILIES.items():
+        for command, filename, extra in runs:
+            out = tmp_path / ("%s-%s" % (name, filename))
+            args = [command, "--mode", "sampled", "--seed", "7", *family_args, *extra,
+                    "--out", str(out)]
+            assert main(args) == 0
+            digests[name, filename] = hashlib.sha256(out.read_bytes()).hexdigest()
+        sample = tmp_path / ("%s-clt.json%s" % (name, cli.SAMPLE_SUFFIX))
+        digests[name, "clt.sample.csv"] = hashlib.sha256(sample.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_prime_sum_reports_pinned(tmp_path, monkeypatch, cpus):
+    # On 2 CPUs every count profile deals its primes over a forked worker.
+    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert _pinned_reports(tmp_path) == _PINNED_DIGESTS
+    assert multiprocessing.active_children() == []

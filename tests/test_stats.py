@@ -19,6 +19,7 @@ from splitstat.stats import (
     exact_chebotarev_reference,
     family_centered_moment,
     family_chebotarev_mean,
+    fiber_probability,
     index_prime_average,
     ks_distance,
     normal_cdf,
@@ -349,6 +350,12 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
     assert calls == [len(sieve_primes(300))]
     family_centered_moment(cf, r, 300.5, 2)  # same floor(x): no new matrix
     assert len(calls) == 1
+    # The cache holds one int64 matrix per floor(x), rows by types + 1.
+    family_chebotarev_mean(cf, r, 100.9)
+    assert len(calls) == 2 and sorted(cf._profiles) == [100, 300]
+    for profile in cf._profiles.values():
+        assert type(profile) is np.ndarray and profile.dtype == np.int64
+        assert profile.shape == (len(cf), len(enumerate_types(3)) + 1)
 
 
 # (spec, x, every how many rows to check against the oracle): boxes on the
@@ -367,19 +374,23 @@ _PROFILE_FAMILIES = [
 def test_count_profile_matches_prime_splitting_count(spec, x, step):
     cf = certify_family(spec)
     primes = sieve_primes(x)
-    counts = stats._count_profile(cf, x)
+    types = enumerate_types(spec.n)
+    profile = stats._count_profile(cf, x)
+    assert profile.dtype == np.int64 and profile.shape == (len(cf), len(types) + 1)
     for i in range(0, len(cf), step):
         f = tuple(cf.coeffs[i].tolist())
-        for r, column in counts.items():
-            assert column[i] == prime_splitting_count(f, r, x)
-    # Each row counts for one type at every prime but those dividing disc(f).
+        for code, r in enumerate(types):
+            assert profile[i, code] == prime_splitting_count(f, r, x)
+    # Each row counts for one type at every prime but those dividing
+    # disc(f), which the last column counts, so every row sums to pi(x).
     ramified = sum((cf.disc % p == 0).astype(np.int64) for p in primes)
     assert ramified.any()
-    total = np.sum(list(counts.values()), axis=0)
-    assert (total == len(primes) - ramified).all()
+    assert (profile[:, :-1].sum(axis=1) == len(primes) - ramified).all()
+    assert np.array_equal(profile[:, -1], ramified)
+    assert (profile.sum(axis=1) == len(primes)).all()
     # The count path never reads a discriminant.
     bare = stats.CertifiedFamily(cf.coeffs, None, cf.statuses)
-    assert stats._count_profile(bare, x) == counts
+    assert np.array_equal(stats._count_profile(bare, x), profile)
 
 
 # (n, height, sample size, x): the kernels at n = 2, 3, 4, 5 (the oracle at
@@ -396,7 +407,8 @@ _SHARDED_FAMILIES = [
 
 def _profile_on(monkeypatch, cf, x, cpus, shard_pairs=0):
     """_count_profile of cf at x on cpus CPUs above shard_pairs, and the
-    (rows, primes) of every _count_matrix call made in this process."""
+    (rows, primes) of every _count_matrix call made in this process.  The
+    profile is cf's only cached one, an int64 matrix."""
     cf._profiles.clear()
     counted = []
     count_matrix = stats._count_matrix
@@ -410,6 +422,9 @@ def _profile_on(monkeypatch, cf, x, cpus, shard_pairs=0):
     monkeypatch.setattr(stats, "_count_matrix", recorded)
     profile = stats._count_profile(cf, x)
     assert multiprocessing.active_children() == []
+    assert list(cf._profiles) == [math.floor(x)] and cf._profiles[math.floor(x)] is profile
+    types = enumerate_types(cf.coeffs.shape[1])
+    assert profile.dtype == np.int64 and profile.shape == (len(cf), len(types) + 1)
     return profile, counted
 
 
@@ -422,7 +437,7 @@ def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x
     assert len(cf) and (cf.coeffs.dtype == object) == (height > 2**62)
     expected = stats._count_profile(cf, x)
     profile, counted = _profile_on(monkeypatch, cf, x, shards)
-    assert profile == expected
+    assert np.array_equal(profile, expected)
     assert counted == [(len(cf), sieve_primes(x)[0::shards])]
 
 
@@ -436,25 +451,28 @@ def test_count_profile_slabs_and_empty_class(monkeypatch):
     monkeypatch.setattr(stats, "SLAB_ROWS", 7)
     slabs = [7] * (len(cf) // 7) + [len(cf) % 7]
     profile, counted = _profile_on(monkeypatch, cf, 200, 2)
-    assert profile == expected[200]
+    assert np.array_equal(profile, expected[200])
     assert counted == [(rows, sieve_primes(200)[0::2]) for rows in slabs]
     # At most SHARD_PAIRS pairs, every slab is counted here at every prime.
     profile, counted = _profile_on(monkeypatch, cf, 200, 2, shard_pairs=len(cf) * len(sieve_primes(200)))
-    assert profile == expected[200]
+    assert np.array_equal(profile, expected[200])
     assert counted == [(rows, sieve_primes(200)) for rows in slabs]
     # Three CPUs, two primes: the third class is empty and counts nothing.
     monkeypatch.setattr(stats, "SLAB_ROWS", 2**16)
     profile, counted = _profile_on(monkeypatch, cf, 3, 3)
-    assert profile == expected[3]
+    assert np.array_equal(profile, expected[3])
     assert counted == [(len(cf), (2,))]
 
 
-def test_clt_report_preconditions():
+def test_clt_report_preconditions(monkeypatch):
+    # Refused before anything is counted.
+    monkeypatch.setattr(stats, "_count_matrix", lambda coeffs, primes: pytest.fail("counted"))
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
         clt_report(cf, (0, 0, 1), 50)  # pi(x) < 30
     with pytest.raises(ValueError):
         clt_report(cf, (0, 0, 1), 500)  # family too small
+    assert cf._profiles == {}
 
 
 def test_ramified_average_examples():
@@ -487,3 +505,35 @@ def test_split_lower_bound_fraction_precondition():
     cf = certify_family(batch.pack([(1, 0)]))
     with pytest.raises(ValueError):
         split_lower_bound_fraction(cf, 20)
+
+
+def _numbers(value):
+    """Every number in a statistic's result, through its dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [number for item in value for number in _numbers(item)]
+    return [] if isinstance(value, str) else [value]
+
+
+@pytest.mark.parametrize("height", [10**12, 10**30], ids=["int64", "object"])
+def test_statistics_return_plain_numbers(height):
+    # Python ints and floats, never numpy scalars, on rows of either dtype.
+    spec = FamilySpec(n=3, height_bound=height, mode="sampled", sample_size=120, seed=2)
+    cf = certify_family(spec)
+    assert len(cf) >= 100 and (cf.coeffs.dtype == object) == (height > 2**62)
+    r = (0, 0, 1)
+    results = [
+        exact_chebotarev_reference(3, r, 200),
+        family_chebotarev_mean(cf, r, 200),
+        family_centered_moment(cf, r, 200, 3),
+        family_centered_moment(cf, r, 200, 2, center="exact"),
+        clt_report(cf, r, 200),
+        ramified_average(cf, 50),
+        index_prime_average(cf, 50),
+        fiber_probability(cf, [(2, (1, 1, 1))]),
+        split_lower_bound_fraction(cf, 200),
+    ]
+    numbers = _numbers(results)
+    assert len(numbers) > len(cf)  # the sample among them
+    assert {type(number) for number in numbers} == {int, float}
