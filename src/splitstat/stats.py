@@ -12,7 +12,7 @@ alone (one int64 matrix per floor(x), a row per f and a column per type),
 the ramified and index averages the discriminants.  Work that
 splits into items, the slabs of certification (a family smaller than one
 SLAB_ROWS slab per CPU is dealt into one slab per CPU, of no fewer than
-MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of a large
+MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of every
 count profile, runs on every CPU through _forked_map: forked workers
 compute a share of the items and this process takes the results in item
 order, so every result is the same as in one process.  Exact per-prime
@@ -25,6 +25,8 @@ import io
 import math
 import os
 import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,22 +45,6 @@ DEFAULT_K_MAX = 6
 # The reference (k-1)!! (delta - delta^2)^(k/2) pi(x)^(k/2) is smaller still.
 MAX_MOMENT = 40
 
-# Count profiles of more (rows x primes) pairs than this deal their primes
-# over forked workers, one class primes[c::k] per CPU.  Time of that split
-# on 2 CPUs over one process, medians of 5 (2-CPU Xeon), sampled at
-# N = 10^12.  Quartics: 0.90-0.99x at 50,000 to 129,000 pairs (300 rows
-# at x = 10^3 and 3*10^3, 1,000 at 300; 0.07-0.27 s), 0.81x at 167,000
-# (1,000 rows, x = 10^3), 0.66x at 367,000 and 0.62x at 1.2*10^6 (300
-# and 1,000 rows, x = 10^4).
-# Cubics: 0.99x at 50,400 and 0.84x at 168,000 pairs (x = 10^3, ~20 ms);
-# at x = 10^4, 0.62-0.79x from 1.2*10^6 to 1.2*10^7 pairs (0.42 s against
-# 0.54 s on 10^4 rows); 0.61x at 9.6*10^6 (1,000 rows, x = 10^5).  Each
-# process builds the cubic tables (batch._cubic_table) of its own primes
-# only; split by rows, each built every table, and cubics at 1.2-6.1*10^6
-# pairs ran 1.4-1.6x slower than in one process.
-# Every degree gains above 10^6; quartics would from ~1.7*10^5 as well.
-SHARD_PAIRS = 10**6
-
 # Most rows that certify_family certifies at a time; its peak is one slab's
 # certification plus the certified rows.  ramified over the N=50 cubic box
 # (1,030,301 rows), three runs per size in one process each (2-CPU Xeon):
@@ -70,15 +56,15 @@ SHARD_PAIRS = 10**6
 # (batch.types_mod_p, p^n < rows) at more primes.
 # A family of fewer than SLAB_ROWS rows per CPU is dealt into one slab per
 # CPU, each drawn and certified in its own process, but no slab is cut
-# below MIN_SLAB_ROWS rows: a first fork costs ~11 ms (importing
-# multiprocessing and starting the worker).  Drawing and certifying m draws
-# at N = 10^12 in two equal slabs on 2 CPUs, over one process, medians of
-# 11 fresh processes (2-CPU Xeon): cubics 1.82x at 1,000 draws (14 ms in
-# one process), 1.31x at 2,000, 0.94x at 4,000 and 0.73x at 8,000;
-# quartics 2.31x at 300, 1.43x at 1,000, 1.01x at 2,000 and 0.84x at
-# 4,000; degree 8 0.82x at 300 (0.17 s).  After a first fork, cubics
-# 1.05x at 2,000 and 0.84x at 4,000, quartics 1.01x at 1,000.  So a slab
-# pays for its process from ~2^11 cubic and ~2^10 quartic rows.
+# below MIN_SLAB_ROWS rows.  A first _forked_map over two items costs 3.4 ms
+# in a fresh process and a later one 2.1 ms (medians of 11, 2-CPU Xeon).
+# Drawing and certifying m draws at N = 10^12 in two equal slabs on 2 CPUs,
+# over one process, medians of 11 fresh processes: cubics 0.96x at 1,000
+# draws (14 ms in one process), 0.77x at 2,000 and 0.66x at 4,000;
+# quartics 1.49x at 300, 1.04x at 1,000 and 0.92x at 2,000; degree 8 0.66x
+# at 300 (0.17 s).  So a slab pays for its process from ~2^9 cubic and
+# ~2^10 quartic rows.  The floor was set when a first fork cost 11-16 ms,
+# and now sits above both.
 SLAB_ROWS = 2**16
 MIN_SLAB_ROWS = 2**11
 
@@ -172,42 +158,47 @@ def _forked_map(fn, items):
     i mod k: this one computes items 0, k, 2k, ... and each of k - 1 forked
     workers, which share this process's pages (the family among them),
     pickles the results of its items, in order, into a pipe that this
-    process reads as it reaches them.  A worker that dies or raises
-    raises SplitstatError here; every worker is killed and reaped once the
-    map ends, is closed or fails.  With one CPU or one item nothing forks.
+    process reads as it reaches them.  A worker that dies or raises (its
+    traceback goes to stderr) raises SplitstatError here with its exit
+    code, -N for signal N; every worker is killed and reaped once the map
+    ends, is closed or fails.  With one CPU or one item nothing forks.
     """
     k = min(_cpus(), len(items))
     if k < 2:
         yield from map(fn, items)
         return
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
     workers = []
     try:
         for first in range(1, k):
             read, write = os.pipe()
-            worker = context.Process(target=_send_each, daemon=True,
-                                     args=(write, fn, items[first::k]))
-            worker.start()
+            pid = os.fork()
+            if pid == 0:  # a worker, which never returns into its caller's frames
+                try:
+                    _send_each(write, fn, items[first::k])
+                    os._exit(0)
+                finally:  # reached only when _send_each raises
+                    traceback.print_exc()
+                    os._exit(1)
             os.close(write)
-            workers.append((worker, open(read, "rb")))
+            workers.append((pid, open(read, "rb")))
         for i, item in enumerate(items):
             if i % k == 0:
                 yield fn(item)
                 continue
-            worker, receive = workers[i % k - 1]
+            pid, receive = workers[i % k - 1]
             try:
                 result = pickle.load(receive)
             except (EOFError, pickle.UnpicklingError):
-                worker.join()
-                raise SplitstatError("worker exited with code %s" % worker.exitcode) from None
+                workers.remove((pid, receive))  # reaped here, not below
+                receive.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise SplitstatError("worker exited with code %d" % code) from None
             yield result
     finally:
-        for worker, receive in workers:
+        for pid, receive in workers:
             receive.close()
-            worker.kill()  # it has sent its results or failed
-            worker.join()
+            os.kill(pid, signal.SIGKILL)  # it has sent its results or failed
+            os.waitpid(pid, 0)
 
 
 def _send_each(write, fn, items):
@@ -250,22 +241,21 @@ def _count_profile(cf, x):
     Returns _count_matrix's int64 matrix at the primes <= floor(x): row i
     counts f_i's primes of each type in enumerate_types(n) order, then
     those dividing disc(f_i).  Cached on the CertifiedFamily instance under
-    floor(x), so the primes are sieved only on a miss.  The rows are
-    counted SLAB_ROWS at a time.  Above SHARD_PAIRS (rows x primes), the
-    primes are dealt into one class per CPU, primes[c::k], and each (slab,
+    floor(x).  The rows are counted SLAB_ROWS at a time, and the primes are
+    dealt into k = min(CPUs, pi(x)) classes primes[c::k].  Each (slab,
     class) item is counted through _forked_map, so process c counts every
     row at its own primes and builds the cubic tables (batch._cubic_table)
-    of those alone.  The integer counts of each slab's classes are added up.
+    of those alone; at one CPU every slab is counted here at every prime.
+    The integer counts of each slab's classes are added up.
     """
     key = math.floor(x)
     if key in cf._profiles:
         return cf._profiles[key]
     primes = sieve_primes(x)
     m, n = cf.coeffs.shape
-    k = _cpus() if m * len(primes) > SHARD_PAIRS else 1
+    k = min(_cpus(), len(primes))
     items = [(start, c) for start in range(0, m, SLAB_ROWS) for c in range(k)]
-    # With one class, map keeps every slab in this process.
-    counted = (_forked_map if k > 1 else map)(
+    counted = _forked_map(
         lambda item: _count_matrix(cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k]),
         items)
     matrix = np.zeros((m, len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)

@@ -1,9 +1,17 @@
+import os
+
 import pytest
 
 from splitstat import stats
 from splitstat.family import FamilySpec, generate
 
 _acceptance_lines = []
+
+
+def assert_no_children():
+    """Assert that this process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,15 @@ import csv
 import errno
 import hashlib
 import json
-import multiprocessing
 import os
+import signal
 
 import pytest
 
-from splitstat import cli, family, stats
+from splitstat import cli, family, primes, stats
 from splitstat.cli import main
+
+from conftest import assert_no_children
 
 
 def _refuse_computing(monkeypatch):
@@ -264,7 +266,7 @@ def test_ramified_generates_the_box_in_slabs(tmp_path, monkeypatch):
         if cpus == 1:
             assert by_process == {os.getpid(): ranges}
         assert report.read_bytes() == (tmp_path / "default.json").read_bytes()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_refusal_before_computing(tmp_path, monkeypatch):
@@ -313,34 +315,47 @@ def test_report_with_longest_name_is_written(tmp_path):
 
 
 def _failing_in_workers(fn, failure):
-    """fn, except that in any process but this one it exits or raises."""
+    """fn, except that in any process but this one it exits, is killed or raises."""
     parent = os.getpid()
 
     def failing(*args):
         if os.getpid() != parent:
             if failure == "exits":
                 os._exit(1)
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("worker failed")
         return fn(*args)
 
     return failing
 
 
-@pytest.mark.parametrize("failure", ["exits", "raises"])
+def test_clt_sieves_once(tmp_path):
+    # The report asks for the primes up to x, and pi(x), once per moment.
+    primes._sieve.cache_clear()
+    assert main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
+                 "200", "--x", "300", "--r", "0,0,1", "--out", str(tmp_path / "clt.json")]) == 0
+    assert primes._sieve.cache_info().misses == 1
+
+
+# The exit code that each failure of a worker reports.
+_WORKER_CODES = {"exits": 1, "raises": 1, "killed": -9}
+
+
+@pytest.mark.parametrize("failure", ["exits", "raises", "killed"])
 def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
-    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(stats, "_count_matrix", _failing_in_workers(stats._count_matrix, failure))
     out = tmp_path / "clt.json"
     code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
                  "200", "--x", "300", "--r", "0,0,1", "--out", str(out)])
     assert code == 3
-    assert "error: worker exited with code 1" in capsys.readouterr().err
+    assert "error: worker exited with code %d" % _WORKER_CODES[failure] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
-@pytest.mark.parametrize("failure", ["exits", "raises"])
+@pytest.mark.parametrize("failure", ["exits", "raises", "killed"])
 def test_certify_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(stats, "SLAB_ROWS", 100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -348,9 +363,9 @@ def test_certify_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure
     out = tmp_path / "ramified.json"
     code = main(["ramified", "--n", "3", "--N", "5", "--bound", "7", "--out", str(out)])
     assert code == 3
-    assert "error: worker exited with code 1" in capsys.readouterr().err
+    assert "error: worker exited with code %d" % _WORKER_CODES[failure] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("args", [
@@ -586,7 +601,6 @@ def _pinned_reports(tmp_path):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_prime_sum_reports_pinned(tmp_path, monkeypatch, cpus):
     # On 2 CPUs every count profile deals its primes over a forked worker.
-    monkeypatch.setattr(stats, "SHARD_PAIRS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert _pinned_reports(tmp_path) == _PINNED_DIGESTS
-    assert multiprocessing.active_children() == []
+    assert_no_children()

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import random
 
@@ -27,6 +26,8 @@ from splitstat.stats import (
     split_lower_bound_fraction,
 )
 from splitstat.zpoly import discriminant
+
+from conftest import assert_no_children
 
 
 def prime_splitting_count(f, r, x):
@@ -112,7 +113,7 @@ def test_certify_family_counts_exclusions(monkeypatch):
             assert cf.coeffs.tolist() == whole[keep].tolist()
             assert cf.disc.tolist() == disc[keep].tolist()
             assert cf.statuses == counts
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_small_sampled_families_are_dealt_over_the_cpus(tmp_path, monkeypatch):
@@ -164,7 +165,7 @@ def test_small_sampled_families_are_dealt_over_the_cpus(tmp_path, monkeypatch):
             else:
                 assert len(by_process) == min(cpus, len(ranges)) > 1
                 assert all(stop - start >= min(floor, m - start) for start, stop in ranges)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 class _PackedSlices:
@@ -334,6 +335,8 @@ def test_clt_report_structure_and_determinism():
 
 
 def test_count_profile_cached_per_floor_x(monkeypatch):
+    # At one CPU every count is made in this process, where calls are seen.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     spec = FamilySpec(n=3, height_bound=10**9, mode="sampled", sample_size=300, seed=4)
     cf = certify_family(generate(spec))
     assert cf.coeffs.dtype == np.int64
@@ -405,10 +408,10 @@ _SHARDED_FAMILIES = [
 ]
 
 
-def _profile_on(monkeypatch, cf, x, cpus, shard_pairs=0):
-    """_count_profile of cf at x on cpus CPUs above shard_pairs, and the
-    (rows, primes) of every _count_matrix call made in this process.  The
-    profile is cf's only cached one, an int64 matrix."""
+def _profile_on(monkeypatch, cf, x, cpus):
+    """_count_profile of cf at x on cpus CPUs, and the (rows, primes) of
+    every _count_matrix call made in this process.  The profile is cf's
+    only cached one, an int64 matrix."""
     cf._profiles.clear()
     counted = []
     count_matrix = stats._count_matrix
@@ -417,11 +420,10 @@ def _profile_on(monkeypatch, cf, x, cpus, shard_pairs=0):
         counted.append((len(coeffs), primes))  # seen in this process only
         return count_matrix(coeffs, primes)
 
-    monkeypatch.setattr(stats, "SHARD_PAIRS", shard_pairs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(stats, "_count_matrix", recorded)
     profile = stats._count_profile(cf, x)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert list(cf._profiles) == [math.floor(x)] and cf._profiles[math.floor(x)] is profile
     types = enumerate_types(cf.coeffs.shape[1])
     assert profile.dtype == np.int64 and profile.shape == (len(cf), len(types) + 1)
@@ -435,7 +437,8 @@ def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x
     spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=size, seed=3)
     cf = certify_family(generate(spec))
     assert len(cf) and (cf.coeffs.dtype == object) == (height > 2**62)
-    expected = stats._count_profile(cf, x)
+    expected, counted = _profile_on(monkeypatch, cf, x, 1)
+    assert counted == [(len(cf), sieve_primes(x))]
     profile, counted = _profile_on(monkeypatch, cf, x, shards)
     assert np.array_equal(profile, expected)
     assert counted == [(len(cf), sieve_primes(x)[0::shards])]
@@ -444,7 +447,7 @@ def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x
 def test_count_profile_slabs_and_empty_class(monkeypatch):
     spec = FamilySpec(n=3, height_bound=10**12, mode="sampled", sample_size=60, seed=3)
     cf = certify_family(generate(spec))
-    expected = {x: stats._count_profile(cf, x) for x in (200, 3)}
+    expected = {x: _profile_on(monkeypatch, cf, x, 1)[0] for x in (200, 3)}
     # Slabs of 7 rows, the last one partial: this process counts each slab
     # at its own class of primes, and the slabs' counts go back in order.
     assert len(cf) % 7
@@ -453,11 +456,11 @@ def test_count_profile_slabs_and_empty_class(monkeypatch):
     profile, counted = _profile_on(monkeypatch, cf, 200, 2)
     assert np.array_equal(profile, expected[200])
     assert counted == [(rows, sieve_primes(200)[0::2]) for rows in slabs]
-    # At most SHARD_PAIRS pairs, every slab is counted here at every prime.
-    profile, counted = _profile_on(monkeypatch, cf, 200, 2, shard_pairs=len(cf) * len(sieve_primes(200)))
+    # At one CPU every slab is counted here at every prime.
+    profile, counted = _profile_on(monkeypatch, cf, 200, 1)
     assert np.array_equal(profile, expected[200])
     assert counted == [(rows, sieve_primes(200)) for rows in slabs]
-    # Three CPUs, two primes: the third class is empty and counts nothing.
+    # Three CPUs, two primes: two classes, one here and one in a worker.
     monkeypatch.setattr(stats, "SLAB_ROWS", 2**16)
     profile, counted = _profile_on(monkeypatch, cf, 3, 3)
     assert np.array_equal(profile, expected[3])
