@@ -6,16 +6,17 @@ kept only for perfbench's batch.count_pairs counter.  A type mod p reads
 only residues, so an object-dtype family (pack's, beyond 2^62) is reduced
 mod p to int64 first, and the path depends on the degree and p alone.  At
 p < 2^20, vectorized numpy kernels take degrees 2 and 3 at every p, and
-degrees 4 to 8 at p > n from the traces of Berlekamp's matrix Q.  Cubics at
-3 < p <= CUBIC_TABLE_FACTOR * rows read their codes from a table of the p
-classes of depressed cubics, built per call from discrete logs, in int64
+degrees 4 to 20 at p > n from the traces of Berlekamp's matrix Q.  Cubics
+at 3 < p <= CUBIC_TABLE_FACTOR * rows read their codes from a table of the
+p classes of depressed cubics, built per call from discrete logs, in int64
 below 2^41.  The other kernels compute in float64: residues stay below 2^20
-in absolute value (below 2^19 in the trace kernel, whose sums hold at most
-n <= 8 products and a residue), so every product is below 2^40 and every
-sum reduced at once below 2^44, far inside the 2^53 range where float64
-integers are exact.  The rest (p >= 2^20, degree 1, degrees above 8, p <= n
-from degree 4 on) calls the oracle fppoly.splitting_type_mod_p once per
-distinct residue row; the kernels are tested against it.
+in absolute value, so every product is below 2^40 and every sum reduced at
+once below 2^44 (2^42.4 in the trace kernel, whose residues are below 2^19
+and whose sums hold at most n <= 20 products and a residue), far inside the
+2^53 range where float64 integers are exact.  Degree 1 is of one type at
+every p.  The rest (p >= 2^20, p <= n from degree 4 on) calls the oracle
+fppoly.splitting_type_mod_p once per distinct residue row; the kernels are
+tested against it.
 
 A family of more than p^n rows is typed by a residue census: every row
 gets its index sum (a_i mod p) p^i, a p^n-entry table marks the residue
@@ -33,11 +34,11 @@ from . import fppoly
 from .splittypes import enumerate_types
 
 MAX_KERNEL_PRIME = 2**20
-MAX_TRACE_DEGREE = 8
 MAX_INT64_HEIGHT = 2**62  # pack's bound on |coefficient| for int64
 
 # Rows per block of _trace_codes, so that one (n, n, rows) array holds at
-# most 2^18 float64 entries (2 MB) whatever the family's size.
+# most 2^18 float64 entries (2 MB); with ceil(n/2) powers of Q, a two-block
+# call peaked at 11, 14, 19 and 25 MB of numpy arrays at n = 4, 8, 13, 20.
 _TRACE_BLOCK_ENTRIES = 2**18
 
 # Cubics mod p are typed from _cubic_table(p) where 3 < p <= CUBIC_TABLE_FACTOR
@@ -114,13 +115,15 @@ def types_mod_p(coeffs, p):
 
 
 def _kernel_serves(n, p):
-    return p < MAX_KERNEL_PRIME and (n in (2, 3) or 4 <= n <= MAX_TRACE_DEGREE and p > n)
+    return p < MAX_KERNEL_PRIME and (n <= 3 or p > n)
 
 
 def _row_codes(coeffs, p):
     """types_mod_p of every row, by a kernel where one serves (n, p) and
     otherwise by one oracle call per row."""
     n = coeffs.shape[1]
+    if n == 1:  # X + a_0 is of type (1,) at every p
+        return np.zeros(len(coeffs), dtype=np.int8)
     if _kernel_serves(n, p):
         if n == 3:
             return _cubic_codes(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], p)
@@ -130,10 +133,8 @@ def _row_codes(coeffs, p):
     types = enumerate_types(n)
     index = {r: code for code, r in enumerate(types)}
     index[None] = len(types)
-    return np.array(
-        [index[fppoly.splitting_type_mod_p(row, p)] for row in coeffs.tolist()],
-        dtype=np.int16,
-    )
+    codes = [index[fppoly.splitting_type_mod_p(row, p)] for row in coeffs.tolist()]
+    return np.array(codes, dtype=np.int16)
 
 
 def _residue_index(coeffs, p):
@@ -390,7 +391,7 @@ def cubic_count_matrix(coeffs, primes):
 
 
 def _trace_codes(coeffs, p):
-    """Splitting-type codes of the rows of an (m, n) int64 array, 4 <= n <= 8,
+    """Splitting-type codes of the rows of an (m, n) int64 array, 4 <= n <= 20,
     at a prime n < p < 2^20, from the traces of Berlekamp's matrix Q.
 
     Q's row i is (X^p)^i mod f, so Q is the matrix of the Frobenius
@@ -404,20 +405,23 @@ def _trace_codes(coeffs, p):
     most n < p, so the residue is the integer, and N_d = (trace(Q^d) - sum
     over e | d, e < d of e N_e) / d.  The N_d are the type of the radical
     of f: f is squarefree exactly when sum d N_d = n, and every other row
-    maps to the not-squarefree code.  The rows run in blocks of bounded
-    size.
+    maps to the not-squarefree code: a row's code is the place of its
+    _type_key among _type_keys(n), if it is there.  Codes are int16, since
+    p(14) = 135 overflows int8.  The rows run in blocks of bounded size.
     """
     m, n = coeffs.shape
+    keys = _type_keys(n)
     step = _TRACE_BLOCK_ENTRIES // n**2
-    codes = np.empty(m, dtype=np.int8)
+    codes = np.empty(m, dtype=np.int16)
     for start in range(0, m, step):
-        counts = _radical_type(coeffs[start:start + step], p)
-        codes[start:start + step] = _trace_table(n)[_type_key(counts, n)]
+        key = _type_key(_radical_type(coeffs[start:start + step], p), n)
+        code = np.searchsorted(keys, key)
+        codes[start:start + step] = np.where(keys.take(code, mode="clip") == key, code, len(keys))
     return codes
 
 
 def _type_key(counts, n):
-    """Mixed-radix index of the counts (N_1, ..., N_n), N_d <= n // d."""
+    """Mixed-radix index of (N_1, ..., N_n), N_d <= n // d, in enumerate_types order."""
     key = 0
     for d, count in enumerate(counts, 1):
         key = key * (n // d + 1) + count
@@ -425,15 +429,11 @@ def _type_key(counts, n):
 
 
 @functools.cache
-def _trace_table(n):
-    """Code of each _type_key: its type's, or the not-squarefree code."""
-    types = enumerate_types(n)
-    table = np.full(_type_key([n // d for d in range(1, n + 1)], n) + 1,
-                    len(types), dtype=np.int8)
-    for code, r in enumerate(types):
-        table[_type_key(r, n)] = code
-    table.flags.writeable = False  # shared by every call through the cache
-    return table
+def _type_keys(n):
+    """The ascending _type_key of each type of enumerate_types(n)."""
+    keys = _type_key(np.array(enumerate_types(n), dtype=np.int64).T, n)
+    keys.flags.writeable = False  # shared by every call through the cache
+    return keys
 
 
 def _radical_type(coeffs, p):
@@ -490,8 +490,8 @@ def _radical_type(coeffs, p):
 def _mulmod(u, v, high, p, shift=0):
     """u v X^shift mod f for (n, m) residue arrays u and v, shift <= 1.
 
-    Each coefficient of the product sums at most n products, and each
-    coefficient of the fold a residue and n products: below 2^42.
+    Each coefficient of the product sums at most n <= 20 products, and
+    each coefficient of the fold a residue and n products: below 2^42.4.
     """
     n = len(u)
     full = np.zeros((2 * n,) + u.shape[1:])
@@ -506,7 +506,7 @@ def _mulmod(u, v, high, p, shift=0):
 
 def _matmul(a, b, p):
     """a b mod p for (n, n, m) stacks of residue matrices, by broadcast
-    multiply-adds: each entry sums n products, below 2^41."""
+    multiply-adds: each entry sums n <= 20 products, below 2^42.4."""
     out = a[:, 0, None] * b[0]
     for j in range(1, len(a)):
         out += a[:, j, None] * b[j]

@@ -52,9 +52,9 @@ from .zpoly import discriminant, is_perfect_square
 # 10^5/4*10^5 and 10^5/2*10^5 draws, and, with slabs of 2^10 rows,
 # 2,000/10,000 and 1,000/3,000 draws).  A sample of degree n > 3 is held to
 # FAMILY_BUDGET * 3/n draws, which need at most 0.83 GB at every
-# degree.  That bounds memory, not time: draws of degree <= 8 take the
-# kernels at any height, but above degree 8 every prime goes to the scalar
-# oracle (~18 ms per degree-13 draw).
+# degree.  That bounds memory, not time: the scalar oracle still types the
+# primes p <= n from degree 4 on, most of the 3.5-5.6 s that 1,000 degree-13
+# draws at N = 2^64 take to draw and certify on one CPU (692,307: ~1 hour).
 # A count profile holds one slab's kernel temporaries per process and keeps
 # an int64 matrix of (types + 1) * 8 bytes per certified row: 32, 48, 184 and
 # 816 at n = 3, 4, 8, 13.  Peak RSS of family_chebotarev_mean at x = 10^4 over

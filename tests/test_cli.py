@@ -549,12 +549,15 @@ _PINNED_FAMILIES = {
            "--r", "1,0,1,0"],
     "n8": ["--n", "8", "--N", str(10**6), "--sample-size", "120", "--x", "200",
            "--r", "0,0,0,0,0,0,0,1"],
+    "n9": ["--n", "9", "--N", str(10**6), "--sample-size", "150", "--x", "150",
+           "--r", "1,0,0,0,0,0,0,1,0"],
     "n3-object": ["--n", "3", "--N", str(10**30), "--sample-size", "150", "--x", "300",
                   "--r", "0,0,1"],
 }
 
 # sha256 of each report of _pinned_reports, taken before the count profile
-# became one cached matrix.  No change to the count path may move a byte.
+# became one cached matrix; n9's before the trace kernel took degree 9.  No
+# change to the count path may move a byte.
 _PINNED_DIGESTS = {
     ("n2", "chebotarev.json"): "16c9d8fe6061947c67b22385936c6d1cff2cebeb609c097d2e9b471f6cd40453",
     ("n2", "moments.csv"): "23dca7587f5185320bd7e85cd0323467bc6899c8859254547ed03cfa63adf8c1",
@@ -576,6 +579,10 @@ _PINNED_DIGESTS = {
         "ebe8b98fe0b217f9f01ff271ac73f9d65ac19971d41850d25d171eed99aa0a29",
     ("n3-object", "clt.sample.csv"):
         "43e6765d7b7a285e98538629a4f9117f37ce1831951818e51df01d69930b58f7",
+    ("n9", "chebotarev.json"): "f557a6244ab89c8a6134e879a42625857eddc1cba51a24c28a84c60f410d4780",
+    ("n9", "moments.csv"): "a56f49e0dd825d2c49763f642c14ef0aec7c658df70bc27fe431bd64462ec219",
+    ("n9", "clt.json"): "73298704bdf1cb7dabef993ff271531c5dda29f3bd81d6978408c218812e88bb",
+    ("n9", "clt.sample.csv"): "a3d19af17e5d70aa3b137d23b4c4ea667b8b172400295cc922ad94e4def87f97",
 }
 
 
@@ -603,4 +610,18 @@ def test_prime_sum_reports_pinned(tmp_path, monkeypatch, cpus):
     # On 2 CPUs every count profile deals its primes over a forked worker.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert _pinned_reports(tmp_path) == _PINNED_DIGESTS
+    assert_no_children()
+
+
+def test_high_degree_chebotarev_pinned(tmp_path):
+    # 74 of 100 degree-16 draws certified, typed by the trace kernel at
+    # p > 16; the digest was taken when the oracle typed every degree above 8.
+    out = tmp_path / "n16.json"
+    args = ["chebotarev", "--mode", "sampled", "--seed", "7", "--n", "16",
+            "--N", str(10**6), "--sample-size", "100", "--x", "100",
+            "--r", ",".join("0" * 15 + "1"), "--format", "json", "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.read_bytes())["meta"]["statuses"]["SnCertified"] == 74
+    digest = "5ceb8a442331f89fb238bef992595006ae5bd7d8dfa966e35bfbf5756556f0e9"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert_no_children()

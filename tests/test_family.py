@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -35,6 +35,10 @@ from splitstat.zpoly import discriminant, is_perfect_square
 TOP = 2**62 - 1
 DOMAIN_PRIMES = sieve_primes(2**20)
 KERNEL_PRIMES = [2, 3, 5, 7, *DOMAIN_PRIMES[-5:]]
+# Degrees the kernels are checked at against the oracle: every degree up to
+# 8, then 9, 13, 15 (whose 176 types, like 14's 135, overflow int8 codes)
+# and 20, the largest.
+KERNEL_DEGREES = [*range(2, 9), 9, 13, 15, 20]
 
 
 def _certify(row, budget=25):
@@ -334,7 +338,7 @@ def _kernel_rows(n, p, rng):
     return rows
 
 
-@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
 def test_types_mod_p_matches_oracle(n, monkeypatch):
     # Rows beyond pack's int64 bound are packed as object dtype.  A type
     # mod p reads only the residues, so they take the kernels wherever int64
@@ -347,7 +351,10 @@ def test_types_mod_p_matches_oracle(n, monkeypatch):
         calls.append(q)
         return oracle(f, q)
 
-    for p in KERNEL_PRIMES:
+    # Above degree 8, where an oracle call takes ~1-3 ms, one prime p <= n,
+    # the least prime above n and the largest kernel prime.
+    above = next(q for q in DOMAIN_PRIMES if q > n)
+    for p in KERNEL_PRIMES if n <= 8 else [2, above, DOMAIN_PRIMES[-1]]:
         rows = _kernel_rows(n, p, rng)
         expected = _oracle_codes(rows, p)
         kernel = batch.pack(rows)
@@ -392,14 +399,31 @@ def _kernel_family(draw, n):
     return p, rows
 
 
-@pytest.mark.parametrize("n", range(2, batch.MAX_TRACE_DEGREE + 1))
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(data=st.data())
-def test_types_mod_p_kernel_property(n, data):
-    p, rows = data.draw(_kernel_family(n))
-    coeffs = batch.pack(rows)
-    assert coeffs.dtype == np.int64
-    assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_types_mod_p_kernel_property(n):
+    # A few examples above degree 8, where an oracle call takes ~1-3 ms.
+    @settings(derandomize=True, max_examples=150 if n <= 8 else 5, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def check(data):
+        p, rows = data.draw(_kernel_family(n))
+        coeffs = batch.pack(rows)
+        assert coeffs.dtype == np.int64
+        assert batch.types_mod_p(coeffs, p).tolist() == _oracle_codes(rows, p)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 101, 1_048_583])
+def test_degree_one_takes_no_oracle_call(p, monkeypatch):
+    # X + a_0 is of type (1,) at every p, also beyond the kernels' 2^20 and
+    # in a census of more than p rows.
+    rows = [(0,), (1,), (-1,), (p,), (TOP,), (-TOP,), (10**400,), (-2**64,)]
+    calls = []
+    monkeypatch.setattr(fppoly, "splitting_type_mod_p", lambda f, q: calls.append(q))
+    for coeffs in (batch.pack(rows[:6]), batch.pack(rows)):
+        assert batch.types_mod_p(coeffs, p).tolist() == [0] * len(coeffs)
+    assert calls == []
 
 
 def _spy_cubic_paths(monkeypatch):
@@ -513,18 +537,20 @@ def test_trace_kernel_census(n, p):
         assert codes.tolist() == _oracle_codes(grid.tolist(), p)
 
 
-@pytest.mark.parametrize("n", range(4, batch.MAX_TRACE_DEGREE + 1))
+@pytest.mark.parametrize("n", KERNEL_DEGREES[2:])
 def test_trace_kernel_half_modulus_residues(n):
-    # Residues near +-p/2 give the kernel's largest float64 products.
+    # Residues near +-p/2 give the kernel's largest float64 products.  Above
+    # degree 8, where an oracle call takes ~1-3 ms, fewer rows of each kind.
     p = DOMAIN_PRIMES[-1]
     rng = random.Random(n)
+    size = 100 if n <= 8 else 20
     half = (p - 1) // 2
     near = [half, -half, half - 1, 1 - half, 0, 1]
     rows = [tuple(_lift(c, p, rng.choice([1, -1])) for c in row)
-            for row in product(near[:2], repeat=n)]
-    rows += [tuple(rng.choice(near) for _ in range(n)) for _ in range(100)]
-    pool = [s * (half - k) for k in range(5) for s in (1, -1)]  # ten distinct residues
-    for i in range(100):
+            for row in islice(product(near[:2], repeat=n), 4 * size)]
+    rows += [tuple(rng.choice(near) for _ in range(n)) for _ in range(size)]
+    pool = [s * (half - k) for k in range(10) for s in (1, -1)]  # 20 distinct residues
+    for i in range(size):
         # a product of linear factors: split, or with a repeated root
         roots = rng.sample(pool, n) if i % 2 else rng.choices(pool[:4], k=n)
         split = _monic_product(*[(-r,) for r in roots])
@@ -587,7 +613,7 @@ def test_residue_census_matches_direct_path(n, p, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n, p", [(1, 2), (4, 2), (4, 3), (5, 5), (9, 2)])
+@pytest.mark.parametrize("n, p", [(4, 2), (4, 3), (5, 5), (9, 2)])
 def test_oracle_census_types_only_family_residues(n, p, monkeypatch):
     # On the oracle path a census types only the residue rows that occur,
     # each once: here drawn from half of the p^n, in families of 2 p^n + 1
@@ -669,12 +695,15 @@ def test_bulk_certification_matches_scalar_tight_budget(monkeypatch):
         assert pairs == [_scalar_certify(row, budget) for row in coeffs.tolist()], budget
 
 
-@pytest.mark.parametrize("n, height", [(2, 10), (3, 3)])
+@pytest.mark.parametrize("n, height", [(2, 10), (3, 3), (9, 10**6), (13, 10**6)])
 def test_kernel_and_scalar_certification_agree(n, height, monkeypatch):
-    rows = [tuple(row) for row in generate(FamilySpec(n=n, height_bound=height)).tolist()]
+    # A box at n = 2 and 3; from n = 9 on, a few draws (each oracle call
+    # takes ~1 ms there).
+    draws = {} if n <= 3 else {"mode": "sampled", "sample_size": 12, "seed": n}
+    rows = [tuple(row) for row in generate(FamilySpec(n, height, **draws)).tolist()]
     # Rows at pack's int64 bound, whose discriminants and integer-root
     # searches overflow int64; for n = 3 also (X - 2)(X^2 + 2^59).
-    rows += [tuple(s * TOP for s in signs) for signs in product((1, -1), repeat=n)]
+    rows += [tuple(s * TOP for s in signs) for signs in islice(product((1, -1), repeat=n), 8)]
     if n == 3:
         rows.append((-2**60, 2**59, -2))
     # The same rows packed as int64, as object dtype (one row beyond pack's
