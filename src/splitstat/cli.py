@@ -88,7 +88,6 @@ def _family_spec(args):
             mode=args.mode,
             sample_size=args.sample_size,
             seed=args.seed,
-            certifier_prime_budget=args.budget,
         )
     except (ValueError, SplitstatError) as exc:
         raise ValueError("family configuration: %s" % exc)
@@ -212,9 +211,8 @@ def run_fibers(args):
         reference = stats.fiber_reference(spec, targets)
     except ValueError as exc:
         raise ValueError("field target: %s" % exc)
-    cf = _certified(spec)
+    cf, config = _certified(spec, args.budget)
     empirical = stats.fiber_probability(cf, targets)
-    config = _spec_config(spec)
     config["targets"] = ";".join(args.target)
     results = {
         "empirical": empirical,
@@ -227,23 +225,22 @@ def run_fibers(args):
     return EXIT_OK
 
 
-def _spec_config(spec):
-    return {
+def _certified(spec, budget):
+    """The family of spec certified at the budget, and the report config of both."""
+    cf = stats.certify_family(
+        spec,
+        budget=budget,
+        description="P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode),
+    )
+    config = {
         "n": spec.n,
         "N": str(spec.height_bound),
         "mode": spec.mode,
         "sample_size": spec.sample_size,
         "seed": spec.seed,
-        "budget": spec.certifier_prime_budget,
+        "budget": budget,
     }
-
-
-def _certified(spec):
-    return stats.certify_family(
-        spec,
-        budget=spec.certifier_prime_budget,
-        description="P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode),
-    )
+    return cf, config
 
 
 def _prime_sum_setup(args):
@@ -254,8 +251,7 @@ def _prime_sum_setup(args):
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf = _certified(spec)
-    config = _spec_config(spec)
+    cf, config = _certified(spec, args.budget)
     config.update({"r": args.r, "x": args.x})
     return r, cf, config
 
@@ -302,10 +298,9 @@ def run_clt(args):
 def run_average(args):
     """ramified and index: a family average over the primes up to --bound."""
     spec = _family_spec(args)
-    cf = _certified(spec)
+    cf, config = _certified(spec, args.budget)
     statistic = {"ramified": stats.ramified_average, "index": stats.index_prime_average}
     average, reference = statistic[args.command](cf, args.bound)
-    config = _spec_config(spec)
     config["bound"] = args.bound
     results = {
         "average": average,

@@ -56,14 +56,19 @@ from .zpoly import discriminant, is_perfect_square
 # primes p <= n from degree 4 on, most of the 3.5-5.6 s that 1,000 degree-13
 # draws at N = 2^64 take to draw and certify on one CPU (692,307: ~1 hour).
 # A count profile holds one slab's kernel temporaries per process and keeps
-# an int64 matrix of (types + 1) * 8 bytes per certified row: 32, 48, 184 and
-# 816 at n = 3, 4, 8, 13.  Peak RSS of family_chebotarev_mean at x = 10^4 over
-# rows drawn at N = 10^12, slope between two sizes in fresh processes, one
-# process / 2 CPUs: cubics (10^5, 3*10^5 rows, past one slab) 100 / 91 bytes
-# per row, the rows' 24 included; quartics (2,000, 10^4) 0.9 / 0.9 KB and
-# n = 8 (1,000, 2,000) 3.8 / 3.8 KB, kernel temporaries growing below a slab.
-# 3*10^6 cubics at x = 100: 217 MB from 101 MB.  The worst case, 692,307
-# degree-13 draws (0.56 GB of profile alone), is unmeasured.
+# one int64 count per certified row, for the one type a statistic reads.
+# Peak RSS of family_chebotarev_mean at x = 10^4 over rows drawn at
+# N = 10^12, slope between two sizes in fresh processes, one process / 2
+# CPUs: cubics (10^5, 3*10^5 rows, past one slab) 133 / 126 bytes per row,
+# the rows' 24 and their discriminants included (151 / 147 with a matrix of
+# every type's counts); quartics (2,000, 10^4) 0.8 / 0.9 KB and n = 8 (1,000,
+# 2,000) 4.2 / 3.4 KB, kernel temporaries growing below a slab.  3*10^6
+# cubics at x = 100 on 2 CPUs: 325 MB in the calling process and 272 MB in
+# a worker (389 and 271 MB with the matrix).  The profile alone, with the
+# typing replaced by a constant, at x = 5 on 2 CPUs: 10^5 rows at n = 13
+# peaked at 46 MB in the calling process and 34 MB in the worker, at n = 20
+# at 52 and 39 MB (228 / 85 and 1,174 / 353 MB with the matrix).  692,307
+# degree-13 draws keep a 5.5 MB profile.
 FAMILY_BUDGET = 3 * 10**6
 
 # The certifier scans the primes up to this limit, sieved once, spending
@@ -101,7 +106,6 @@ class FamilySpec:
     mode: str = "exhaustive"
     sample_size: int = 0
     seed: int = 0
-    certifier_prime_budget: int = CERTIFIER_PRIME_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_ENUM_DEGREE:

@@ -8,9 +8,9 @@ returns plain numbers, lists and dicts, which the CLI writes as they are.
 certify_family walks the family in slabs of at most SLAB_ROWS rows, so
 only the certified subfamily is held: its packed rows and their
 discriminants, both kept from certification.  Count profiles read the rows
-alone (one int64 matrix per floor(x), a row per f and a column per type),
-the ramified and index averages the discriminants.  Work that
-splits into items, the slabs of certification (a family smaller than one
+alone (one int64 count pi_{f,r}(x) per certified f, of the one type r a
+statistic reads), the ramified and index averages the discriminants.  Work
+that splits into items, the slabs of certification (a family smaller than one
 SLAB_ROWS slab per CPU is dealt into one slab per CPU, of no fewer than
 MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of every
 count profile, runs on every CPU through _forked_map: forked workers
@@ -21,13 +21,14 @@ constants are never substituted where an exact count is available.
 """
 
 import csv
+import functools
 import io
 import math
 import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +84,6 @@ class CertifiedFamily:
     disc: np.ndarray
     statuses: dict
     description: str = ""
-    # Count profiles by floor(x), int64 matrices filled by _count_profile.
-    _profiles: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.coeffs)
@@ -219,7 +218,7 @@ def _require_nonempty(cf):
 
 def _type_counts(cf, r):
     """counts, where counts(x) lists pi_{f,r}(x) of every certified f in row
-    order, as Python ints: the column of r in _count_profile(cf, x).
+    order, as Python ints: _count_profile(cf, floor(x), code of r).
 
     Refuses an empty family, then a type r not of the family's degree.  A
     statistic makes its own checks before counts(x), so a refused one
@@ -229,54 +228,54 @@ def _type_counts(cf, r):
     if splittypes.validate_type(r) != n:
         raise ValueError("type degree %d does not match the degree %d" % (len(r), n))
     code = splittypes.enumerate_types(n).index(tuple(r))
-    return lambda x: _count_profile(cf, x)[:, code].tolist()
+
+    def counts(x):
+        sieve_primes(x)  # refuses an x beyond the sieve before anything is counted
+        return _count_profile(cf, math.floor(x), code).tolist()
+
+    return counts
 
 
 # ---------------------------------------------------------------------------
-# Count profiles (cached per certified family)
+# Count profiles
 
-def _count_profile(cf, x):
-    """Per-polynomial pi_{f,r}(x) for every type r, from the rows alone.
+@functools.lru_cache(maxsize=1)  # a report counts each (family, x, type) once
+def _count_profile(cf, x, code):
+    """Per-polynomial pi_{f,r}(x) of the type r of one code, from the rows alone.
 
-    Returns _count_matrix's int64 matrix at the primes <= floor(x): row i
-    counts f_i's primes of each type in enumerate_types(n) order, then
-    those dividing disc(f_i).  Cached on the CertifiedFamily instance under
-    floor(x).  The rows are counted SLAB_ROWS at a time, and the primes are
-    dealt into k = min(CPUs, pi(x)) classes primes[c::k].  Each (slab,
-    class) item is counted through _forked_map, so process c counts every
-    row at its own primes and builds the cubic tables (batch._cubic_table)
-    of those alone; at one CPU every slab is counted here at every prime.
-    The integer counts of each slab's classes are added up.
+    x is an integer and code indexes enumerate_types(n); the code
+    len(enumerate_types(n)) counts the primes dividing disc(f).  Returns a
+    read-only int64 array of one count per certified row, 8 bytes a row at
+    every degree.  The rows are counted SLAB_ROWS at a time, and the primes
+    <= x are dealt into k = min(CPUs, pi(x)) classes primes[c::k].  Each
+    (slab, class) item is counted through _forked_map, so process c counts
+    every row at its own primes and builds the cubic tables
+    (batch._cubic_table) of those alone; at one CPU every slab is counted
+    here at every prime.  The integer counts of each slab's classes are
+    added up.
     """
-    key = math.floor(x)
-    if key in cf._profiles:
-        return cf._profiles[key]
     primes = sieve_primes(x)
-    m, n = cf.coeffs.shape
     k = min(_cpus(), len(primes))
-    items = [(start, c) for start in range(0, m, SLAB_ROWS) for c in range(k)]
-    counted = _forked_map(
-        lambda item: _count_matrix(cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k]),
-        items)
-    matrix = np.zeros((m, len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)
+    items = [(start, c) for start in range(0, len(cf), SLAB_ROWS) for c in range(k)]
+    counted = _forked_map(lambda item: _count_column(
+        cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k], code), items)
+    column = np.zeros(len(cf), dtype=np.int64)
     for (start, _c), slab_counts in zip(items, counted):
-        matrix[start:start + len(slab_counts)] += slab_counts
-    cf._profiles[key] = matrix
-    return matrix
+        column[start:start + len(slab_counts)] += slab_counts
+    column.flags.writeable = False
+    return column
 
 
-def _count_matrix(coeffs, primes):
-    """(rows, types + 1) counts per type code; the last is not squarefree."""
-    m, n = coeffs.shape
+def _count_column(coeffs, primes, code):
+    """Per-row int64 count of the primes at which a row's type code is code."""
     # The same counts: perfbench's self-test needs batch.count_pairs, counted only here.
-    if (n == 3 and primes and coeffs.dtype == np.int64
+    if (coeffs.shape[1] == 3 and primes and coeffs.dtype == np.int64
             and primes[-1] < batch.MAX_KERNEL_PRIME):
-        return batch.cubic_count_matrix(coeffs, primes)
-    matrix = np.zeros((m, len(splittypes.enumerate_types(n)) + 1), dtype=np.int64)
-    rows = np.arange(m)
+        return batch.cubic_count_matrix(coeffs, primes)[:, code]
+    counts = np.zeros(len(coeffs), dtype=np.int64)
     for p in primes:
-        matrix[rows, batch.types_mod_p(coeffs, p)] += 1
-    return matrix
+        counts += batch.types_mod_p(coeffs, p) == code
+    return counts
 
 
 # ---------------------------------------------------------------------------

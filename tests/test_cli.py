@@ -345,7 +345,7 @@ _WORKER_CODES = {"exits": 1, "raises": 1, "killed": -9}
 @pytest.mark.parametrize("failure", ["exits", "raises", "killed"])
 def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(stats, "_count_matrix", _failing_in_workers(stats._count_matrix, failure))
+    monkeypatch.setattr(stats, "_count_column", _failing_in_workers(stats._count_column, failure))
     out = tmp_path / "clt.json"
     code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
                  "200", "--x", "300", "--r", "0,0,1", "--out", str(out)])
@@ -538,6 +538,19 @@ def test_reports_carry_status_histogram(tmp_path, args):
     assert main(args + box[:-1] + [str(csv_out), "--format", "csv"]) == 0
     meta = [l for l in csv_out.read_text().splitlines() if l.startswith("# statuses=")]
     assert [json.loads(l.split("=", 1)[1]) for l in meta] == [BOX_STATUSES]
+
+
+@pytest.mark.parametrize("budget, certified", [(None, 216), ("3", 178), ("2", 120)])
+def test_budget_reaches_certification_and_config(tmp_path, budget, certified):
+    # The N=3 cubic box: a smaller budget leaves more rows Undetermined.
+    out = tmp_path / "r.json"
+    args = ["ramified", "--n", "3", "--N", "3", "--bound", "7", "--out", str(out)]
+    assert main(args + (["--budget", budget] if budget else [])) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["budget"] == int(budget or family.CERTIFIER_PRIME_BUDGET)
+    assert doc["meta"]["statuses"] == {**BOX_STATUSES, "SnCertified": certified,
+                                       "Undetermined": 216 - certified}
+    assert doc["results"]["family_size"] == certified
 
 
 # Small samples at n = 2, 4 and 8, and cubics at N = 10^30, whose rows are

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splitstat import batch, family as family_mod, stats
-from splitstat.errors import EmptyFamilyError
+from splitstat.errors import EmptyFamilyError, ResourceLimitError
 from splitstat.family import SN_CERTIFIED, STATUSES, FamilySpec, certify, generate
 from splitstat.fppoly import splitting_type_mod_p
 from splitstat.primes import sieve_primes
@@ -348,17 +348,22 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
         return count_matrix(coeffs, primes)
 
     monkeypatch.setattr(batch, "cubic_count_matrix", counted)
+    stats._count_profile.cache_clear()
     r = (0, 0, 1)
     clt_report(cf, r, 300, k_max=6)
     assert calls == [len(sieve_primes(300))]
-    family_centered_moment(cf, r, 300.5, 2)  # same floor(x): no new matrix
+    family_centered_moment(cf, r, 300.5, 2)  # same floor(x): no new count
     assert len(calls) == 1
-    # The cache holds one int64 matrix per floor(x), rows by types + 1.
+    assert stats._count_profile.cache_info()[:2] == (7, 1)  # (hits, misses)
+    # The cache holds the last (family, floor(x), type): one read-only int64 column.
     family_chebotarev_mean(cf, r, 100.9)
-    assert len(calls) == 2 and sorted(cf._profiles) == [100, 300]
-    for profile in cf._profiles.values():
-        assert type(profile) is np.ndarray and profile.dtype == np.int64
-        assert profile.shape == (len(cf), len(enumerate_types(3)) + 1)
+    family_chebotarev_mean(cf, (1, 1, 0), 100)
+    assert calls == [len(sieve_primes(300))] + [len(sieve_primes(100))] * 2
+    code = enumerate_types(3).index((1, 1, 0))
+    profile = stats._count_profile(cf, 100, code)
+    assert stats._count_profile.cache_info()[:2] == (8, 3)
+    assert type(profile) is np.ndarray and profile.dtype == np.int64
+    assert profile.shape == (len(cf),) and not profile.flags.writeable
 
 
 # (spec, x, every how many rows to check against the oracle): boxes on the
@@ -378,22 +383,24 @@ def test_count_profile_matches_prime_splitting_count(spec, x, step):
     cf = certify_family(spec)
     primes = sieve_primes(x)
     types = enumerate_types(spec.n)
-    profile = stats._count_profile(cf, x)
-    assert profile.dtype == np.int64 and profile.shape == (len(cf), len(types) + 1)
+    profile = [stats._count_profile(cf, x, code) for code in range(len(types) + 1)]
+    for column in profile:
+        assert column.dtype == np.int64 and column.shape == (len(cf),)
     for i in range(0, len(cf), step):
         f = tuple(cf.coeffs[i].tolist())
         for code, r in enumerate(types):
-            assert profile[i, code] == prime_splitting_count(f, r, x)
+            assert profile[code][i] == prime_splitting_count(f, r, x)
     # Each row counts for one type at every prime but those dividing
-    # disc(f), which the last column counts, so every row sums to pi(x).
+    # disc(f), which the last code counts, so every row sums to pi(x).
     ramified = sum((cf.disc % p == 0).astype(np.int64) for p in primes)
     assert ramified.any()
-    assert (profile[:, :-1].sum(axis=1) == len(primes) - ramified).all()
-    assert np.array_equal(profile[:, -1], ramified)
-    assert (profile.sum(axis=1) == len(primes)).all()
+    assert (sum(profile[:-1]) == len(primes) - ramified).all()
+    assert np.array_equal(profile[-1], ramified)
+    assert (sum(profile) == len(primes)).all()
     # The count path never reads a discriminant.
     bare = stats.CertifiedFamily(cf.coeffs, None, cf.statuses)
-    assert np.array_equal(stats._count_profile(bare, x), profile)
+    for code, column in enumerate(profile):
+        assert np.array_equal(stats._count_profile(bare, x, code), column)
 
 
 # (n, height, sample size, x): the kernels at n = 2, 3, 4, 5 (the oracle at
@@ -409,25 +416,32 @@ _SHARDED_FAMILIES = [
 
 
 def _profile_on(monkeypatch, cf, x, cpus):
-    """_count_profile of cf at x on cpus CPUs, and the (rows, primes) of
-    every _count_matrix call made in this process.  The profile is cf's
-    only cached one, an int64 matrix."""
-    cf._profiles.clear()
+    """_count_profile of cf at x on cpus CPUs for every code, stacked in code
+    order, and the (rows, primes) of every _count_column call made in this
+    process, for each code in turn.  Each column is counted afresh and is
+    the only cached one, a read-only int64 column."""
     counted = []
-    count_matrix = stats._count_matrix
+    count_column = stats._count_column
 
-    def recorded(coeffs, primes):
+    def recorded(coeffs, primes, code):
         counted.append((len(coeffs), primes))  # seen in this process only
-        return count_matrix(coeffs, primes)
+        return count_column(coeffs, primes, code)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(stats, "_count_matrix", recorded)
-    profile = stats._count_profile(cf, x)
-    assert_no_children()
-    assert list(cf._profiles) == [math.floor(x)] and cf._profiles[math.floor(x)] is profile
-    types = enumerate_types(cf.coeffs.shape[1])
-    assert profile.dtype == np.int64 and profile.shape == (len(cf), len(types) + 1)
-    return profile, counted
+    monkeypatch.setattr(stats, "_count_column", recorded)
+    columns = []
+    for code in range(len(enumerate_types(cf.coeffs.shape[1])) + 1):
+        stats._count_profile.cache_clear()
+        column = stats._count_profile(cf, x, code)
+        assert_no_children()
+        assert stats._count_profile(cf, x, code) is column
+        assert stats._count_profile.cache_info()[1:4] == (1, 1, 1)  # (misses, maxsize, currsize)
+        assert column.dtype == np.int64 and column.shape == (len(cf),)
+        assert not column.flags.writeable
+        columns.append(column)
+    codes = len(columns)
+    assert len(counted) % codes == 0 and counted == counted[:len(counted) // codes] * codes
+    return np.stack(columns), counted[:len(counted) // codes]
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -442,6 +456,24 @@ def test_count_profile_sharded_equals_in_process(monkeypatch, n, height, size, x
     profile, counted = _profile_on(monkeypatch, cf, x, shards)
     assert np.array_equal(profile, expected)
     assert counted == [(len(cf), sieve_primes(x)[0::shards])]
+
+
+@pytest.mark.parametrize("n, height, size, x", [(3, 10**12, 300, 500), (8, 10**6, 40, 100)])
+def test_forked_count_profile_is_one_read_only_column(monkeypatch, n, height, size, x):
+    # On 2 CPUs a worker counts half the primes and sends back its counts of one type.
+    spec = FamilySpec(n=n, height_bound=height, mode="sampled", sample_size=size, seed=3)
+    cf = certify_family(generate(spec))
+    code = enumerate_types(n).index((0,) * (n - 1) + (1,))
+    columns = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        stats._count_profile.cache_clear()
+        columns.append(stats._count_profile(cf, x, code))
+        assert_no_children()
+    one, forked = columns
+    assert forked is not one and np.array_equal(forked, one) and forked.any()
+    assert type(forked) is np.ndarray and forked.dtype == np.int64
+    assert forked.shape == (len(cf),) and not forked.flags.writeable
 
 
 def test_count_profile_slabs_and_empty_class(monkeypatch):
@@ -469,13 +501,16 @@ def test_count_profile_slabs_and_empty_class(monkeypatch):
 
 def test_clt_report_preconditions(monkeypatch):
     # Refused before anything is counted.
-    monkeypatch.setattr(stats, "_count_matrix", lambda coeffs, primes: pytest.fail("counted"))
+    monkeypatch.setattr(stats, "_count_column", lambda coeffs, primes, code: pytest.fail("counted"))
+    stats._count_profile.cache_clear()
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
         clt_report(cf, (0, 0, 1), 50)  # pi(x) < 30
     with pytest.raises(ValueError):
         clt_report(cf, (0, 0, 1), 500)  # family too small
-    assert cf._profiles == {}
+    with pytest.raises(ResourceLimitError):
+        family_chebotarev_mean(cf, (0, 0, 1), 10**8 + 0.5)  # floor(x) is within the sieve
+    assert stats._count_profile.cache_info().currsize == 0
 
 
 def test_ramified_average_examples():
