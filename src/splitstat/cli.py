@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
-from .family import CERTIFIER_PRIME_BUDGET, FamilySpec
+from .family import CERTIFIER_PRIME_BUDGET, SN_CERTIFIED, FamilySpec
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
@@ -207,12 +207,11 @@ def run_counts(args):
 def run_fibers(args):
     spec = _family_spec(args)
     targets = [_parse_target(t) for t in args.target]
-    try:
-        reference = stats.fiber_reference(spec, targets)
+    try:  # fiber_probability raises ValueError for broken targets alone
+        empirical, reference, statuses = stats.fiber_probability(spec, targets, args.budget)
     except ValueError as exc:
         raise ValueError("field target: %s" % exc)
-    cf, config = _certified(spec, args.budget)
-    empirical = stats.fiber_probability(cf, targets)
+    config = _family_config(spec, args.budget)
     config["targets"] = ";".join(args.target)
     results = {
         "empirical": empirical,
@@ -221,18 +220,13 @@ def run_fibers(args):
     }
     _write_report(args, "fibers", config, results,
                   [("family", spec.size), ("empirical", "%.6g" % empirical)],
-                  statuses=cf.statuses)
+                  statuses=statuses)
     return EXIT_OK
 
 
-def _certified(spec, budget):
-    """The family of spec certified at the budget, and the report config of both."""
-    cf = stats.certify_family(
-        spec,
-        budget=budget,
-        description="P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode),
-    )
-    config = {
+def _family_config(spec, budget):
+    """The report config of the family of spec certified at the budget."""
+    return {
         "n": spec.n,
         "N": str(spec.height_bound),
         "mode": spec.mode,
@@ -240,7 +234,6 @@ def _certified(spec, budget):
         "seed": spec.seed,
         "budget": budget,
     }
-    return cf, config
 
 
 def _prime_sum_setup(args):
@@ -251,9 +244,9 @@ def _prime_sum_setup(args):
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf, config = _certified(spec, args.budget)
-    config.update({"r": args.r, "x": args.x})
-    return r, cf, config
+    cf = stats.certify_family(spec, args.budget,
+                              "P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode))
+    return r, cf, {**_family_config(spec, args.budget), "r": args.r, "x": args.x}
 
 
 def run_chebotarev(args):
@@ -298,18 +291,14 @@ def run_clt(args):
 def run_average(args):
     """ramified and index: a family average over the primes up to --bound."""
     spec = _family_spec(args)
-    cf, config = _certified(spec, args.budget)
     statistic = {"ramified": stats.ramified_average, "index": stats.index_prime_average}
-    average, reference = statistic[args.command](cf, args.bound)
-    config["bound"] = args.bound
-    results = {
-        "average": average,
-        "reference": reference,
-        "excluded": cf.excluded,
-        "family_size": len(cf),
-    }
-    summary = [("family", len(cf)), ("excluded", cf.excluded), ("avg", "%.4f" % average)]
-    _write_report(args, args.command, config, results, summary, statuses=cf.statuses)
+    average, reference, statuses = statistic[args.command](spec, args.bound, args.budget)
+    certified = statuses[SN_CERTIFIED]
+    config = {**_family_config(spec, args.budget), "bound": args.bound}
+    results = {"average": average, "reference": reference,
+               "excluded": spec.size - certified, "family_size": certified}
+    summary = [("family", certified), ("excluded", results["excluded"]), ("avg", "%.4f" % average)]
+    _write_report(args, args.command, config, results, summary, statuses=statuses)
     return EXIT_OK
 
 

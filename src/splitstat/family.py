@@ -3,13 +3,13 @@
 A family of monic degree-n polynomials is either the full box [-N, N]^n
 in lexicographic order or reproducible uniform samples.  generate gives
 any range of its rows as an (m, n) coefficient array in batch.pack format,
-and a FamilySpec is sliced the same way, so stats.certify_family never
-holds the family whole; FAMILY_BUDGET bounds its rows.  Certification
+and a FamilySpec is sliced the same way, so stats certifies it slab by slab
+and never holds it whole; FAMILY_BUDGET bounds its rows.  Certification
 gives every row a status code and its discriminant, as two arrays.  It is
 sound but not complete: a polynomial is declared S_n only
-when reduction witnesses prove it, and every other row is excluded.
-stats.certify_family keeps the certified rows, and every statistic,
-congruence fibers included, is computed from them in stats.
+when reduction witnesses prove it, and every other row is excluded.  stats
+sums the ramified and index averages and the fiber share over each slab's
+certified rows, and stats.certify_family gathers them for count profiles.
 """
 
 import hashlib
@@ -25,29 +25,32 @@ from .primes import sieve_primes
 from .splittypes import MAX_ENUM_DEGREE, enumerate_types
 from .zpoly import discriminant, is_perfect_square
 
-# Largest family, in polynomials.  stats.certify_family holds one slab of
-# stats.SLAB_ROWS = 2^16 rows per process (stats._forked_map) and the
-# certified rows in the calling one, so beyond one slab its peak RSS grows
-# by about 31, 38, 86 and 81 bytes per polynomial in boxes at
-# n = 2, 3, 4, 6 (slope of peak RSS of the ramified subcommand between boxes
-# of 90,601/811,801, 68,921/531,441, 83,521/390,625 and 117,649/531,441
-# polynomials; CPython 3.11, numpy 2.4).  Taking n = 6's slope for n = 5 and
-# allowing 50 more per degree above 6, the largest admitted box of every
-# degree needs at most 0.7 GB on top of the interpreter's ~35 MB and one
-# slab (at most ~80 MB, for 2^16 degree-13 draws): 1731^2 (0.09 GB), 143^3
-# (0.11 GB), 41^4 (0.24 GB), 19^5 (0.20 GB), 5^9 (0.45 GB) and 3^13 (0.69
-# GB); 3^14 is refused.  Memory would admit more, but time would not, which
-# is what holds the budget at 3*10^6: ramified over the 17^4 and 25^4
-# quartic boxes takes 1.4 s and 5.3 s (medians of three runs, 1.35-1.61 s
-# and 4.4-5.5 s; 2-CPU Xeon), ~13 us per row between them, about a sixth of
-# it the discriminants (0.79 s of the 25^4 box), and 21 s over 41^4 (one
-# run).  With the slabs on both CPUs (one run each, RUSAGE_SELF and
-# RUSAGE_CHILDREN peaks): ramified over 143^3 took 0.94 s at 132 and 32 MB
-# (1.71 s and 149 MB in one process), over 41^4 11.6 s at 236 and 48 MB
-# (19.5 s and 248 MB); a worker's peak counts the pages it shares with the
-# calling process.  Samples: peak RSS grows by
-# about 112 bytes per cubic at N = 10^12 (slope between 10^5/4*10^5 draws),
-# and at N = 2^64, where the certified rows keep their Python ints, by 255,
+# Largest family, in polynomials.  Every subcommand certifies one slab of
+# stats.SLAB_ROWS = 2^16 rows at a time per process (stats._forked_map), and
+# ramified, index and fibers keep nothing more: over 143^3 and 41^4 on 2
+# CPUs, ramified peaked at 40 and 56 MB here and 32 and 48 MB in the worker.
+# chebotarev, moments and clt gather the certified rows here
+# (stats.certify_family), so beyond one slab their peak RSS grows by about
+# 35, 39, 45 and 46 bytes per polynomial in boxes at n = 2, 3, 4, 6 (slope of
+# the peak RSS of chebotarev --mode exhaustive at x = 100 for the n-cycle
+# between boxes of 90,601/811,801, 68,921/531,441, 83,521/390,625 and
+# 117,649/531,441 polynomials, the larger of one process, 31/39/39/39, and 2
+# CPUs, 35/34/45/46, whose worker grew by 17/26/36/41; CPython 3.11, numpy 2.4).
+# Taking n = 6's slope for n = 5 and allowing 50 more per degree above 6, the
+# largest admitted box of every degree needs at most 0.65 GB on top of the
+# interpreter's ~35 MB and one slab (at most ~80 MB, for 2^16 degree-13
+# draws): 1731^2 (0.10 GB), 143^3 (0.11 GB), 41^4 (0.13 GB), 19^5 (0.11 GB),
+# 5^9 (0.38 GB) and 3^13 (0.63 GB); 3^14 is refused.  chebotarev on 2 CPUs
+# peaked at 149 / 100 MB over 143^3 and 168 / 123 MB over 41^4 (here /
+# worker).  Memory would admit more, but time would not, which is what holds
+# the budget at 3*10^6: ramified over the 17^4 and 25^4 quartic boxes takes
+# 1.4 s and 5.3 s (medians of three runs, 1.35-1.61 s and 4.4-5.5 s; 2-CPU
+# Xeon), ~13 us per row between them, about a sixth of it the discriminants
+# (0.79 s of the 25^4 box), and 21 s over 41^4 (one run; 12.5 s on 2 CPUs).
+# Samples, measured while the certified rows kept their discriminants (an
+# overstatement now): peak RSS grows by about 112 bytes per cubic at
+# N = 10^12 (slope between 10^5/4*10^5 draws), and at N = 2^64, where the
+# certified rows keep their Python ints, by 255,
 # 368, 596 and ~1,100 bytes per draw at n = 3, 4, 8, 13 (slopes between
 # 10^5/4*10^5 and 10^5/2*10^5 draws, and, with slabs of 2^10 rows,
 # 2,000/10,000 and 1,000/3,000 draws).  A sample of degree n > 3 is held to
@@ -60,9 +63,9 @@ from .zpoly import discriminant, is_perfect_square
 # Peak RSS of family_chebotarev_mean at x = 10^4 over rows drawn at
 # N = 10^12, slope between two sizes in fresh processes, one process / 2
 # CPUs: cubics (10^5, 3*10^5 rows, past one slab) 133 / 126 bytes per row,
-# the rows' 24 and their discriminants included (151 / 147 with a matrix of
-# every type's counts); quartics (2,000, 10^4) 0.8 / 0.9 KB and n = 8 (1,000,
-# 2,000) 4.2 / 3.4 KB, kernel temporaries growing below a slab.  3*10^6
+# the rows' 24 and their discriminants, then kept, included (151 / 147 with a
+# matrix of every type's counts); quartics (2,000, 10^4) 0.8 / 0.9 KB and n = 8
+# (1,000, 2,000) 4.2 / 3.4 KB, kernel temporaries growing below a slab.  3*10^6
 # cubics at x = 100 on 2 CPUs: 325 MB in the calling process and 272 MB in
 # a worker (389 and 271 MB with the matrix).  The profile alone, with the
 # typing replaced by a constant, at x = 5 on 2 CPUs: 10^5 rows at n = 13
@@ -135,7 +138,7 @@ class FamilySpec:
 
     def __getitem__(self, rows):
         """The rows of a slice of step 1, generated on demand: a FamilySpec
-        is a family that stats.certify_family reads slab by slab."""
+        is a family that stats._certified_slabs reads slab by slab."""
         start, stop, step = rows.indices(self.size)
         if step != 1:
             raise ValueError("a family is sliced in steps of 1")

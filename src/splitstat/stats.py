@@ -1,15 +1,16 @@
 """Family-level statistics: counts, moments, CLT, prime averages, fibers.
 
 Every statistic over the primes up to x takes x alone, any real x >= 0,
-and sieves the primes <= floor(x) it needs; pi(x) is their number.
-Every aggregate is a function of one CertifiedFamily, made by
-certify_family, and reports how many polynomials were excluded; it
-returns plain numbers, lists and dicts, which the CLI writes as they are.
-certify_family walks the family in slabs of at most SLAB_ROWS rows, so
-only the certified subfamily is held: its packed rows and their
-discriminants, both kept from certification.  Count profiles read the rows
-alone (one int64 count pi_{f,r}(x) per certified f, of the one type r a
-statistic reads), the ramified and index averages the discriminants.  Work
+and sieves the primes <= floor(x) it needs; pi(x) is their number.  Every
+statistic runs over the S_n-certified rows of a family and reports how
+many were excluded; it returns plain numbers, lists and dicts, which the
+CLI writes as they are.  A family is certified in slabs of at most
+SLAB_ROWS rows (_certified_slabs), never whole.  The ramified and index
+averages and the fiber share sum over the certified rows: each slab is
+certified and reduced to an integer in the process that certified it.
+Count profiles split primes, not rows, so chebotarev, moments and clt read
+one CertifiedFamily whose rows certify_family gathers: one int64 count
+pi_{f,r}(x) per certified f, of the one type r a statistic reads.  Work
 that splits into items, the slabs of certification (a family smaller than one
 SLAB_ROWS slab per CPU is dealt into one slab per CPU, of no fewer than
 MIN_SLAB_ROWS rows) and the (slab, class of primes) pairs of every
@@ -46,9 +47,9 @@ DEFAULT_K_MAX = 6
 # The reference (k-1)!! (delta - delta^2)^(k/2) pi(x)^(k/2) is smaller still.
 MAX_MOMENT = 40
 
-# Most rows that certify_family certifies at a time; its peak is one slab's
-# certification plus the certified rows.  ramified over the N=50 cubic box
-# (1,030,301 rows), three runs per size in one process each (2-CPU Xeon):
+# Most rows certified at a time (_certified_slabs), by one process; certify_family
+# holds the certified rows besides.  ramified over the N=50 cubic box (1,030,301
+# rows), gathered then, three runs per size in one process each (2-CPU Xeon):
 # one slab of the whole box 0.88-1.02 s and 124 MB; slabs of 20,000 rows
 # 1.10-1.60 s and 76-77 MB, 2^15 0.93-1.49 s and 76-77 MB, 2^16 0.72-0.91 s
 # and 77 MB, 2^17 0.82-1.13 s and 80 MB, 2^18 0.81-1.14 s and 94 MB; the
@@ -74,14 +75,12 @@ MIN_SLAB_ROWS = 2**11
 class CertifiedFamily:
     """The certified subfamily of a packed family, plus its status counts.
 
-    coeffs is the (k, n) array of the certified rows in batch.pack format
-    and disc the array of their discriminants, in the same order.
+    coeffs is the (k, n) array of the certified rows in batch.pack format.
     statuses counts the whole family's rows by certification status,
     keyed by family.STATUSES in order.
     """
 
     coeffs: np.ndarray
-    disc: np.ndarray
     statuses: dict
     description: str = ""
 
@@ -93,38 +92,53 @@ class CertifiedFamily:
         return sum(self.statuses.values()) - len(self)
 
 
-def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
-    """Certify a family and keep only its S_n-certified rows.
-
-    family is a packed (m, n) array or a family.FamilySpec: anything whose
-    len is m and whose slices are packed arrays.  Each slab is sliced (a
-    FamilySpec's slice draws it) and certified in one process.  A slab is
-    SLAB_ROWS rows, or ceil(m / k) on k CPUs when that is fewer, but never
-    fewer than MIN_SLAB_ROWS; _forked_map spreads the slabs over every CPU
-    and they are kept in slab order.  Certification decides each row
-    alone, so the result is that of one array of the whole family, dtypes
-    included.
+def _certified_slabs(family, budget, reduce):
+    """(status counts, reduce(rows, disc)) of each slab of a family, in slab
+    order: rows are the slab's S_n-certified rows and disc their
+    discriminants.  family is a packed (m, n) array or a family.FamilySpec,
+    anything whose len is m and whose slices are packed arrays.  Each slab
+    is sliced (a FamilySpec's slice draws it), certified and reduced in one
+    process, so only what reduce returns is sent back.  A slab is SLAB_ROWS
+    rows, or ceil(m / k) on k CPUs when that is fewer, but never fewer than
+    MIN_SLAB_ROWS; _forked_map spreads the slabs over every CPU.
+    Certification decides each row alone, so the slabs' rows are those of
+    one array of the whole family, dtypes included.
     """
     m = len(family)
     slab_rows = min(SLAB_ROWS, max(-(-m // _cpus()), MIN_SLAB_ROWS))
-    coeffs = disc = None
-    kept = 0
-    counts = np.zeros(len(family_mod.STATUSES), dtype=np.int64)
 
     def certify_slab(start):
         slab = family[start:start + slab_rows]
-        status, slab_disc = family_mod.certify(slab, budget)
+        status, disc = family_mod.certify(slab, budget)
         keep = status == family_mod.STATUSES.index(family_mod.SN_CERTIFIED)
-        return np.bincount(status, minlength=len(counts)), slab[keep], slab_disc[keep]
+        counts = np.bincount(status, minlength=len(family_mod.STATUSES))
+        return counts, reduce(slab[keep], disc[keep])
 
     # An empty family is certified once, which gives its arrays their shapes.
-    for slab_counts, rows, rows_disc in _forked_map(certify_slab, range(0, max(m, 1), slab_rows)):
+    return _forked_map(certify_slab, range(0, max(m, 1), slab_rows))
+
+
+def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
+    """Certify a family, as _certified_slabs takes it, and keep its
+    S_n-certified rows, written in slab order into one array."""
+    m = len(family)
+    coeffs = None
+    kept = counts = 0
+    for slab_counts, rows in _certified_slabs(family, budget, lambda rows, disc: rows):
         coeffs = _keep(coeffs, m, kept, rows)
-        disc = _keep(disc, m, kept, rows_disc)
         kept += len(rows)
         counts += slab_counts
+    return CertifiedFamily(coeffs[:kept], dict(zip(family_mod.STATUSES, counts.tolist())),
+                           description)
+
+
+def _certified_mean(family, budget, term):
+    """(total / k, statuses) over the k certified rows of a family, where the
+    int total sums term(rows, disc) over the slabs of _certified_slabs."""
+    counts, total = map(sum, zip(*_certified_slabs(family, budget, term)))
     statuses = dict(zip(family_mod.STATUSES, counts.tolist()))
-    return CertifiedFamily(coeffs[:kept], disc[:kept], statuses, description)
+    _require_nonempty(statuses[family_mod.SN_CERTIFIED])
+    return total / statuses[family_mod.SN_CERTIFIED], statuses
 
 
 def _keep(buffer, m, start, rows):
@@ -211,8 +225,8 @@ def _send_each(write, fn, items):
             send.flush()
 
 
-def _require_nonempty(cf):
-    if len(cf) == 0:
+def _require_nonempty(certified):
+    if certified == 0:
         raise EmptyFamilyError("no certified polynomials in family")
 
 
@@ -223,7 +237,7 @@ def _type_counts(cf, r):
     Refuses an empty family, then a type r not of the family's degree.  A
     statistic makes its own checks before counts(x), so a refused one
     counts nothing."""
-    _require_nonempty(cf)
+    _require_nonempty(len(cf))
     n = cf.coeffs.shape[1]
     if splittypes.validate_type(r) != n:
         raise ValueError("type degree %d does not match the degree %d" % (len(r), n))
@@ -390,46 +404,39 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     return results, sample
 
 
-def ramified_average(cf, bound):
-    """Average number of primes p <= bound dividing disc(f); ref sum 1/p.
-
-    The discriminants are read SLAB_ROWS at a time, so their residues are
-    held for one slab.
+def ramified_average(family, bound, budget=family_mod.CERTIFIER_PRIME_BUDGET):
+    """(average, reference, statuses): the average number of primes p <= bound
+    dividing disc(f) over the certified rows of a family, as _certified_slabs
+    takes it, certified at the budget; reference sum 1/p.  Refuses bound < 2
+    before anything is certified; each slab is counted where it is certified.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    _require_nonempty(cf)
     primes = sieve_primes(bound)
-    total = 0
-    for start in range(0, len(cf), SLAB_ROWS):
-        disc = cf.disc[start:start + SLAB_ROWS]
-        total += sum(int(np.count_nonzero(disc % p == 0)) for p in primes)
-    reference = math.fsum(1.0 / p for p in primes)
-    return total / len(cf), reference
+    average, statuses = _certified_mean(family, budget, lambda rows, disc: sum(
+        int(np.count_nonzero(disc % p == 0)) for p in primes))
+    return average, math.fsum(1.0 / p for p in primes), statuses
 
 
-def index_prime_average(cf, bound):
-    """Average number of primes p <= bound dividing the index a_f.
+def index_prime_average(family, bound, budget=family_mod.CERTIFIER_PRIME_BUDGET):
+    """(average, reference, statuses): the average number of primes p <= bound
+    dividing the index a_f, as ramified_average takes and refuses its arguments.
 
     Only primes with p^2 | disc(f) are submitted to the Dedekind test,
     since the index appears squared in the discriminant; the reference is
-    the leading term sum of 1/p^2.  The rows are read SLAB_ROWS at a time,
-    so the residues of disc(f) and the rows as Python ints are held for
+    the leading term sum of 1/p^2.  The rows as Python ints are held for
     one slab.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    _require_nonempty(cf)
     primes = sieve_primes(bound)
-    total = 0
-    for start in range(0, len(cf), SLAB_ROWS):
-        coeffs = cf.coeffs[start:start + SLAB_ROWS]
-        disc = cf.disc[start:start + SLAB_ROWS]
-        for p in primes:
-            for row in coeffs[disc % (p * p) == 0].tolist():
-                total += not dedekind_is_p_maximal(row, p)
-    reference = math.fsum(1.0 / (p * p) for p in primes)
-    return total / len(cf), reference
+
+    def non_maximal(rows, disc):
+        return sum(not dedekind_is_p_maximal(row, p)
+                   for p in primes for row in rows[disc % (p * p) == 0].tolist())
+
+    average, statuses = _certified_mean(family, budget, non_maximal)
+    return average, math.fsum(1.0 / (p * p) for p in primes), statuses
 
 
 def fiber_reference(spec, targets):
@@ -457,21 +464,21 @@ def fiber_reference(spec, targets):
     return 1.0 / power
 
 
-def fiber_probability(cf, targets):
-    """Share of the certified family in every fiber of targets.
+def fiber_probability(spec, targets, budget=family_mod.CERTIFIER_PRIME_BUDGET):
+    """(share, reference, statuses): the share of the certified rows of the
+    family of a family.FamilySpec, certified at the budget, in every fiber
+    of targets, and fiber_reference(spec, targets), which checks the targets
+    before anything is certified."""
+    reference = fiber_reference(spec, targets)
 
-    targets as fiber_reference takes them; it checks them.  The rows are
-    read SLAB_ROWS at a time, so their residues are held for one slab.
-    """
-    _require_nonempty(cf)
-    hits = 0
-    for start in range(0, len(cf), SLAB_ROWS):
-        coeffs = cf.coeffs[start:start + SLAB_ROWS]
-        hit = np.ones(len(coeffs), dtype=bool)
+    def hits(rows, disc):
+        hit = np.ones(len(rows), dtype=bool)
         for p, row in targets:
-            hit &= (coeffs % p == np.array(row)).all(axis=1)
-        hits += int(np.count_nonzero(hit))
-    return hits / len(cf)
+            hit &= (rows % p == np.array(row)).all(axis=1)
+        return int(np.count_nonzero(hit))
+
+    share, statuses = _certified_mean(spec, budget, hits)
+    return share, reference, statuses
 
 
 def split_lower_bound_fraction(cf, x):

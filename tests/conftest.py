@@ -29,5 +29,6 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def cubic_box():
-    """The N=50 cubic box of criterion 09 (1,030,301 cubics), certified once."""
+    """The N=50 cubic box of criterion 09 (1,030,301 cubics), certified once
+    and gathered, as chebotarev, moments and clt read a family."""
     return stats.certify_family(generate(FamilySpec(n=3, height_bound=50)), budget=25)

@@ -100,9 +100,8 @@ def test_04_congruence_fibers(acceptance_log):
     spec = FamilySpec(n=2, height_bound=200)
     single = [(3, (1, 0))]  # X^2 + 1 mod 3
     double = [(3, (1, 0)), (5, (2, 0))]  # and X^2 + 2 mod 5
-    ref_one, ref_two = stats.fiber_reference(spec, single), stats.fiber_reference(spec, double)
-    box = stats.certify_family(generate(spec), budget=25)
-    one, two = stats.fiber_probability(box, single), stats.fiber_probability(box, double)
+    one, ref_one, _statuses = stats.fiber_probability(spec, single, budget=25)
+    two, ref_two, _statuses = stats.fiber_probability(spec, double, budget=25)
     ok = abs(one - ref_one) <= 3 / 200 and abs(two - ref_two) <= 10 / 200
     _report(
         acceptance_log,
@@ -219,8 +218,10 @@ def test_08_dedekind_vs_quadratic_field_rule(acceptance_log):
     )
 
 
-def test_09_ramified_prime_average(acceptance_log, cubic_box):
-    average, reference = stats.ramified_average(cubic_box, 7)
+def test_09_ramified_prime_average(acceptance_log):
+    spec = FamilySpec(n=3, height_bound=50)
+    average, reference, statuses = stats.ramified_average(spec, 7, budget=25)
+    assert sum(statuses.values()) == 101**3
     ok = abs(average - reference) <= 0.15 * reference
     _report(
         acceptance_log,
@@ -234,8 +235,7 @@ def test_09_ramified_prime_average(acceptance_log, cubic_box):
 
 def test_10_index_prime_average(acceptance_log):
     spec = FamilySpec(n=2, height_bound=100)
-    family = stats.certify_family(generate(spec), budget=25)
-    average, _ = stats.index_prime_average(family, 5)
+    average, _reference, _statuses = stats.index_prime_average(spec, 5, budget=25)
     reference = 1 / 4 + 1 / 9
     ok = abs(average - reference) <= 0.25 * reference
     _report(

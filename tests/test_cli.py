@@ -14,10 +14,11 @@ from conftest import assert_no_children
 
 
 def _refuse_computing(monkeypatch):
-    def certify_family(*args, **kwargs):
+    # family.certify is the certifier that every subcommand's family reaches.
+    def certify(*args, **kwargs):
         raise AssertionError("computed before refusing the configuration")
 
-    monkeypatch.setattr(stats, "certify_family", certify_family)
+    monkeypatch.setattr(family, "certify", certify)
 
 
 def test_counts_csv(tmp_path):
@@ -270,12 +271,14 @@ def test_ramified_generates_the_box_in_slabs(tmp_path, monkeypatch):
 
 
 def test_refusal_before_computing(tmp_path, monkeypatch):
-    out = tmp_path / "ramified.json"
+    out = tmp_path / "report.json"
     out.write_text("kept\n")
     _refuse_computing(monkeypatch)
-    code = main(["ramified", "--n", "3", "--N", "20", "--bound", "7", "--out", str(out)])
-    assert code == 2
-    assert out.read_text() == "kept\n"
+    for argv in (["ramified", "--n", "3", "--N", "20", "--bound", "7"],
+                 ["index", "--n", "3", "--N", "20", "--bound", "7"],
+                 ["fibers", "--n", "2", "--N", "20", "--target", "3:1,0"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
 
 
 def test_out_in_missing_directory_refused(tmp_path, monkeypatch, capsys):
@@ -637,4 +640,74 @@ def test_high_degree_chebotarev_pinned(tmp_path):
     assert json.loads(out.read_bytes())["meta"]["statuses"]["SnCertified"] == 74
     digest = "5ceb8a442331f89fb238bef992595006ae5bd7d8dfa966e35bfbf5756556f0e9"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert_no_children()
+
+
+# ramified over boxes at n = 3 and 4 and over cubics at N = 10^30, whose
+# discriminants are Python ints; index and fibers over quadratic boxes.
+_AVERAGE_RUNS = {
+    "ramified-box3": ["ramified", "--n", "3", "--N", "20", "--bound", "50"],
+    "ramified-box4": ["ramified", "--n", "4", "--N", "5", "--bound", "30"],
+    "ramified-object": ["ramified", "--n", "3", "--N", str(10**30), "--mode", "sampled",
+                        "--sample-size", "150", "--seed", "7", "--bound", "100"],
+    "index-box2": ["index", "--n", "2", "--N", "30", "--bound", "11"],
+    "fibers-box2": ["fibers", "--n", "2", "--N", "60", "--target", "2:1,1",
+                    "--target", "3:1,0"],
+}
+
+# sha256 of each report, taken while these statistics still read a gathered
+# certified family; the slab-by-slab sums may not move a byte.
+_AVERAGE_DIGESTS = {
+    ("ramified-box3", "json"): "056215eee671b947423dff25c3f4c01feca4fb295f4bf00c6d7cd7b4005e1fc7",
+    ("ramified-box3", "csv"): "53be956d336d3f30c7a2a4c7a744b7f96393c325d5635e29854b2468d1d63997",
+    ("ramified-box4", "json"): "001432af5a9f397153ce8fbed3221d7b7caec6212e3c07ee4b96632365b8e8e2",
+    ("ramified-box4", "csv"): "f16df4d5c4b75c0a080ded4b4afb9b7be88ac5c12a3e9a48e4470602fe6b6551",
+    ("ramified-object", "json"):
+        "24b19fbaff156b8383de36581add1cd9278fec079ac4aadb92ac90e4662b8673",
+    ("ramified-object", "csv"):
+        "1b43525459418d60b40c8d143d7fb62cc2c77f440270b8fe6f4199dd8bb60828",
+    ("index-box2", "json"): "d23b83075bb18b5f343ca9dce81d199cd8ffd17459c71a5e583bb649380a3788",
+    ("index-box2", "csv"): "30594c2ee0c91923daa7feecb975657f0f87a361cc56a31cf29a76734200be25",
+    ("fibers-box2", "json"): "4b7707a2ac1b55881971f8373d83a7d6a14f390af0f6758ac7367eef16aef01d",
+    ("fibers-box2", "csv"): "d64f7ff03dd6b305b9ce669873f1c9674d19b72cf2ac804cb1cd0b84a643cd11",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_average_reports_pinned(tmp_path, monkeypatch, cpus):
+    # Slabs of 100 rows: every family but the sample is many slabs, and on
+    # 2 CPUs a forked worker certifies and sums half of them.
+    monkeypatch.setattr(stats, "SLAB_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    digests = {}
+    for name, args in _AVERAGE_RUNS.items():
+        for fmt in ("json", "csv"):
+            out = tmp_path / ("%s.%s" % (name, fmt))
+            assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+            digests[name, fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == _AVERAGE_DIGESTS
+    assert_no_children()
+
+
+def test_averages_never_gather_the_family(tmp_path, monkeypatch):
+    # ramified, index and fibers sum each slab where it is certified: the
+    # certified family is never gathered, and each statistic is entered
+    # once, in this process, where perfbench's set-up mark and trace see it.
+    def certify_family(*args, **kwargs):
+        raise AssertionError("gathered the certified family")
+
+    monkeypatch.setattr(stats, "certify_family", certify_family)
+    monkeypatch.setattr(stats, "SLAB_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    entered = []
+    for name in ("ramified_average", "index_prime_average", "fiber_probability"):
+        def recorded(*args, _statistic=getattr(stats, name), _name=name):
+            entered.append((_name, os.getpid()))
+            return _statistic(*args)
+
+        monkeypatch.setattr(stats, name, recorded)
+    for name in ("ramified-box4", "index-box2", "fibers-box2"):
+        assert main(_AVERAGE_RUNS[name] + ["--out", str(tmp_path / name)]) == 0
+    assert entered == [(name, os.getpid()) for name in
+                       ("ramified_average", "index_prime_average", "fiber_probability")]
     assert_no_children()

@@ -206,7 +206,7 @@ def test_certify_empty_family():
     status, disc = certify(empty, 25)
     assert status.shape == (0,) and disc.shape == (0,)
     cf = stats.certify_family(empty, 25)
-    assert cf.coeffs.shape == (0, 3) and cf.disc.size == 0
+    assert cf.coeffs.shape == (0, 3)
     assert cf.statuses == dict.fromkeys(STATUSES, 0)
 
 
@@ -827,16 +827,9 @@ def test_batch_kernel_matches_scalar():
     assert (matrix == expected).all()
 
 
-def _fibers(spec, targets):
-    """(empirical, reference, statuses) of the fibers of targets over spec's family."""
-    reference = stats.fiber_reference(spec, targets)
-    cf = stats.certify_family(generate(spec))
-    return stats.fiber_probability(cf, targets), reference, cf.statuses
-
-
 def test_fiber_probability_single_target():
     spec = FamilySpec(n=2, height_bound=200)
-    empirical, reference, statuses = _fibers(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
+    empirical, reference, statuses = stats.fiber_probability(spec, [(3, (1, 0))])  # X^2 + 1 mod 3
     assert sum(statuses.values()) == spec.size
     assert reference == pytest.approx(1 / 9)
     assert abs(empirical - 1 / 9) <= 3 / 200
@@ -844,20 +837,28 @@ def test_fiber_probability_single_target():
 
 def test_fiber_probability_two_targets():
     spec = FamilySpec(n=2, height_bound=200)
-    empirical, reference, _statuses = _fibers(spec, [(3, (1, 0)), (5, (2, 0))])
+    empirical, reference, _statuses = stats.fiber_probability(spec, [(3, (1, 0)), (5, (2, 0))])
     assert reference == pytest.approx(1 / 225)
     assert abs(empirical - 1 / 225) <= 10 / 200
 
 
-def test_fiber_probability_regime_error():
-    # 3^2 = 9 >= 2N = 8: outside the regime of near-uniform fibers.
-    with pytest.raises(ValueError):
-        stats.fiber_reference(FamilySpec(n=2, height_bound=4), [(3, (1, 0))])
+def _refuse_certifying(monkeypatch):
+    monkeypatch.setattr(family, "certify", lambda coeffs, budget: pytest.fail("certified"))
+
+
+def test_fiber_probability_regime_error(monkeypatch):
+    # 3^2 = 9 >= 2N = 8: outside the regime of near-uniform fibers, refused
+    # by fiber_probability too before anything is certified.
+    _refuse_certifying(monkeypatch)
+    for check in (stats.fiber_reference, stats.fiber_probability):
+        with pytest.raises(ValueError):
+            check(FamilySpec(n=2, height_bound=4), [(3, (1, 0))])
     assert stats.fiber_reference(FamilySpec(n=2, height_bound=5), [(3, (1, 0))]) == 1 / 9
 
 
-def test_fiber_probability_rejects_bad_targets():
+def test_fiber_probability_rejects_bad_targets(monkeypatch):
     spec = FamilySpec(n=2, height_bound=200)
+    _refuse_certifying(monkeypatch)
     for targets in [
         [(3, (1, 0)), (3, (1, 0))],  # the same prime twice
         [(4, (1, 1)), (2, (1, 1))],  # gcd 2: the fibers are not independent
@@ -866,20 +867,21 @@ def test_fiber_probability_rejects_bad_targets():
         [(3, (1, 1, 0))],  # wrong length
         [(3, (1, 3))],  # residue not reduced
     ]:
-        with pytest.raises(ValueError):
-            stats.fiber_reference(spec, targets)
+        for check in (stats.fiber_reference, stats.fiber_probability):
+            with pytest.raises(ValueError):
+                check(spec, targets)
 
 
 def test_fiber_probability_empty_family():
-    cf = stats.certify_family(batch.pack([(-1, 0)]))  # X^2 - 1 is reducible
+    spec = FamilySpec(n=1, height_bound=5)  # X + a: no transposition, never S_n
     with pytest.raises(EmptyFamilyError, match="no certified polynomials in family"):
-        stats.fiber_probability(cf, [(3, (1, 0))])
+        stats.fiber_probability(spec, [(3, (1,))])
 
 
 def test_fiber_probability_coprime_composite_moduli():
     # 4 and 9 are coprime, so the reference 1/(4*9)^2 still holds.
     spec = FamilySpec(n=2, height_bound=800)
-    empirical, reference, _statuses = _fibers(spec, [(4, (1, 1)), (9, (2, 0))])
+    empirical, reference, _statuses = stats.fiber_probability(spec, [(4, (1, 1)), (9, (2, 0))])
     assert reference == 1 / 36**2
     assert abs(empirical - reference) <= 10 / 800
 
@@ -895,7 +897,7 @@ def test_fiber_probability_slabs(monkeypatch):
         targets = [(p, tuple(c % p for c in cf.coeffs[-1].tolist())) for p in (2, 3)]
         hits = sum(all(c % p == t for p, target in targets for c, t in zip(row, target))
                    for row in cf.coeffs.tolist())
-        assert stats.fiber_probability(cf, targets) == hits / len(cf)
+        assert stats.fiber_probability(spec, targets)[0] == hits / len(cf)
 
 
 def test_undetermined_is_possible():

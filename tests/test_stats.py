@@ -79,8 +79,8 @@ def test_certify_family_counts_exclusions(monkeypatch):
     cf = certify_family(coeffs, budget=25)
     assert len(cf) + cf.excluded == len(coeffs)
     assert len(cf) > 0
-    # The family keeps the certified rows, in stream order, and their
-    # discriminants from certification.
+    # The family keeps the certified rows, in stream order, and a slab's
+    # reducer is handed their discriminants from certification.
     status, _disc = certify(coeffs, 25)
     kept = [
         tuple(row)
@@ -89,16 +89,17 @@ def test_certify_family_counts_exclusions(monkeypatch):
     ]
     assert cf.coeffs.shape == (len(cf), 3)
     assert [tuple(row) for row in cf.coeffs.tolist()] == kept
-    assert cf.disc.tolist() == [discriminant(row) for row in kept]
+    assert _slab_discriminants(coeffs) == [discriminant(row) for row in kept]
     assert sum(cf.statuses.values()) == len(coeffs)
     assert cf.statuses[SN_CERTIFIED] == len(cf)
     none = certify_family(batch.pack([(-1, 0)]))
-    assert none.coeffs.shape == (0, 2) and none.disc.size == 0 and none.excluded == 1
+    assert none.coeffs.shape == (0, 2) and none.excluded == 1
+    assert _slab_discriminants(batch.pack([(-1, 0)])) == []
     # With slabs of 7 rows, slab boundaries fall inside every family below.
     # certify_family over the family and over it as one packed array in one
     # process, and over the family with its slabs spread over 2 and 3
-    # processes, gives what certify gives on that array: rows,
-    # discriminants, dtypes, order and status counts.
+    # processes, gives what certify gives on that array: rows, dtypes,
+    # order and status counts, and the reducers' discriminants.
     monkeypatch.setattr(stats, "SLAB_ROWS", 7)
     for family, whole in _slabbed_families():
         status, disc = certify(whole, 25)
@@ -108,10 +109,10 @@ def test_certify_family_counts_exclusions(monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             cf = certify_family(source, budget=25)
-            assert cf.coeffs.dtype == whole.dtype and cf.disc.dtype == disc.dtype
+            assert cf.coeffs.dtype == whole.dtype
             assert cf.coeffs.shape == (keep.sum(), whole.shape[1])
             assert cf.coeffs.tolist() == whole[keep].tolist()
-            assert cf.disc.tolist() == disc[keep].tolist()
+            assert _slab_discriminants(source) == disc[keep].tolist()
             assert cf.statuses == counts
     assert_no_children()
 
@@ -148,9 +149,11 @@ def test_small_sampled_families_are_dealt_over_the_cpus(tmp_path, monkeypatch):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             cf = certify_family(spec, budget=25)
-            assert cf.coeffs.dtype == whole.dtype and cf.disc.dtype == disc.dtype
+            assert cf.coeffs.dtype == whole.dtype
             assert cf.coeffs.tolist() == whole[keep].tolist()
-            assert cf.disc.tolist() == disc[keep].tolist()
+            # The same slabs again, with their discriminants: their draws are checked below.
+            log.unlink()
+            assert _slab_discriminants(spec) == disc[keep].tolist()
             assert cf.statuses == counts
             by_process = {}
             for line in log.read_text().splitlines():
@@ -166,6 +169,13 @@ def test_small_sampled_families_are_dealt_over_the_cpus(tmp_path, monkeypatch):
                 assert len(by_process) == min(cpus, len(ranges)) > 1
                 assert all(stop - start >= min(floor, m - start) for start, stop in ranges)
     assert_no_children()
+
+
+def _slab_discriminants(family):
+    """The discriminants that _certified_slabs hands the reducer of each
+    slab of a family, with its certified rows, as Python ints in slab order."""
+    slabs = stats._certified_slabs(family, 25, lambda rows, disc: disc.tolist())
+    return [d for _counts, disc in slabs for d in disc]
 
 
 class _PackedSlices:
@@ -327,9 +337,7 @@ def test_clt_report_structure_and_determinism():
     assert stats.sample_csv(sample).startswith("index,normalized_count\n")
     assert len(sample) == len(cf)
     # order invariance of the aggregate
-    shuffled = stats.CertifiedFamily(
-        coeffs=cf.coeffs[::-1], disc=cf.disc[::-1], statuses=cf.statuses
-    )
+    shuffled = stats.CertifiedFamily(coeffs=cf.coeffs[::-1], statuses=cf.statuses)
     shuffled_doc, _sample = clt_report(shuffled, (0, 0, 1), 2000)
     assert shuffled_doc["ks_distance"] == pytest.approx(doc["ks_distance"])
 
@@ -392,15 +400,12 @@ def test_count_profile_matches_prime_splitting_count(spec, x, step):
             assert profile[code][i] == prime_splitting_count(f, r, x)
     # Each row counts for one type at every prime but those dividing
     # disc(f), which the last code counts, so every row sums to pi(x).
-    ramified = sum((cf.disc % p == 0).astype(np.int64) for p in primes)
+    disc = family_mod._discriminants(cf.coeffs)
+    ramified = sum((disc % p == 0).astype(np.int64) for p in primes)
     assert ramified.any()
     assert (sum(profile[:-1]) == len(primes) - ramified).all()
     assert np.array_equal(profile[-1], ramified)
     assert (sum(profile) == len(primes)).all()
-    # The count path never reads a discriminant.
-    bare = stats.CertifiedFamily(cf.coeffs, None, cf.statuses)
-    for code, column in enumerate(profile):
-        assert np.array_equal(stats._count_profile(bare, x, code), column)
 
 
 # (n, height, sample size, x): the kernels at n = 2, 3, 4, 5 (the oracle at
@@ -514,21 +519,32 @@ def test_clt_report_preconditions(monkeypatch):
 
 
 def test_ramified_average_examples():
-    cf = certify_family(batch.pack([(-5, 0)]))
-    average, reference = ramified_average(cf, 10)
-    assert average == 2
+    average, reference, statuses = ramified_average(batch.pack([(-5, 0)]), 10)
+    assert average == 2 and statuses[SN_CERTIFIED] == 1
     assert reference == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)
-    cf = certify_family(batch.pack([(-1, -1, 0)]))
-    assert ramified_average(cf, 10)[0] == 0
+    assert ramified_average(batch.pack([(-1, -1, 0)]), 10)[0] == 0
+    # Certified at the budget given: one prime leaves X^3 - X - 1 Undetermined.
+    with pytest.raises(EmptyFamilyError):
+        ramified_average(batch.pack([(-1, -1, 0)]), 10, budget=1)
 
 
 def test_index_prime_average_examples():
-    cf = certify_family(batch.pack([(3, 0)]))
-    average, reference = index_prime_average(cf, 10)
-    assert average == 1
+    average, reference, statuses = index_prime_average(batch.pack([(3, 0)]), 10)
+    assert average == 1 and statuses[SN_CERTIFIED] == 1
     assert reference == pytest.approx(sum(1 / (p * p) for p in (2, 3, 5, 7)))
-    cf = certify_family(batch.pack([(-1, -1, 0)]))
-    assert index_prime_average(cf, 100)[0] == 0
+    assert index_prime_average(batch.pack([(-1, -1, 0)]), 100)[0] == 0
+
+
+@pytest.mark.parametrize("statistic", [ramified_average, index_prime_average])
+def test_averages_refuse_before_certifying(monkeypatch, statistic):
+    # bound < 2 is refused before anything is certified, and a family with
+    # no certified row raises EmptyFamilyError once it is certified.
+    monkeypatch.setattr(family_mod, "certify", lambda coeffs, budget: pytest.fail("certified"))
+    with pytest.raises(ValueError, match="bound must be at least 2"):
+        statistic(batch.pack([(-5, 0)]), 1)
+    monkeypatch.undo()
+    with pytest.raises(EmptyFamilyError, match="no certified polynomials in family"):
+        statistic(batch.pack([(-1, 0)]), 10)
 
 
 def test_split_lower_bound_fraction_single():
@@ -567,9 +583,9 @@ def test_statistics_return_plain_numbers(height):
         family_centered_moment(cf, r, 200, 3),
         family_centered_moment(cf, r, 200, 2, center="exact"),
         clt_report(cf, r, 200),
-        ramified_average(cf, 50),
-        index_prime_average(cf, 50),
-        fiber_probability(cf, [(2, (1, 1, 1))]),
+        ramified_average(spec, 50),
+        index_prime_average(spec, 50),
+        fiber_probability(spec, [(2, (1, 1, 1))]),
         split_lower_bound_fraction(cf, 200),
     ]
     numbers = _numbers(results)
