@@ -1,8 +1,9 @@
 """Splitting types of whole families, one prime at a time.
 
-types_mod_p is the entry point; only cubic_count_matrix, which counts int64
-cubics for stats._count_column, calls _cubic_codes directly, a second path
-kept only for perfbench's batch.count_pairs counter.  A type mod p reads
+types_mod_p is the entry point, and count_code, which counts the primes at
+which each row takes one code, is the one count loop of every count
+profile; cubic_count_matrix is that loop under the name perfbench's
+batch.count_pairs counter wraps on cubic profiles.  A type mod p reads
 only residues, so an object-dtype family (pack's, beyond 2^62) is reduced
 mod p to int64 first, and the path depends on the degree and p alone.  At
 p < 2^20, vectorized numpy kernels take degrees 2 and 3 at every p, and
@@ -371,24 +372,20 @@ def _primitive_root(p):
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def cubic_count_matrix(coeffs, primes):
-    """Per-row counts of each cubic code over the primes.
-
-    coeffs is an (m, 3) int64 array within the kernel bounds and every
-    prime is below MAX_KERNEL_PRIME.  Returns an int64 array of shape
-    (m, 4) whose columns are the codes INERT, TRANSPOSITION, SPLIT, ABSENT.
-    Each prime costs one _cubic_codes call: at 3 < p <= CUBIC_TABLE_FACTOR
-    * m a p-entry table and three gathers per row, elsewhere Euler's
-    criterion on every row's discriminant and X^p mod f on the
-    square-discriminant rows.
-    """
-    a0, a1, a2 = (np.ascontiguousarray(column) for column in coeffs.T)
-    m = len(coeffs)
-    counts = np.zeros(4 * m, dtype=np.int64)
-    first = 4 * np.arange(m)  # flat index of each row's INERT count
+def count_code(coeffs, primes, code):
+    """Per-row int64 count of the primes at which types_mod_p is code."""
+    counts = np.zeros(len(coeffs), dtype=np.int64)
     for p in primes:
-        counts[first + _cubic_codes(a0, a1, a2, int(p))] += 1
-    return counts.reshape(m, 4)
+        counts += types_mod_p(coeffs, p) == code
+    return counts
+
+
+def cubic_count_matrix(coeffs, primes, code):
+    """count_code of a cubic family.  The name remains because perfbench
+    counts batch.count_pairs, rows x primes, on it and its self-test wants
+    those pairs on the cubic workload alone, so stats._count_column enters
+    the one loop through it for cubics."""
+    return count_code(coeffs, primes, code)
 
 
 def _trace_codes(coeffs, p):

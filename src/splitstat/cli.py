@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, splittypes, stats
 from .errors import SplitstatError
-from .family import CERTIFIER_PRIME_BUDGET, SN_CERTIFIED, FamilySpec
+from .family import CERTIFIER_PRIME_BUDGET, CERTIFIER_PRIMES, SN_CERTIFIED, FamilySpec
 from .primes import MAX_SIEVE_LIMIT, sieve_primes
 
 EXIT_OK = 0
@@ -349,8 +349,8 @@ def _add_family(sub):
     sub.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sub.add_argument("--sample-size", type=int, default=0)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=_in_range(int, 1), default=CERTIFIER_PRIME_BUDGET,
-                     help="certifier prime budget")
+    sub.add_argument("--budget", type=_in_range(int, 1, len(CERTIFIER_PRIMES)),
+                     default=CERTIFIER_PRIME_BUDGET, help="certifier prime budget")
 
 
 def build_parser(defaults=None):

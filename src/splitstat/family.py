@@ -331,8 +331,8 @@ def certify(coeffs, budget):
     n-cycle give AnCandidate, zero discriminant or an integer root gives
     Reducible, and everything else is Undetermined.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    if not 1 <= budget <= len(CERTIFIER_PRIMES):
+        raise ValueError("budget must lie in [1, %d]" % len(CERTIFIER_PRIMES))
     m = len(coeffs)
     kinds = _witness_kinds(coeffs.shape[1])
     disc = _discriminants(coeffs)

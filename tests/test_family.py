@@ -794,11 +794,20 @@ def test_cubic_certificates_pinned():
         2: (120, 10, 117, 96),
         5: (214, 10, 117, 2),
         25: (216, 10, 117, 0),
+        len(CERTIFIER_PRIMES): (216, 10, 117, 0),  # the largest budget it can spend
     }
     assert STATUSES == (SN_CERTIFIED, AN_CANDIDATE, REDUCIBLE, UNDETERMINED)
     for budget, counts in expected.items():
         status, _disc = certify(coeffs, budget)
         assert _status_counts(status) == counts, budget
+
+
+def test_certify_refuses_a_budget_it_cannot_spend():
+    # It scans the CERTIFIER_PRIMES alone, so no row could spend more of them.
+    coeffs = generate(FamilySpec(n=3, height_bound=3))
+    for budget in (0, len(CERTIFIER_PRIMES) + 1):
+        with pytest.raises(ValueError):
+            certify(coeffs, budget)
 
 
 def test_composite_degree_needs_long_cycle():
@@ -816,15 +825,33 @@ def test_composite_degree_needs_long_cycle():
             assert _oracle_cycle_kinds(row, 25) >= _required_kinds(4), row
 
 
+def _edge_primes(limit):
+    """The largest prime <= limit and the least prime above it."""
+    below = sieve_primes(2 * limit + 100)
+    return [max(p for p in below if p <= limit), min(p for p in below if p > limit)]
+
+
 def test_batch_kernel_matches_scalar():
+    # Each code's column of the one count loop equals the oracle's, on int64
+    # rows and on object rows, at primes on both sides of each switch a
+    # cubic count crosses: the residue census (p^3 < rows), the table
+    # against X^p mod f (p <= CUBIC_TABLE_FACTOR * rows) and the kernels
+    # against the oracle (p < 2^20).
     rng = random.Random(23)
-    rows = [tuple(rng.randrange(-10**12, 10**12) for _ in range(3)) for _ in range(60)]
-    primes = [2, 3, 5, 7, 97, 1009, 65537, 999983]
-    matrix = batch.cubic_count_matrix(batch.pack(rows), primes)
-    expected = np.zeros((len(rows), 4), dtype=np.int64)
-    for p in primes:
-        expected[np.arange(len(rows)), _oracle_codes(rows, p)] += 1
-    assert (matrix == expected).all()
+    for height in (10**12, 10**30):
+        rows = [tuple(rng.randrange(-height, height) for _ in range(3)) for _ in range(200)]
+        coeffs = batch.pack(rows)
+        assert coeffs.dtype == (np.int64 if height < 2**62 else object)
+        assert 5**3 < len(rows) < 7**3  # the census takes p <= 5
+        primes = sorted({2, 3, 5, 7, 97, 1009, 65537}.union(
+            _edge_primes(batch.CUBIC_TABLE_FACTOR * len(rows)),
+            _edge_primes(batch.MAX_KERNEL_PRIME - 1)))
+        expected = np.zeros((len(rows), 4), dtype=np.int64)
+        for p in primes:
+            expected[np.arange(len(rows)), _oracle_codes(rows, p)] += 1
+        for code in range(4):
+            column = batch.cubic_count_matrix(coeffs, primes, code)
+            assert (column == expected[:, code]).all(), (height, code)
 
 
 def test_fiber_probability_single_target():

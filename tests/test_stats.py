@@ -351,9 +351,9 @@ def test_count_profile_cached_per_floor_x(monkeypatch):
     calls = []
     count_matrix = batch.cubic_count_matrix
 
-    def counted(coeffs, primes):
+    def counted(coeffs, primes, code):
         calls.append(len(primes))
-        return count_matrix(coeffs, primes)
+        return count_matrix(coeffs, primes, code)
 
     monkeypatch.setattr(batch, "cubic_count_matrix", counted)
     stats._count_profile.cache_clear()
