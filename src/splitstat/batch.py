@@ -16,14 +16,14 @@ once below 2^44 (2^42.4 in the trace kernel, whose residues are below 2^19
 and whose sums hold at most n <= 20 products and a residue), far inside the
 2^53 range where float64 integers are exact.  Degree 1 is of one type at
 every p.  The rest (p >= 2^20, p <= n from degree 4 on) calls the oracle
-fppoly.splitting_type_mod_p once per distinct residue row; the kernels are
-tested against it.
+fppoly.splitting_type_mod_p; the kernels are tested against it.
 
-A family of more than p^n rows is typed by a residue census: every row
-gets its index sum (a_i mod p) p^i, a p^n-entry table marks the residue
-rows that occur, the kernel or the oracle types each of those once, and
-every row reads its code from the table.  Smaller families go to the
-kernel directly, or to the oracle after np.unique of their residue rows.
+A family is typed in one of two ways.  One of more than p^n rows is typed
+by a residue census: every row gets its index sum (a_i mod p) p^i, a
+p^n-entry table marks the residue rows that occur, the kernel or the
+oracle types each of those once, and every row reads its code from the
+table.  A smaller family is typed row by row, by the kernel or by one
+oracle call per row.
 """
 
 import functools
@@ -109,23 +109,16 @@ def types_mod_p(coeffs, p):
         codes = np.zeros(p**n, dtype=typed.dtype)
         codes[seen] = typed
         return codes[index]
-    if _kernel_serves(n, p):
-        return _row_codes(coeffs, p)
-    residues, inverse = np.unique(coeffs % p, axis=0, return_inverse=True)
-    return _row_codes(residues, p)[inverse]
-
-
-def _kernel_serves(n, p):
-    return p < MAX_KERNEL_PRIME and (n <= 3 or p > n)
+    return _row_codes(coeffs, p)
 
 
 def _row_codes(coeffs, p):
-    """types_mod_p of every row, by a kernel where one serves (n, p) and
-    otherwise by one oracle call per row."""
+    """types_mod_p of every row: by a kernel at p < 2^20, for n <= 3 and
+    for n > 3 at p > n, and otherwise by one oracle call per row."""
     n = coeffs.shape[1]
     if n == 1:  # X + a_0 is of type (1,) at every p
         return np.zeros(len(coeffs), dtype=np.int8)
-    if _kernel_serves(n, p):
+    if p < MAX_KERNEL_PRIME and (n <= 3 or p > n):
         if n > 3:
             return _trace_codes(coeffs, p)
         # Strided views of the rows made a loop over 10^4 cubics 1.7x as slow
@@ -383,7 +376,7 @@ def count_code(coeffs, primes, code):
 def cubic_count_matrix(coeffs, primes, code):
     """count_code of a cubic family.  The name remains because perfbench
     counts batch.count_pairs, rows x primes, on it and its self-test wants
-    those pairs on the cubic workload alone, so stats._count_column enters
+    those pairs on the cubic workload alone, so stats._count_profile enters
     the one loop through it for cubics."""
     return count_code(coeffs, primes, code)
 

@@ -244,8 +244,7 @@ def _prime_sum_setup(args):
     spec = _family_spec(args)
     r = _parse_type(args.r, args.n)
     _regime_warning(args.x, spec.height_bound)
-    cf = stats.certify_family(spec, args.budget,
-                              "P0(n=%d, N=%s, %s)" % (spec.n, spec.height_bound, spec.mode))
+    cf = stats.certify_family(spec, args.budget)
     return r, cf, {**_family_config(spec, args.budget), "r": args.r, "x": args.x}
 
 
@@ -277,9 +276,11 @@ def run_moments(args):
 
 
 def run_clt(args):
+    stats.normalizable_pi(args.x)  # refused before the family is drawn
     r, cf, config = _prime_sum_setup(args)
     config["k_max"] = args.k_max
     results, sample = stats.clt_report(cf, r, args.x, k_max=args.k_max)
+    results["description"] = "P0(n=%d, N=%s, %s)" % (config["n"], config["N"], config["mode"])
     summary = [("family", len(cf)), ("excluded", cf.excluded),
                ("ks", "%.4f" % results["ks_distance"])]
     _write_report(args, "clt", config, results, summary,

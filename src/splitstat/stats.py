@@ -82,7 +82,6 @@ class CertifiedFamily:
 
     coeffs: np.ndarray
     statuses: dict
-    description: str = ""
 
     def __len__(self):
         return len(self.coeffs)
@@ -118,7 +117,7 @@ def _certified_slabs(family, budget, reduce):
     return _forked_map(certify_slab, range(0, max(m, 1), slab_rows))
 
 
-def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description=""):
+def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET):
     """Certify a family, as _certified_slabs takes it, and keep its
     S_n-certified rows, written in slab order into one array."""
     m = len(family)
@@ -128,8 +127,7 @@ def certify_family(family, budget=family_mod.CERTIFIER_PRIME_BUDGET, description
         coeffs = _keep(coeffs, m, kept, rows)
         kept += len(rows)
         counts += slab_counts
-    return CertifiedFamily(coeffs[:kept], dict(zip(family_mod.STATUSES, counts.tolist())),
-                           description)
+    return CertifiedFamily(coeffs[:kept], dict(zip(family_mod.STATUSES, counts.tolist())))
 
 
 def _certified_mean(family, budget, term):
@@ -230,6 +228,15 @@ def _require_nonempty(certified):
         raise EmptyFamilyError("no certified polynomials in family")
 
 
+def normalizable_pi(x):
+    """pi(x), refused below 30, too few primes for a normalized count; a
+    caller may check it before anything is certified or counted."""
+    pix = len(sieve_primes(x))
+    if pix < 30:
+        raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
+    return pix
+
+
 def _type_counts(cf, r):
     """counts, where counts(x) lists pi_{f,r}(x) of every certified f in row
     order, as Python ints: _count_profile(cf, floor(x), code of r).
@@ -262,32 +269,27 @@ def _count_profile(cf, x, code):
     read-only int64 array of one count per certified row, 8 bytes a row at
     every degree.  The rows are counted SLAB_ROWS at a time, and the primes
     <= x are dealt into k = min(CPUs, pi(x)) classes primes[c::k].  Each
-    (slab, class) item is counted by _count_column through _forked_map, so
-    process c counts every row at its own primes and builds the cubic
-    tables (batch._cubic_table) of those alone; at one CPU every slab is
-    counted here at every prime.  The integer counts of each slab's classes
-    are added up.  There is one count path for every degree and dtype: each
-    row is typed by batch.types_mod_p at each prime.
+    (slab, class) item is counted through _forked_map, so process c counts
+    every row at its own primes and builds the cubic tables
+    (batch._cubic_table) of those alone; at one CPU every slab is counted
+    here at every prime.  The integer counts of each slab's classes are
+    added up.  There is one count loop for every degree and dtype,
+    batch.count_code, which types each row by batch.types_mod_p at each
+    prime; cubics enter it as batch.cubic_count_matrix, the name perfbench
+    counts batch.count_pairs on, which its self-test wants on cubic profiles
+    alone.
     """
     primes = sieve_primes(x)
     k = min(_cpus(), len(primes))
+    count = batch.cubic_count_matrix if cf.coeffs.shape[1] == 3 else batch.count_code
     items = [(start, c) for start in range(0, len(cf), SLAB_ROWS) for c in range(k)]
-    counted = _forked_map(lambda item: _count_column(
+    counted = _forked_map(lambda item: count(
         cf.coeffs[item[0]:item[0] + SLAB_ROWS], primes[item[1]::k], code), items)
     column = np.zeros(len(cf), dtype=np.int64)
     for (start, _c), slab_counts in zip(items, counted):
         column[start:start + len(slab_counts)] += slab_counts
     column.flags.writeable = False
     return column
-
-
-def _count_column(coeffs, primes, code):
-    """Per-row int64 count of the primes at which a row's type code is code,
-    from batch.count_code, the one count loop.  Cubics enter it as
-    batch.cubic_count_matrix, the same loop under the name perfbench counts
-    batch.count_pairs on, which its self-test wants on cubic profiles alone."""
-    count = batch.cubic_count_matrix if coeffs.shape[1] == 3 else batch.count_code
-    return count(coeffs, primes, code)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +369,12 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
 
     v(f) = (pi_{f,r}(x) - delta pi(x)) / sqrt((delta - delta^2) pi(x)).
     The counts and moments 1..k_max share one cached count profile at x.
-    Returns (results, sample): the report's results, a dict, and the
-    tuple of the v(f) in row order.
+    Returns (results, sample): the report's results, a dict to which the
+    CLI adds the family's description, and the tuple of the v(f) in row
+    order.
     """
     counts = _type_counts(cf, r)
-    pix = len(sieve_primes(x))
-    if pix < 30:
-        raise ValueError("pi(x) must be at least 30 for a meaningful normalization")
+    pix = normalizable_pi(x)
     if len(cf) < 100:
         raise ValueError("family must contain at least 100 certified polynomials")
     values = counts(x)
@@ -385,7 +386,6 @@ def clt_report(cf, r, x, k_max=DEFAULT_K_MAX):
     moments = {str(k): list(family_centered_moment(cf, r, x, k))
                for k in range(1, k_max + 1)}
     results = {
-        "description": cf.description,
         "n": len(r),
         "r": list(r),
         "x": float(x),
@@ -484,8 +484,6 @@ def split_lower_bound_fraction(cf, x):
     n = cf.coeffs.shape[1]
     split_type = (n,) + (0,) * (n - 1)
     counts = _type_counts(cf, split_type)
-    pix = len(sieve_primes(x))
-    if pix < 30:
-        raise ValueError("pi(x) must be at least 30")
+    pix = normalizable_pi(x)
     floor_value = float(splittypes.delta(split_type)) * pix / 2.0
     return sum(1 for c in counts(x) if c >= floor_value) / len(cf)

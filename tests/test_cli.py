@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from splitstat import cli, family, primes, stats
+from splitstat import batch, cli, family, primes, stats
 from splitstat.cli import main
 
 from conftest import assert_no_children
@@ -348,7 +348,7 @@ _WORKER_CODES = {"exits": 1, "raises": 1, "killed": -9}
 @pytest.mark.parametrize("failure", ["exits", "raises", "killed"])
 def test_count_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(stats, "_count_column", _failing_in_workers(stats._count_column, failure))
+    monkeypatch.setattr(batch, "count_code", _failing_in_workers(batch.count_code, failure))
     out = tmp_path / "clt.json"
     code = main(["clt", "--n", "3", "--N", "1000", "--mode", "sampled", "--sample-size",
                  "200", "--x", "300", "--r", "0,0,1", "--out", str(out)])
@@ -378,7 +378,9 @@ def test_certify_worker_failure_exit_code(tmp_path, monkeypatch, capsys, failure
     ["ramified", "--n", "2", "--N", "3", "--bound", "7", "--sample-size", "50"],
     ["ramified", "--n", "2", "--N", "3", "--bound", "7", "--seed", "9"],
 ])
-def test_statistic_value_error_exit_code(tmp_path, capsys, args):
+def test_statistic_value_error_exit_code(tmp_path, monkeypatch, capsys, args):
+    # Each is refused before the family is drawn and certified.
+    _refuse_computing(monkeypatch)
     out = tmp_path / "v.json"
     assert main(args + ["--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err

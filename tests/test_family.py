@@ -565,23 +565,35 @@ def test_trace_kernel_half_modulus_residues(n):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_oracle_called_once_per_residue_row(n, monkeypatch):
-    # At p <= n the rows go to the oracle, once per distinct row mod p.
-    coeffs = generate(FamilySpec(n=n, height_bound=2))
-    rows = coeffs.tolist()
+    # At p <= n the rows go to the oracle: a family of more than p^n rows
+    # once per residue row that occurs (the census), a smaller one once per
+    # row, even where its rows repeat mod p.  The N = 2 box reaches p^n >=
+    # rows only at n = p = 5, where no residue row repeats; the second
+    # family is 60 rows drawn from 20 residue rows mod 3 <= 3^n.
+    rng = np.random.default_rng(n)
+    grid = np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T
+    repeated = grid[rng.permutation(3**n)[:20]].repeat(3, axis=0)
+    repeated += 3 * rng.integers(-5, 6, size=repeated.shape)
+    assert len({tuple(row) for row in (repeated % 3).tolist()}) == 20
     oracle = fppoly.splitting_type_mod_p
-    for p in sieve_primes(n):
-        expected = _oracle_codes(rows, p)
-        calls = []
+    for coeffs in (generate(FamilySpec(n=n, height_bound=2)), repeated):
+        rows = coeffs.tolist()
+        for p in sieve_primes(n):
+            expected = _oracle_codes(rows, p)
+            calls = []
 
-        def counted(f, q):
-            calls.append(tuple(f))
-            return oracle(f, q)
+            def counted(f, q):
+                calls.append(tuple(f))
+                return oracle(f, q)
 
-        monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
-        assert batch.types_mod_p(coeffs, p).tolist() == expected, p
-        monkeypatch.undo()
-        assert len(calls) == len(set(calls)) == len({tuple(c % p for c in row) for row in rows})
-        assert len(calls) <= p**n
+            monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
+            assert batch.types_mod_p(coeffs, p).tolist() == expected, p
+            monkeypatch.undo()
+            if len(rows) > p**n:
+                residues = {tuple(c % p for c in row) for row in rows}
+                assert len(calls) == len(set(calls)) == len(residues) <= p**n
+            else:
+                assert calls == [tuple(row) for row in rows]
 
 
 @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (3, 7),

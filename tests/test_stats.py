@@ -422,18 +422,18 @@ _SHARDED_FAMILIES = [
 
 def _profile_on(monkeypatch, cf, x, cpus):
     """_count_profile of cf at x on cpus CPUs for every code, stacked in code
-    order, and the (rows, primes) of every _count_column call made in this
-    process, for each code in turn.  Each column is counted afresh and is
-    the only cached one, a read-only int64 column."""
+    order, and the (rows, primes) of every batch.count_code call made in
+    this process, for each code in turn.  Each column is counted afresh and
+    is the only cached one, a read-only int64 column."""
     counted = []
-    count_column = stats._count_column
+    count_code = batch.count_code
 
     def recorded(coeffs, primes, code):
         counted.append((len(coeffs), primes))  # seen in this process only
-        return count_column(coeffs, primes, code)
+        return count_code(coeffs, primes, code)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(stats, "_count_column", recorded)
+    monkeypatch.setattr(batch, "count_code", recorded)
     columns = []
     for code in range(len(enumerate_types(cf.coeffs.shape[1])) + 1):
         stats._count_profile.cache_clear()
@@ -506,7 +506,7 @@ def test_count_profile_slabs_and_empty_class(monkeypatch):
 
 def test_clt_report_preconditions(monkeypatch):
     # Refused before anything is counted.
-    monkeypatch.setattr(stats, "_count_column", lambda coeffs, primes, code: pytest.fail("counted"))
+    monkeypatch.setattr(batch, "count_code", lambda coeffs, primes, code: pytest.fail("counted"))
     stats._count_profile.cache_clear()
     cf = certify_family(batch.pack([(-1, -1, 0)]))
     with pytest.raises(ValueError):
