@@ -168,11 +168,10 @@ def splitting_type_mod_p(f, p):
     read off the degree-d parts without any equal-degree splitting.  A
     quartic call takes ~80 us near p = 1000, ~150 us near 2^20 and
     ~300 us near 2^31, and an octic one ~280 us near p = 1000 (CPython
-    3.11, shared 2-CPU Xeon).  batch.types_mod_p calls it outside its
-    kernels, whatever the height: from degree 2 on for p >= 2^20, and from
-    degree 4 on at the primes p <= n, where the traces of Berlekamp's
-    matrix no longer give the type.  It calls it once per residue row that
-    occurs in a family of more than p^n rows, and once per row otherwise.
+    3.11, shared 2-CPU Xeon).  batch.types_mod_p calls it once per distinct
+    residue row outside its kernels, whatever the height: from degree 2 on
+    for p >= 2^20, and from degree 4 on at the primes p <= n, where the
+    traces of Berlekamp's matrix no longer give the type.
     """
     return _reduced_type([c % p for c in f] + [1], p)
 

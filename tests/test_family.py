@@ -565,20 +565,23 @@ def test_trace_kernel_half_modulus_residues(n):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_oracle_called_once_per_residue_row(n, monkeypatch):
-    # At p <= n the rows go to the oracle: a family of more than p^n rows
-    # once per residue row that occurs (the census), a smaller one once per
-    # row, even where its rows repeat mod p.  The N = 2 box reaches p^n >=
-    # rows only at n = p = 5, where no residue row repeats; the second
-    # family is 60 rows drawn from 20 residue rows mod 3 <= 3^n.
+    # At p <= n and at p >= 2^20 the rows go to the oracle once per residue
+    # row that occurs: by the census where the family has more than p^n
+    # rows, and otherwise after np.unique of the rows mod p.  The second
+    # family is 80 rows: 40 rows, each twice, drawn from 20 residue rows
+    # mod 3 <= 3^n, as a sample drawn with replacement repeats rows.
     rng = np.random.default_rng(n)
     grid = np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T
-    repeated = grid[rng.permutation(3**n)[:20]].repeat(3, axis=0)
-    repeated += 3 * rng.integers(-5, 6, size=repeated.shape)
-    assert len({tuple(row) for row in (repeated % 3).tolist()}) == 20
+    drawn = grid[rng.permutation(3**n)[:20]].repeat(2, axis=0)
+    drawn += 3 * rng.integers(-5, 6, size=drawn.shape)
+    repeated = np.concatenate([drawn, drawn])
+    assert len({tuple(row) for row in drawn.tolist()}) == 40
+    assert len({tuple(row) for row in (drawn % 3).tolist()}) == 20
     oracle = fppoly.splitting_type_mod_p
-    for coeffs in (generate(FamilySpec(n=n, height_bound=2)), repeated):
+    box = generate(FamilySpec(n=n, height_bound=2))
+    for coeffs, primes in ((box, sieve_primes(n)), (repeated, (*sieve_primes(n), 1048583))):
         rows = coeffs.tolist()
-        for p in sieve_primes(n):
+        for p in primes:
             expected = _oracle_codes(rows, p)
             calls = []
 
@@ -589,11 +592,9 @@ def test_oracle_called_once_per_residue_row(n, monkeypatch):
             monkeypatch.setattr(fppoly, "splitting_type_mod_p", counted)
             assert batch.types_mod_p(coeffs, p).tolist() == expected, p
             monkeypatch.undo()
-            if len(rows) > p**n:
-                residues = {tuple(c % p for c in row) for row in rows}
-                assert len(calls) == len(set(calls)) == len(residues) <= p**n
-            else:
-                assert calls == [tuple(row) for row in rows]
+            residues = {tuple(c % p for c in row) for row in rows}
+            assert len(calls) == len(set(calls)) == len(residues) <= p**n
+            assert set(calls) == residues
 
 
 @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (3, 7),
